@@ -9,6 +9,11 @@ QUANTILE_SPLIT_LIMIT distinct values). Per-tree randomness comes from
 feature subsampling only; the trained model is never used for prediction,
 only mined for rules.
 
+Split search is exact and sorts nothing per node (SLIQ/SPRINT presorted
+attribute lists): each continuous column is argsorted once per run, a node
+keeps its rows in that order, and a split partitions them stably; each cut
+is scored from running sums over the node's sorted rows.
+
 Models serialize to a line-oriented text dump that parses back losslessly:
 
     TREE <i> <Classification|Regression>
@@ -20,7 +25,6 @@ true) then right order.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -160,24 +164,32 @@ def mse_reduction(targets: Sequence[float], left_mask: Sequence[bool]) -> float:
 # -- training internals ----------------------------------------------------
 
 
-def _xlog2(a: np.ndarray) -> np.ndarray:
-    out = np.zeros(a.shape, dtype=np.float64)
-    nz = a > 0
-    out[nz] = a[nz] * np.log2(a[nz])
+def _weighted_entropy(pos, tot, out, tmp) -> np.ndarray:
+    """out = tot * H(pos / tot) in bits for integer-valued 0 <= pos <= tot,
+    tot >= 1; overwrites pos and tmp."""
+
+    def _xlog2(x, buf):  # x * log2(x), 0 at 0; buf is not x
+        return np.multiply(x, np.log2(np.maximum(x, 1.0, out=buf), out=buf), out=buf)
+
+    _xlog2(tot, out)
+    out -= _xlog2(pos, tmp)
+    np.subtract(tot, pos, out=pos)
+    out -= _xlog2(pos, tmp)
     return out
 
 
-def _weighted_child_entropy(pos: np.ndarray, tot: np.ndarray) -> np.ndarray:
-    """tot * H(pos, tot) elementwise, 0 where tot == 0."""
-    pos = np.asarray(pos, dtype=np.float64)
-    tot = np.asarray(tot, dtype=np.float64)
-    safe = np.maximum(tot, 1.0)
-    h = tot * np.log2(safe) - _xlog2(pos) - _xlog2(tot - pos)
-    return np.where(tot > 0, h, 0.0)
+def _require_finite(values: np.ndarray, what: str) -> None:
+    if np.isnan(values).any():
+        raise SchemaError(f"{what} has missing values; impute first")
+    if not np.isfinite(values).all():
+        raise SchemaError(f"{what} has infinite values")
 
 
 class _TrainingData:
-    """Pre-encoded feature columns shared by every tree of one training run."""
+    """Pre-encoded feature columns shared by every tree of one training run.
+
+    A node is its row ids, ascending, plus per continuous feature the same
+    rows in value order (ties by row id)."""
 
     def __init__(self, table: LogTable, features: Sequence[str], y: np.ndarray):
         self.n = table.row_count
@@ -187,16 +199,13 @@ class _TrainingData:
         else:
             self.kind = TargetKind.REGRESSION
             self.y = np.asarray(y, dtype=np.float64)
-            if np.isnan(self.y).any():
-                raise SchemaError("regression target contains missing values")
+            _require_finite(self.y, "regression target")
         self.cat_codes: dict[str, np.ndarray] = {}
         self.cat_values: dict[str, tuple[str, ...]] = {}
         self.cont_raw: dict[str, np.ndarray] = {}
-        self.cont_ranks: dict[str, np.ndarray] = {}
-        self.cont_distinct: dict[str, np.ndarray] = {}
+        self.cont_order: dict[str, np.ndarray] = {}
         for name in features:
-            spec = table.spec(name)
-            if spec.kind is ColumnKind.CATEGORICAL:
+            if table.spec(name).kind is ColumnKind.CATEGORICAL:
                 codes = table.codes(name)
                 if (codes < 0).any():
                     raise SchemaError(f"feature {name!r} has missing values; impute first")
@@ -204,143 +213,132 @@ class _TrainingData:
                 self.cat_values[name] = table.categories(name)
             else:
                 vals = table.values(name)
-                if np.isnan(vals).any():
-                    raise SchemaError(f"feature {name!r} has missing values; impute first")
-                distinct, ranks = np.unique(vals, return_inverse=True)
+                _require_finite(vals, f"feature {name!r}")
                 self.cont_raw[name] = vals
-                self.cont_ranks[name] = ranks.astype(np.int64)
-                self.cont_distinct[name] = distinct
+                self.cont_order[name] = np.argsort(vals, kind="stable").astype(np.int32)
+        # in_left marks the splitting node's left rows (entries of other rows
+        # are stale and never read); scratch rows hold candidate gain terms.
+        self._in_left = np.zeros(self.n, dtype=bool)
+        self._scratch = np.empty((3, self.n))
 
-    def node_metric(self, idx: np.ndarray) -> float:
-        return float(self.y[idx].mean())
+    def node(self, features: Sequence[str], idx: np.ndarray | None = None):
+        """(rows idx, {continuous feature: the same rows in value order}); all rows by default."""
+        cont = [f for f in features if f in self.cont_raw]
+        if idx is None:
+            return np.arange(self.n, dtype=np.int32), {f: self.cont_order[f] for f in cont}
+        return idx, {f: idx[np.argsort(self.cont_raw[f][idx], kind="stable")] for f in cont}
 
-    def split_mask(self, p: Predicate, idx: np.ndarray) -> np.ndarray:
-        if p.op is PredicateOp.EQUALS:
-            cats = self.cat_values[p.attribute]
-            code = _category_code(cats, p.value)
-            return self.cat_codes[p.attribute][idx] == code
-        return self.cont_raw[p.attribute][idx] > p.value
-
-    def best_split(
-        self, idx: np.ndarray, features: Sequence[str], min_rows: int
-    ) -> SplitCandidate | None:
-        """Max-gain candidate over all features, or None.
-
-        Candidates whose children would dip below min_rows are rejected;
-        ties break toward the lexicographically smallest attribute and then
-        the smallest category/threshold. None when the best gain is <= 0.
-        """
-        best_gain = 0.0
-        best_pred: Predicate | None = None
-        n = idx.size
-        if n == 0:
+    def best_split(self, idx, orders, features: Sequence[str], min_rows: int):
+        """Max-gain (gain, predicate, category index or None) over all features,
+        or None if no gain is > 0. Children under min_rows are rejected; ties
+        break toward the smallest attribute name, then category/threshold."""
+        if idx.size == 0:
             raise ValueError("best_split on an empty node")
-        y_sum = float(self.y[idx].sum())
+        y_node = self.y.take(idx)
+        y_sum = float(y_node.sum())
+        best = None
         for name in sorted(features):
             if name in self.cat_codes:
-                found = self._best_categorical(idx, name, min_rows, y_sum)
+                found = self._best_categorical(idx, y_node, name, min_rows, y_sum)
             else:
-                found = self._best_continuous(idx, name, min_rows, y_sum)
-            if found is not None and found[0] > best_gain:
-                best_gain, best_pred = found
-        if best_pred is None:
-            return None
-        return SplitCandidate(best_pred, best_gain)
+                found = self._best_continuous(orders[name], name, min_rows, y_sum)
+            if found is not None and found[0] > (0.0 if best is None else best[0]):
+                best = found
+        return best
 
-    def _gains(self, n, nl, wl, y_sum) -> np.ndarray:
-        """Gain for each candidate given left-side counts/weight sums."""
-        nr = n - nl
+    def partition(self, idx, orders, predicate: Predicate, code, min_rows: int):
+        """Stable split into the left (predicate true) and right child's (idx,
+        orders); a child too small to split again gets no orders."""
+        if code is not None:
+            mask = self.cat_codes[predicate.attribute].take(idx) == code
+        else:
+            mask = self.cont_raw[predicate.attribute].take(idx) > predicate.value
+        self._in_left[idx] = mask
+        left, right = np.compress(mask, idx), np.compress(~mask, idx)
+        left_orders, right_orders = {}, {}
+        for name, order in orders.items():
+            sel = self._in_left.take(order)
+            if left.size >= 2 * min_rows:
+                left_orders[name] = np.compress(sel, order)
+            if right.size >= 2 * min_rows:
+                right_orders[name] = np.compress(~sel, order)
+        return (left, left_orders), (right, right_orders)
+
+    def _best_gain(self, n: int, nl: np.ndarray, wl: np.ndarray, y_sum: float):
+        """(gain, index) of the best candidate, from left row counts nl (in
+        [1, n - 1]) and left target sums wl; overwrites both."""
+        s2, s3, s4 = (row[: nl.size] for row in self._scratch)
         if self.kind is TargetKind.CLASSIFICATION:
-            parent = _weighted_child_entropy(
-                np.array([y_sum]), np.array([float(n)])
-            )[0]
-            children = _weighted_child_entropy(wl, nl) + _weighted_child_entropy(
-                y_sum - wl, nr
-            )
-            return (parent - children) / n
-        with np.errstate(divide="ignore", invalid="ignore"):
-            left = np.where(nl > 0, wl * wl / np.maximum(nl, 1), 0.0)
-            right_w = y_sum - wl
-            right = np.where(nr > 0, right_w * right_w / np.maximum(nr, 1), 0.0)
-        # gain = (sum_l^2/n_l + sum_r^2/n_r)/n - (sum/n)^2, algebraic form of
-        # parent MSE minus weighted child MSEs (the y^2 terms cancel)
-        return (left + right) / n - (y_sum / n) ** 2
-
-    def _best_categorical(self, idx, name, min_rows, y_sum):
-        codes = self.cat_codes[name][idx]
-        cats = self.cat_values[name]
-        k = len(cats)
-        if k == 0:
-            return None
-        n = idx.size
-        cnt = np.bincount(codes, minlength=k)
-        wsum = np.bincount(codes, weights=self.y[idx], minlength=k)
-        valid = (cnt >= min_rows) & (n - cnt >= min_rows)
-        if not valid.any():
-            return None
-        gains = self._gains(n, cnt.astype(np.float64), wsum, y_sum)
-        gains = np.where(valid, gains, -np.inf)
-        i = int(np.argmax(gains))
-        if not np.isfinite(gains[i]):
-            return None
-        return float(gains[i]), Predicate.equals(name, cats[i])
-
-    def _best_continuous(self, idx, name, min_rows, y_sum):
-        n = idx.size
-        k_global = self.cont_distinct[name].size
-        if n * 4 < k_global:
-            # Small node under a high-cardinality column: re-rank locally
-            # rather than paying bincount over the global distinct set.
-            vals = self.cont_raw[name][idx]
-            distinct, inv = np.unique(vals, return_inverse=True)
-            cnt = np.bincount(inv).astype(np.int64)
-            wsum = np.bincount(inv, weights=self.y[idx])
+            parent = _weighted_entropy(np.array([y_sum]), np.array([float(n)]), *np.empty((2, 1)))[0]
+            np.subtract(y_sum, wl, out=s4)  # right-side positives
+            gains = _weighted_entropy(wl, nl, s2, s3)
+            np.subtract(n, nl, out=nl)  # right-side rows
+            gains += _weighted_entropy(s4, nl, s3, wl)
+            np.subtract(parent, gains, out=gains)
+            gains /= n
         else:
-            ranks = self.cont_ranks[name][idx]
-            cnt_full = np.bincount(ranks, minlength=k_global)
-            wsum_full = np.bincount(ranks, weights=self.y[idx], minlength=k_global)
-            present = np.flatnonzero(cnt_full)
-            distinct = self.cont_distinct[name][present]
-            cnt = cnt_full[present]
-            wsum = wsum_full[present]
-        k = distinct.size
-        if k < 2:
+            # gain = (sum_l^2/n_l + sum_r^2/n_r)/n - (sum/n)^2, algebraic form of
+            # parent MSE minus weighted child MSEs (the y^2 terms cancel)
+            right = np.subtract(y_sum, wl, out=s3)
+            right *= right
+            right /= np.subtract(n, nl, out=s2)
+            gains = np.multiply(wl, wl, out=wl)
+            gains /= nl
+            gains += right
+            gains /= n
+            gains -= (y_sum / n) ** 2
+        i = int(gains.argmax())
+        return (float(gains[i]), i) if np.isfinite(gains[i]) else None
+
+    def _best_categorical(self, idx, y_node, name, min_rows, y_sum):
+        codes = self.cat_codes[name].take(idx)
+        n = idx.size
+        cnt = np.bincount(codes)
+        ok = ((cnt >= min_rows) & (n - cnt >= min_rows)).nonzero()[0]
+        if ok.size == 0:
             return None
-        cum_n = np.cumsum(cnt)
-        cum_w = np.cumsum(wsum)
-        if k > QUANTILE_SPLIT_LIMIT:
+        wsum = np.bincount(codes, weights=y_node)
+        best = self._best_gain(n, cnt[ok].astype(np.float64), wsum[ok], y_sum)
+        if best is None:
+            return None
+        code = int(ok[best[1]])
+        return best[0], Predicate.equals(name, self.cat_values[name][code]), code
+
+    def _best_continuous(self, order, name, min_rows, y_sum):
+        n = order.size
+        vals = self.cont_raw[name].take(order)
+        change = vals[1:] != vals[:-1]
+        # A cut after sorted position ends[j] sends n_right[j] rows right.
+        ends = change.nonzero()[0]
+        n_right = ends + 1
+        lo = int(n_right.searchsorted(min_rows, side="left"))
+        hi = int(n_right.searchsorted(n - min_rows, side="right"))
+        if ends.size >= QUANTILE_SPLIT_LIMIT:  # more distinct values than the limit
             targets = n * (np.arange(1, QUANTILE_BINS + 1) / (QUANTILE_BINS + 1))
-            cuts = np.searchsorted(cum_n, targets, side="left")
-            cuts = np.unique(np.clip(cuts, 0, k - 2))
+            cuts = np.unique(np.clip(n_right.searchsorted(targets), 0, ends.size - 1))
+            cuts = cuts[(cuts >= lo) & (cuts < hi)]
         else:
-            cuts = np.arange(k - 1)
-        lo = distinct[cuts]
-        hi = distinct[cuts + 1]
-        thresholds = lo + (hi - lo) / 2.0
+            cuts = slice(lo, max(lo, hi))
+        cut_ends = ends[cuts]
+        if cut_ends.size == 0:
+            return None
+        # Running target sum over the distinct values, each value's rows summed
+        # first; when every value is distinct those sums are the rows.
+        sums = self.y.take(order)
+        if ends.size < n - 1:
+            group = np.concatenate(([0], change.cumsum(dtype=np.int32)))
+            sums = np.bincount(group, weights=sums)
+        n_left = (n - n_right[cuts]).astype(np.float64)
+        best = self._best_gain(n, n_left, y_sum - sums.cumsum()[cuts], y_sum)
+        if best is None:
+            return None
+        lo_v, hi_v = vals[cut_ends[best[1]]], vals[cut_ends[best[1]] + 1]
+        threshold = lo_v + (hi_v - lo_v) / 2.0
         # Adjacent representable floats can round the midpoint up to hi,
         # which would misplace hi on the wrong side; fall back to lo.
-        bad = thresholds >= hi
-        if bad.any():
-            thresholds = np.where(bad, lo, thresholds)
-        n_right = cum_n[cuts]
-        n_left = n - n_right
-        w_left = y_sum - cum_w[cuts]
-        valid = (n_left >= min_rows) & (n_right >= min_rows)
-        if not valid.any():
-            return None
-        gains = self._gains(n, n_left.astype(np.float64), w_left, y_sum)
-        gains = np.where(valid, gains, -np.inf)
-        i = int(np.argmax(gains))
-        if not np.isfinite(gains[i]):
-            return None
-        return float(gains[i]), Predicate.greater_than(name, float(thresholds[i]))
-
-
-def _category_code(cats: tuple[str, ...], value) -> int:
-    pos = bisect.bisect_left(cats, value)
-    if pos < len(cats) and cats[pos] == value:
-        return pos
-    return -2  # matches nothing, including missing markers
+        if threshold >= hi_v:
+            threshold = lo_v
+        return best[0], Predicate.greater_than(name, float(threshold)), None
 
 
 def best_split(
@@ -355,30 +353,29 @@ def best_split(
     if features is None:
         features = [s.name for s in table.feature_columns()]
     td = _TrainingData(table, features, y)
-    if idx is None:
-        idx = np.arange(table.row_count)
-    return td.best_split(idx, features, min_rows_in_leaf)
+    found = td.best_split(*td.node(features, idx), features, min_rows_in_leaf)
+    return None if found is None else SplitCandidate(found[1], found[0])
 
 
 def _grow_tree(td: _TrainingData, features: Sequence[str], min_rows: int) -> TreeNode:
-    idx = np.arange(td.n)
-    root = TreeNode(row_count=td.n, metric=td.node_metric(idx))
-    stack = [(root, idx)]
+    idx, orders = td.node(features)
+    root = TreeNode(row_count=td.n, metric=float(td.y.mean()))
+    stack = [(root, idx, orders)]
     while stack:
-        node, node_idx = stack.pop()
-        if node_idx.size < 2 * min_rows:
+        node, idx, orders = stack.pop()
+        if idx.size < 2 * min_rows:
             continue
-        cand = td.best_split(node_idx, features, min_rows)
-        if cand is None:
+        found = td.best_split(idx, orders, features, min_rows)
+        if found is None:
             continue
-        mask = td.split_mask(cand.predicate, node_idx)
-        left_idx = node_idx[mask]
-        right_idx = node_idx[~mask]
-        node.split = cand.predicate
-        node.left = TreeNode(row_count=left_idx.size, metric=td.node_metric(left_idx))
-        node.right = TreeNode(row_count=right_idx.size, metric=td.node_metric(right_idx))
-        stack.append((node.left, left_idx))
-        stack.append((node.right, right_idx))
+        _, node.split, code = found
+        (left, l_orders), (right, r_orders) = td.partition(idx, orders, node.split, code, min_rows)
+        if min(left.size, right.size) < min_rows:  # would regrow its parent forever
+            raise RuntimeError(f"split {node.split} leaves a child under {min_rows} rows")
+        node.left = TreeNode(row_count=left.size, metric=float(td.y.take(left).mean()))
+        node.right = TreeNode(row_count=right.size, metric=float(td.y.take(right).mean()))
+        stack.append((node.left, left, l_orders))
+        stack.append((node.right, right, r_orders))
     return root
 
 

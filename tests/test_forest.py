@@ -1,3 +1,6 @@
+import datetime
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -17,7 +20,8 @@ from kpidiag.forest import (
     parse_text,
     train,
 )
-from kpidiag.model import Predicate, PredicateOp
+from kpidiag.model import ColumnKind, KpiKind, Predicate, PredicateOp
+from kpidiag.synth import AttributeSpec, FaultSpec, GeneratorConfig, KpiProfile, generate
 
 from conftest import make_table
 from oracles import oracle_best_gain, oracle_mse_reduction
@@ -161,9 +165,22 @@ class TestBestSplit:
         else:
             assert cand.gain == pytest.approx(expected, abs=1e-9)
 
+    @pytest.mark.parametrize("bad", [-np.inf, np.inf])
+    def test_non_finite_feature_rejected(self, bad):
+        # -inf made the midpoint threshold -inf + (1 + inf) / 2 = nan: "X > nan"
+        table = make_table({"X": ("cont", [1.0, bad, 2.0, 3.0])})
+        with pytest.raises(SchemaError, match="feature 'X' has infinite values"):
+            best_split(table, np.array([False, False, True, True]))
 
-def _random_problem(rng, classification):
-    n = int(rng.integers(2, 13))
+    @pytest.mark.parametrize("bad", [-np.inf, np.inf])
+    def test_non_finite_target_rejected(self, bad):
+        table = make_table({"X": ("cont", [0.0, 1.0, 2.0, 3.0])})
+        with pytest.raises(SchemaError, match="regression target has infinite values"):
+            best_split(table, np.array([1.0, 2.0, bad, 4.0]))
+
+
+def _random_problem(rng, classification, sizes=(2, 13)):
+    n = int(rng.integers(*sizes))
     n_features = int(rng.integers(1, 4))
     columns = {}
     features = []
@@ -199,6 +216,47 @@ def test_best_split_matches_brute_force(classification):
         else:
             assert expected is not None, f"trial {trial}"
             assert cand.gain == pytest.approx(expected, abs=1e-9), f"trial {trial}"
+
+
+def _split_nodes_with_rows(tree, table):
+    """Every split node with its row ids, rebuilt from the root by replaying
+    the ancestor predicates on the table."""
+    stack = [(tree, np.arange(table.row_count))]
+    while stack:
+        node, rows = stack.pop()
+        if node.is_leaf:
+            continue
+        yield node, rows
+        mask = table.predicate_mask(node.split)[rows]
+        stack.append((node.left, rows[mask]))
+        stack.append((node.right, rows[~mask]))
+
+
+@pytest.mark.parametrize("classification", [True, False])
+def test_every_split_node_is_the_best_split_of_its_rows(classification):
+    # Integer-valued continuous columns make ties common; a partition that
+    # loses or reorders rows shows up below the root, where oracle checks of
+    # a single best_split call never look.
+    rng = np.random.default_rng(11 if classification else 12)
+    checked = 0
+    for trial in range(12):
+        table, y, features = _random_problem(rng, classification, sizes=(30, 60))
+        if classification and (y.all() or not y.any()):
+            continue
+        min_rows = int(rng.integers(1, 4))
+        hp = Hyperparams(min_rows_in_leaf=min_rows, feature_sample_ratio=1.0, num_trees=1)
+        tree = train(table, y, hp).trees[0]
+        for node, rows in _split_nodes_with_rows(tree, table):
+            assert node.row_count == rows.size, f"trial {trial}"
+            assert node.metric == float(np.asarray(y[rows], dtype=np.float64).mean())
+            cand = best_split(table, y, min_rows_in_leaf=min_rows, idx=rows)
+            assert cand.predicate == node.split, f"trial {trial}"
+            expected = oracle_best_gain(
+                [table.row(int(i)) for i in rows], list(y[rows]), features, min_rows, classification
+            )
+            assert cand.gain == pytest.approx(expected, abs=1e-9), f"trial {trial}"
+            checked += 1
+    assert checked >= 60
 
 
 def _walk(node):
@@ -324,6 +382,21 @@ class TestTrain:
         with pytest.raises(SchemaError, match="impute"):
             train(table, np.array([True, False, True, False]), Hyperparams(num_trees=1))
 
+    @pytest.mark.parametrize("bad", [-np.inf, np.inf])
+    def test_non_finite_target_rejected(self, bad):
+        # an inf target made every gain nan: single-leaf trees and no error
+        table = make_table({"Rack": ("cat", ["r1", "r2"] * 10)})
+        y = np.tile([30.0, 1.0], 10)
+        y[4] = bad
+        with pytest.raises(SchemaError, match="regression target has infinite values"):
+            train(table, y, Hyperparams(num_trees=1))
+
+    def test_non_finite_feature_rejected(self):
+        table = make_table({"X": ("cont", [1.0, 2.0, 3.0, np.inf] * 5)})
+        y = np.tile([1.0, 2.0, 3.0, 4.0], 5)
+        with pytest.raises(SchemaError, match="feature 'X' has infinite values"):
+            train(table, y, Hyperparams(num_trees=1))
+
     def test_needs_two_rows(self):
         table = make_table({"X": ("cat", ["a"])})
         with pytest.raises(SchemaError):
@@ -435,3 +508,39 @@ class TestDumpAndParse:
         )
         parsed = parse_text(dump_text(model))
         assert parsed.trees[0].split == Predicate.equals("A", "x=y>z")
+
+
+# sha256 of dump_text for the forests below, as trained before the presorted
+# split search replaced per-node sorting; a change to either digest is a
+# change of model output and needs its reason stated.
+PINNED_DIGESTS = {
+    KpiKind.CONTINUOUS: "5c3dff0f5a1dd6b91bc6bf1824a1ed07b18a9c3863900f8c0bf86c4445bb7a50",
+    KpiKind.BINARY: "3265e8ef780b1aa4b8c7845ab73c9e30e7742728a0637bf30226e98e66c70f44",
+}
+
+
+@pytest.mark.parametrize("kind", [KpiKind.CONTINUOUS, KpiKind.BINARY])
+def test_pinned_forest_digest(kind):
+    # 12k rows: root nodes hold more than QUANTILE_SPLIT_LIMIT distinct values
+    attrs = (
+        AttributeSpec("C0", ColumnKind.CATEGORICAL, cardinality=20),
+        AttributeSpec("C1", ColumnKind.CATEGORICAL, cardinality=500, weighting="zipf"),
+        AttributeSpec("X0", ColumnKind.CONTINUOUS),
+        AttributeSpec("X1", ColumnKind.CONTINUOUS, distribution="normal"),
+    )
+    trigger = (Predicate.equals("C0", "c07"),)
+    if kind is KpiKind.CONTINUOUS:
+        kpi = KpiProfile(column="Lat", kind=kind)
+        fault = FaultSpec(trigger=trigger, shift=5.0)
+    else:
+        kpi = KpiProfile(column="Status", kind=kind, failure_rate=0.02)
+        fault = FaultSpec(trigger=trigger, failure_probability=0.3)
+    config = GeneratorConfig(attrs, 12_000, kpi, (fault,), seed=5)
+    table, _ = generate(config, datetime.date(2026, 8, 10))
+    if kind is KpiKind.CONTINUOUS:
+        y = table.values("Lat")
+    else:
+        y = table.codes("Status") == table.categories("Status").index("fail")
+    model = train(table, y, Hyperparams(min_rows_in_leaf=12, num_trees=2, rng_seed=3))
+    digest = hashlib.sha256(dump_text(model).encode("utf-8")).hexdigest()
+    assert digest == PINNED_DIGESTS[kind]
