@@ -2,53 +2,16 @@
 
 The pipeline trains random-forest models with the KPI as the target,
 mines the trees for predicates correlated with degradation, and classifies
-each surviving rule against a rolling score history.
+each surviving rule against a rolling score history. The package exports
+what README's library-use example imports plus the error types; everything
+else lives in its submodule (`kpidiag.pipeline` composes the stages).
 """
 
 from .errors import ConfigError, DumpParseError, SchemaError, StageError
-from .ingest import ColumnDecl, LogTable, SchemaConfig, load, measure_cardinality
-from .model import (
-    MISSING_CATEGORY,
-    ColumnKind,
-    ColumnRole,
-    ColumnSpec,
-    KpiKind,
-    KpiSpec,
-    Predicate,
-    PredicateOp,
-    Rule,
-    SloDirection,
-    TriageCategory,
-    TriagedRule,
-    canonical_key,
-)
-from .forest import (
-    ForestModel,
-    Hyperparams,
-    SplitCandidate,
-    TargetKind,
-    TreeNode,
-    best_split,
-    dump_text,
-    entropy,
-    information_gain,
-    mse_reduction,
-    parse_text,
-    train,
-)
-from .prep import StratifiedTable, impute, recommend_pruning, sample, stratify
-from .rules import (
-    ScoringFunction,
-    compute_impact,
-    correlation_score,
-    deduplicate,
-    extract_rules,
-    filter_negative,
-    resolve_scoring,
-    score_node,
-)
-from .triage import HistoryRecord, HistoryStore, detect_resolved, record_run, triage
-from .report import execute_query, generate_query, precision, render
-from .synth import AttributeSpec, FaultSpec, GeneratorConfig, KpiProfile, generate
+from .forest import Hyperparams, train
+from .ingest import SchemaConfig, load
+from .model import KpiKind, KpiSpec
+from .prep import impute, sample, stratify
+from .rules import deduplicate, extract_rules, filter_negative, resolve_scoring
 
 __version__ = "0.1.0"

@@ -131,14 +131,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    config = _config_with_flags(args)
-    os.makedirs(args.out, exist_ok=True)
-    imputed, pruning, warnings = pipeline.prepare_table(config, args.input)
-    model = pipeline.build_model(config, imputed)
-    with open(os.path.join(args.out, "model.txt"), "w", encoding="utf-8") as f:
-        f.write(forest.dump_text(model))
-    with open(os.path.join(args.out, "pruning.json"), "w", encoding="utf-8") as f:
-        f.write(pipeline.pruning_report_json(pruning, warnings))
+    _, _, warnings = pipeline.run_train(_config_with_flags(args), args.input, args.out)
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
     print(f"wrote {args.out}/model.txt", file=sys.stderr)
@@ -147,12 +140,10 @@ def _cmd_train(args) -> int:
 
 def _cmd_extract(args) -> int:
     config = _config_with_flags(args)
-    with open(args.model, encoding="utf-8") as f:
-        model = forest.parse_text(f.read())
+    model = pipeline.read_model(args.model)
     imputed, _, _ = pipeline.prepare_table(config, args.input)
     mined = pipeline.mine_rules(config, model, imputed, args.date)
-    os.makedirs(args.out, exist_ok=True)
-    pipeline.write_rules(mined, os.path.join(args.out, "rules.json"))
+    pipeline.write_rules(mined, args.out)
     print(f"wrote {len(mined)} rules to {args.out}/rules.json", file=sys.stderr)
     return 0
 
@@ -160,15 +151,7 @@ def _cmd_extract(args) -> int:
 def _cmd_triage(args) -> int:
     config = load_run_config(args.config)
     mined = pipeline.read_rules(args.rules)
-    run_date = args.date
-    triaged, resolved = pipeline.triage_rules(config, mined, args.history, run_date)
-    os.makedirs(args.out, exist_ok=True)
-    report_json = report.render_json(triaged, resolved, run_date, config.kpi, config.table_name)
-    report_md = report.render_markdown(triaged, resolved, run_date, config.kpi, config.table_name)
-    with open(os.path.join(args.out, "report.json"), "w", encoding="utf-8") as f:
-        f.write(report_json)
-    with open(os.path.join(args.out, "report.md"), "w", encoding="utf-8") as f:
-        f.write(report_md)
+    triaged, report_json, _ = pipeline.run_triage(config, mined, args.history, args.out, args.date)
     print(report_json, end="")
     return pipeline.exit_code_for(triaged)
 
@@ -176,17 +159,12 @@ def _cmd_triage(args) -> int:
 def _cmd_eval(args) -> int:
     with open(args.report, encoding="utf-8") as f:
         doc = json.load(f)
-    manifest = synth.load_manifest(args.manifest)
-    truth = synth.manifest_keys(manifest)
+    truth = synth.manifest_keys(synth.load_manifest(args.manifest))
     reported = {entry["key"] for entry in doc.get("rules", [])}
-    if reported:
-        tp = len(reported & truth)
-        precision = tp / len(reported)
-    else:
-        tp, precision = 0, None
+    value, valid = report.precision(reported, truth)
     out = {
-        "precision": precision,
-        "valid_issues": tp,
+        "precision": value,
+        "valid_issues": valid,
         "reported": sorted(reported),
         "missed": sorted(truth - reported),
     }
@@ -195,9 +173,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_dump_model(args) -> int:
-    with open(args.model, encoding="utf-8") as f:
-        model = forest.parse_text(f.read())
-    print(forest.dump_text(model), end="")
+    print(forest.dump_text(pipeline.read_model(args.model)), end="")
     return 0
 
 
@@ -216,10 +192,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except StageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except (ConfigError, OSError, ValueError) as e:
+    except (StageError, ConfigError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -108,59 +108,6 @@ class ForestModel:
             raise ValueError("tree count does not match hyperparams.num_trees")
 
 
-# -- split criteria (reference forms) -------------------------------------
-
-
-def entropy(pos: int, neg: int) -> float:
-    """Binary entropy in bits of a (pos, neg) count pair."""
-    total = pos + neg
-    if total <= 0:
-        raise ValueError("entropy of an empty set is undefined")
-    h = 0.0
-    for c in (pos, neg):
-        if 0 < c < total:
-            p = c / total
-            h -= p * math.log2(p)
-    return h
-
-
-def information_gain(labels: Sequence[bool], left_mask: Sequence[bool]) -> float:
-    """Parent entropy minus row-count-weighted child entropies.
-
-    left_mask marks the rows on the predicate-true side; an empty branch
-    contributes nothing.
-    """
-    labels = np.asarray(labels, dtype=bool)
-    left_mask = np.asarray(left_mask, dtype=bool)
-    n = labels.size
-    parent = entropy(int(labels.sum()), int(n - labels.sum()))
-    total = 0.0
-    for mask in (left_mask, ~left_mask):
-        k = int(mask.sum())
-        if k == 0:
-            continue
-        pos = int(labels[mask].sum())
-        total += (k / n) * entropy(pos, k - pos)
-    return parent - total
-
-
-def mse_reduction(targets: Sequence[float], left_mask: Sequence[bool]) -> float:
-    """Parent MSE minus row-count-weighted child MSEs (each against its own mean)."""
-    targets = np.asarray(targets, dtype=np.float64)
-    left_mask = np.asarray(left_mask, dtype=bool)
-    n = targets.size
-    if n < 2:
-        raise ValueError("mse_reduction needs at least 2 rows")
-    parent = float(np.mean((targets - targets.mean()) ** 2))
-    total = 0.0
-    for mask in (left_mask, ~left_mask):
-        part = targets[mask]
-        if part.size == 0:
-            continue
-        total += (part.size / n) * float(np.mean((part - part.mean()) ** 2))
-    return parent - total
-
-
 # -- training internals ----------------------------------------------------
 
 
@@ -200,6 +147,10 @@ class _TrainingData:
             self.kind = TargetKind.REGRESSION
             self.y = np.asarray(y, dtype=np.float64)
             _require_finite(self.y, "regression target")
+            # every split gain squares a sum of at most n * max|y|
+            bound = float(np.abs(self.y).max(initial=0.0)) * self.y.size
+            if not math.isfinite(bound * bound):
+                raise SchemaError("regression target is too large: split sums overflow")
         self.cat_codes: dict[str, np.ndarray] = {}
         self.cat_values: dict[str, tuple[str, ...]] = {}
         self.cont_raw: dict[str, np.ndarray] = {}
@@ -569,29 +520,3 @@ def _collect_features(trees: list[TreeNode]) -> tuple[str, ...]:
             stack.append(node.left)
             stack.append(node.right)
     return tuple(sorted(names))
-
-
-def forest_structure_equal(a: ForestModel, b: ForestModel) -> bool:
-    """Structural equality: kinds, predicates, counts, and metrics."""
-    if a.target_kind is not b.target_kind or len(a.trees) != len(b.trees):
-        return False
-
-    def node_eq(x: TreeNode, y: TreeNode) -> bool:
-        if x.row_count != y.row_count or x.metric != y.metric or x.split != y.split:
-            return False
-        if x.is_leaf:
-            return y.is_leaf
-        return node_eq(x.left, y.left) and node_eq(x.right, y.right)
-
-    return all(node_eq(x, y) for x, y in zip(a.trees, b.trees))
-
-
-def iter_split_nodes(tree: TreeNode):
-    """Yield every split node of a tree, preorder."""
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        if node.split is not None:
-            yield node
-            stack.append(node.right)
-            stack.append(node.left)

@@ -12,8 +12,9 @@ from __future__ import annotations
 import bisect
 import csv
 import json
+from array import array
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -99,7 +100,9 @@ class LogTable:
         for spec in schema:
             col = data[spec.name]
             if spec.kind is ColumnKind.CATEGORICAL:
-                codes[spec.name], categories[spec.name] = _encode_categorical(col)
+                texts = ["" if v is None else str(v) for v in col]
+                missing = np.array([v is None for v in col], dtype=bool)
+                codes[spec.name], categories[spec.name] = _encode_categorical(texts, missing)
             else:
                 values[spec.name] = _encode_continuous(col)
         return cls(schema, codes, categories, values, row_count)
@@ -142,26 +145,13 @@ class LogTable:
             raise SchemaError(f"column {name!r} is not continuous")
         return self._values[name]
 
-    def has_missing(self, name: str) -> bool:
-        spec = self.spec(name)
-        if spec.kind is ColumnKind.CATEGORICAL:
-            return bool((self._codes[name] < 0).any())
-        return bool(np.isnan(self._values[name]).any())
-
-    def cell(self, name: str, i: int) -> object:
-        spec = self.spec(name)
-        if spec.kind is ColumnKind.CATEGORICAL:
-            code = int(self._codes[name][i])
-            return None if code < 0 else self._categories[name][code]
-        v = float(self._values[name][i])
-        return None if np.isnan(v) else v
-
-    def row(self, i: int) -> dict[str, object]:
-        return {s.name: self.cell(s.name, i) for s in self.schema}
-
-    def iter_rows(self) -> Iterator[dict[str, object]]:
-        for i in range(self.row_count):
-            yield self.row(i)
+    def category_mask(self, name: str, value: str) -> np.ndarray:
+        """Rows of a categorical column whose category is `value` (none if absent)."""
+        cats = self.categories(name)
+        pos = bisect.bisect_left(cats, value)
+        if pos < len(cats) and cats[pos] == value:
+            return self._codes[name] == pos
+        return np.zeros(self.row_count, dtype=bool)
 
     # -- bulk operations -----------------------------------------------
 
@@ -177,12 +167,7 @@ class LogTable:
         if p.op is PredicateOp.EQUALS:
             if spec.kind is not ColumnKind.CATEGORICAL:
                 raise SchemaError(f"equality predicate on continuous column {p.attribute!r}")
-            cats = self._categories[p.attribute]
-            pos = bisect.bisect_left(cats, p.value)
-            if pos < len(cats) and cats[pos] == p.value:
-                base = self._codes[p.attribute] == pos
-            else:
-                base = np.zeros(self.row_count, dtype=bool)
+            base = self.category_mask(p.attribute, p.value)
         else:
             if spec.kind is not ColumnKind.CONTINUOUS:
                 raise SchemaError(f"threshold predicate on categorical column {p.attribute!r}")
@@ -214,14 +199,15 @@ class LogTable:
         return f"LogTable({len(self.schema)} columns, {self.row_count} rows)"
 
 
-def _encode_categorical(col: Sequence[object]) -> tuple[np.ndarray, tuple[str, ...]]:
-    arr = np.array(["" if v is None else str(v) for v in col], dtype=object)
-    missing = np.array([v is None for v in col], dtype=bool)
+def _encode_categorical(
+    texts: Sequence[str], missing: np.ndarray
+) -> tuple[np.ndarray, tuple[str, ...]]:
+    """int32 codes into the sorted distinct texts of the present cells (-1 = missing)."""
+    codes = np.full(len(texts), -1, dtype=np.int32)
     if missing.all():
-        return np.full(len(arr), -1, dtype=np.int32), ()
-    cats, inverse = np.unique(arr[~missing], return_inverse=True)
-    codes = np.full(len(arr), -1, dtype=np.int32)
-    codes[~missing] = inverse.astype(np.int32)
+        return codes, ()
+    cats, inverse = np.unique(np.array(texts, dtype=object)[~missing], return_inverse=True)
+    codes[~missing] = inverse
     return codes, tuple(str(c) for c in cats)
 
 
@@ -238,15 +224,6 @@ def _distinct_codes(codes: np.ndarray, n_categories: int) -> int:
     return int(np.unique(present).size)
 
 
-def measure_cardinality(table: LogTable) -> dict[str, int]:
-    """Exact distinct non-missing value count per categorical column."""
-    out = {}
-    for spec in table.schema:
-        if spec.kind is ColumnKind.CATEGORICAL:
-            out[spec.name] = spec.observed_cardinality or 0
-    return out
-
-
 # -- file loading --------------------------------------------------------
 
 
@@ -256,12 +233,14 @@ def load(path, format: str, schema_config: SchemaConfig) -> LogTable:
     Declared kinds from the config are authoritative; undeclared columns are
     inferred (all-numeric -> continuous, else categorical). Empty CSV cells
     and absent/null JSONL fields become missing. The KPI column must be
-    present and takes its kind from the KPI spec.
+    present and takes its kind from the KPI spec. A continuous cell that is
+    not a finite number (`inf`, `nan`, JSON `NaN`/`Infinity`) is a
+    SchemaError; errors name the file line ("row N") and the column.
     """
     if format == "csv":
-        names, raw_columns, missing = _read_csv(path)
+        names, raw_columns, missing, row_lines = _read_csv(path)
     elif format == "jsonl":
-        names, raw_columns, missing = _read_jsonl(path, schema_config)
+        names, raw_columns, missing, row_lines = _read_jsonl(path, schema_config)
     else:
         raise ConfigError(f"unknown input format: {format!r}")
 
@@ -287,14 +266,17 @@ def load(path, format: str, schema_config: SchemaConfig) -> LogTable:
         if kind is None:
             kind = _infer_kind(raw, miss)
         if kind is ColumnKind.CONTINUOUS:
-            values[name] = _parse_continuous(name, raw, miss)
+            values[name] = _parse_continuous(name, raw, miss, row_lines)
         else:
-            codes[name], categories[name] = _encode_raw_categorical(raw, miss)
+            texts = [_categorical_text(v) for v in raw]
+            codes[name], categories[name] = _encode_categorical(texts, miss)
         schema.append(ColumnSpec(name=name, kind=kind, role=role))
     return LogTable(schema, codes, categories, values, row_count)
 
 
-def _read_csv(path) -> tuple[list[str], dict[str, list], dict[str, np.ndarray]]:
+def _read_csv(path):
+    """(names, raw cells per column, missing masks, file line of each row)."""
+    row_lines = array("q")
     with open(path, newline="", encoding="utf-8") as f:
         reader = csv.reader(f)
         try:
@@ -302,11 +284,15 @@ def _read_csv(path) -> tuple[list[str], dict[str, list], dict[str, np.ndarray]]:
         except StopIteration:
             raise SchemaError("empty CSV file: missing header row") from None
         columns: list[list[str]] = [[] for _ in header]
-        for line_no, row in enumerate(reader, start=2):
+        end = reader.line_num
+        for row in reader:
+            # a quoted field may span lines: a row starts after the last one ended
+            line_no, end = end + 1, reader.line_num
             if len(row) != len(header):
                 raise SchemaError(
                     f"row {line_no}: expected {len(header)} fields, got {len(row)}"
                 )
+            row_lines.append(line_no)
             for acc, cell in zip(columns, row):
                 acc.append(cell)
     raw = {name: col for name, col in zip(header, columns)}
@@ -314,11 +300,12 @@ def _read_csv(path) -> tuple[list[str], dict[str, list], dict[str, np.ndarray]]:
         name: np.array([cell == "" for cell in col], dtype=bool)
         for name, col in raw.items()
     }
-    return list(header), raw, missing
+    return list(header), raw, missing, row_lines
 
 
 def _read_jsonl(path, schema_config: SchemaConfig):
     records = []
+    row_lines = array("q")
     keys: list[str] = [n for n in schema_config.columns]
     if schema_config.kpi.column not in keys:
         keys.append(schema_config.kpi.column)
@@ -340,6 +327,7 @@ def _read_jsonl(path, schema_config: SchemaConfig):
                     seen.add(k)
                     keys.append(k)
             records.append(obj)
+            row_lines.append(line_no)
     raw: dict[str, list] = {k: [] for k in keys}
     missing: dict[str, list[bool]] = {k: [] for k in keys}
     for obj in records:
@@ -353,7 +341,7 @@ def _read_jsonl(path, schema_config: SchemaConfig):
                     v = "true" if v else "false"
                 raw[k].append(v)
                 missing[k].append(False)
-    return keys, raw, {k: np.array(m, dtype=bool) for k, m in missing.items()}
+    return keys, raw, {k: np.array(m, dtype=bool) for k, m in missing.items()}, row_lines
 
 
 def _infer_kind(raw: list, miss: np.ndarray) -> ColumnKind:
@@ -371,11 +359,10 @@ def _infer_kind(raw: list, miss: np.ndarray) -> ColumnKind:
     return ColumnKind.CONTINUOUS
 
 
-def _parse_continuous(name: str, raw: list, miss: np.ndarray) -> np.ndarray:
+def _parse_continuous(name: str, raw: list, miss: np.ndarray, row_lines) -> np.ndarray:
     out = np.full(len(raw), np.nan, dtype=np.float64)
-    present_vals = [v for v, m in zip(raw, miss) if not m]
     try:
-        parsed = np.array(present_vals, dtype=np.float64)
+        out[~miss] = np.array([v for v, m in zip(raw, miss) if not m], dtype=np.float64)
     except (ValueError, TypeError):
         for i, (v, m) in enumerate(zip(raw, miss)):
             if m:
@@ -384,23 +371,15 @@ def _parse_continuous(name: str, raw: list, miss: np.ndarray) -> np.ndarray:
                 float(v)
             except (ValueError, TypeError):
                 raise SchemaError(
-                    f"row {i + 2}: column {name!r} declared continuous but "
+                    f"row {row_lines[i]}: column {name!r} declared continuous but "
                     f"value {v!r} is not numeric"
                 ) from None
         raise
-    out[~miss] = parsed
+    bad = np.flatnonzero(~(np.isfinite(out) | miss))
+    if bad.size:
+        i = int(bad[0])
+        raise SchemaError(f"row {row_lines[i]}: column {name!r} value {raw[i]!r} is not finite")
     return out
-
-
-def _encode_raw_categorical(raw: list, miss: np.ndarray):
-    cells = [_categorical_text(v) for v in raw]
-    arr = np.array(cells, dtype=object)
-    if miss.all():
-        return np.full(len(arr), -1, dtype=np.int32), ()
-    cats, inverse = np.unique(arr[~miss], return_inverse=True)
-    codes = np.full(len(arr), -1, dtype=np.int32)
-    codes[~miss] = inverse.astype(np.int32)
-    return codes, tuple(str(c) for c in cats)
 
 
 def _categorical_text(v: object) -> str:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import datetime
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping
 
 from .errors import SchemaError
 
@@ -78,21 +77,6 @@ class Predicate:
         """Same test, inverted polarity."""
         return Predicate(self.attribute, self.op, self.value, not self.polarity)
 
-    def evaluate(self, row: Mapping[str, object]) -> bool:
-        """Evaluate on one row (a mapping attribute -> value, None = missing)."""
-        if self.attribute not in row:
-            raise SchemaError(f"attribute {self.attribute!r} absent from row")
-        cell = row[self.attribute]
-        if self.op is PredicateOp.EQUALS:
-            base = cell is not None and cell == self.value
-        else:
-            if cell is None:
-                raise SchemaError(
-                    f"attribute {self.attribute!r} is missing; impute before evaluating"
-                )
-            base = float(cell) > self.value  # type: ignore[arg-type]
-        return base if self.polarity else not base
-
     def text(self) -> str:
         """Human-readable report form, e.g. `Rack:AN150C01` or `AuthLatency > 47`."""
         if self.op is PredicateOp.EQUALS:
@@ -154,14 +138,6 @@ class KpiSpec:
             raise SchemaError("continuous KPI requires a threshold")
         if self.kind is KpiKind.BINARY and self.positive_label is None:
             raise SchemaError("binary KPI requires a positive label")
-
-    def is_positive(self, value: object) -> bool:
-        if self.kind is KpiKind.BINARY:
-            return value == self.positive_label
-        v = float(value)  # type: ignore[arg-type]
-        if self.direction is SloDirection.ABOVE:
-            return v > self.threshold
-        return v < self.threshold
 
     def describe(self) -> dict:
         if self.kind is KpiKind.BINARY:

@@ -1,9 +1,13 @@
 """End-to-end diagnosis pipeline and the per-stage pieces the CLI composes.
 
 Order of stages: ingest -> impute -> pruning advisory -> stratify -> sample
--> train -> extract -> dedup/filter -> impact -> score floor -> triage ->
-record -> report. Running the stages through their file-based sub-commands
-produces byte-identical reports to one monolithic run.
+-> train -> write model.txt and pruning.json -> extract -> dedup/filter ->
+impact -> score floor -> triage -> write report.json and report.md ->
+record history. The history append is the last step: a run whose report
+cannot be written leaves the store as it was, and a same-date rerun fails
+in triage, before its reports or the store are touched. The file-based
+sub-commands (train, extract, triage) call the same functions as one
+monolithic `diagnose` run and produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from .config import RunConfig, predicate_from_json, predicate_to_json
 from .errors import StageError
 from .ingest import LogTable
 from .model import KpiKind, Rule, TriageCategory, TriagedRule
-from .triage import HistoryStore, detect_resolved, record_run
+from .triage import HistoryStore, detect_resolved, record_run, run_records
 from .triage import triage as triage_today
 
 
@@ -32,8 +36,6 @@ class DiagnoseResult:
     report_json: str
     report_markdown: str
     triaged: list[TriagedRule]
-    resolved: list[str]
-    pruning: list[prep.PruneRecommendation]
     warnings: list[str] = field(default_factory=list)
     timings: dict[str, float] = field(default_factory=dict)
 
@@ -114,6 +116,20 @@ def build_model(
         return forest.train(sampled, y, hp)
 
 
+def run_train(config: RunConfig, input_path, out_dir, timer: _StageTimer | None = None):
+    """prepare -> train, then write model.txt and pruning.json into out_dir.
+
+    Returns (imputed table, model, warnings).
+    """
+    timer = timer or _StageTimer()
+    imputed, pruning, warnings = prepare_table(config, input_path, timer)
+    model = build_model(config, imputed, timer)
+    with timer.stage("dump-model"):
+        _write(out_dir, "model.txt", forest.dump_text(model))
+        _write(out_dir, "pruning.json", pruning_report_json(pruning, warnings))
+    return imputed, model, warnings
+
+
 def mine_rules(
     config: RunConfig,
     model: forest.ForestModel,
@@ -133,21 +149,38 @@ def mine_rules(
     return [r for r in annotated if r.correlation_score >= config.min_score]
 
 
-def triage_rules(
+def run_triage(
     config: RunConfig,
     mined: list[Rule],
     history_path,
+    out_dir,
     run_date: datetime.date,
     timer: _StageTimer | None = None,
 ):
-    """triage -> detect resolved -> record. Returns (triaged, resolved keys)."""
+    """triage -> detect resolved -> write reports -> record history.
+
+    Returns (triaged, report json, report markdown). The store is appended
+    to only after both reports are written; a record it would reject (a
+    same-date rerun) fails here before anything is written.
+    """
     timer = timer or _StageTimer()
     with timer.stage("triage"):
         store = HistoryStore(history_path)
         triaged = triage_today(mined, store, run_date)
         resolved = detect_resolved(mined, store, run_date)
+        store.check(run_records(mined, run_date))
+    with timer.stage("report"):
+        report_json = report.render_json(
+            triaged, resolved, run_date, config.kpi, config.table_name
+        )
+        report_md = report.render_markdown(
+            triaged, resolved, run_date, config.kpi, config.table_name
+        )
+        _write(out_dir, "report.json", report_json)
+        _write(out_dir, "report.md", report_md)
+    with timer.stage("triage"):
         record_run(mined, store, run_date)
-    return triaged, resolved
+    return triaged, report_json, report_md
 
 
 def exit_code_for(triaged: list[TriagedRule]) -> int:
@@ -162,44 +195,30 @@ def run_diagnose(
     out_dir,
     run_date: datetime.date,
 ) -> DiagnoseResult:
-    """Execute the full pipeline and write report/advisory artifacts.
+    """Execute the full pipeline and write its artifacts into out_dir.
 
     Exit code 0: nothing new or regressed; 2: at least one new/regressed
     rule. Stage failures raise StageError(stage, cause).
     """
-    os.makedirs(out_dir, exist_ok=True)
     timer = _StageTimer()
-    imputed, pruning, warnings = prepare_table(config, input_path, timer)
-    model = build_model(config, imputed, timer)
-    with timer.stage("dump-model"):
-        with open(os.path.join(out_dir, "model.txt"), "w", encoding="utf-8") as f:
-            f.write(forest.dump_text(model))
+    imputed, model, warnings = run_train(config, input_path, out_dir, timer)
     mined = mine_rules(config, model, imputed, run_date, timer)
-    triaged, resolved = triage_rules(config, mined, history_path, run_date, timer)
-    with timer.stage("report"):
-        report_json = report.render_json(
-            triaged, resolved, run_date, config.kpi, config.table_name
-        )
-        report_md = report.render_markdown(
-            triaged, resolved, run_date, config.kpi, config.table_name
-        )
-        _write(os.path.join(out_dir, "report.json"), report_json)
-        _write(os.path.join(out_dir, "report.md"), report_md)
-        _write(os.path.join(out_dir, "pruning.json"), pruning_report_json(pruning, warnings))
+    triaged, report_json, report_md = run_triage(
+        config, mined, history_path, out_dir, run_date, timer
+    )
     return DiagnoseResult(
         exit_code=exit_code_for(triaged),
         report_json=report_json,
         report_markdown=report_md,
         triaged=triaged,
-        resolved=resolved,
-        pruning=pruning,
         warnings=warnings,
         timings=timer.timings,
     )
 
 
-def _write(path, text: str) -> None:
-    with open(path, "w", encoding="utf-8") as f:
+def _write(out_dir, name: str, text: str) -> None:
+    os.makedirs(out_dir, exist_ok=True)
+    with open(os.path.join(out_dir, name), "w", encoding="utf-8") as f:
         f.write(text)
 
 
@@ -243,12 +262,16 @@ def rule_from_json(d: dict) -> Rule:
     )
 
 
-def write_rules(rules_list: list[Rule], path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump([rule_to_json(r) for r in rules_list], f, indent=2, ensure_ascii=False)
-        f.write("\n")
+def write_rules(rules_list: list[Rule], out_dir) -> None:
+    doc = [rule_to_json(r) for r in rules_list]
+    _write(out_dir, "rules.json", json.dumps(doc, indent=2, ensure_ascii=False) + "\n")
 
 
 def read_rules(path) -> list[Rule]:
     with open(path, encoding="utf-8") as f:
         return [rule_from_json(d) for d in json.load(f)]
+
+
+def read_model(path) -> forest.ForestModel:
+    with open(path, encoding="utf-8") as f:
+        return forest.parse_text(f.read())

@@ -126,12 +126,7 @@ def stratify(table: LogTable, kpi: KpiSpec) -> StratifiedTable:
         codes = table.codes(kpi.column)
         if (codes < 0).any():
             raise SchemaError(f"KPI column {kpi.column!r} has missing values; impute first")
-        cats = table.categories(kpi.column)
-        pos = bisect.bisect_left(cats, kpi.positive_label)
-        if pos < len(cats) and cats[pos] == kpi.positive_label:
-            labels = codes == pos
-        else:
-            labels = np.zeros(table.row_count, dtype=bool)
+        labels = table.category_mask(kpi.column, kpi.positive_label)
     positive = int(labels.sum())
     return StratifiedTable(table, labels, positive, table.row_count - positive)
 

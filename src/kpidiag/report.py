@@ -200,22 +200,6 @@ def _ranked(triaged_rules: Sequence[TriagedRule]) -> list[TriagedRule]:
     )
 
 
-def render(
-    triaged_rules: Sequence[TriagedRule],
-    resolved_keys: Sequence[str],
-    format: str,
-    run_date: datetime.date,
-    kpi: KpiSpec,
-    table_name: str = "logs",
-) -> str:
-    """Render the day's report, rules sorted by correlation score descending."""
-    if format == "json":
-        return render_json(triaged_rules, resolved_keys, run_date, kpi, table_name)
-    if format == "markdown":
-        return render_markdown(triaged_rules, resolved_keys, run_date, kpi, table_name)
-    raise ValueError(f"unknown report format: {format!r}")
-
-
 def render_json(
     triaged_rules: Sequence[TriagedRule],
     resolved_keys: Sequence[str],
@@ -297,16 +281,15 @@ def render_markdown(
 
 
 def precision(
-    reported_rules: Sequence[Rule], truth_keys: Iterable[str]
+    reported_keys: Iterable[str], truth_keys: Iterable[str]
 ) -> tuple[float | None, int]:
-    """True-positive fraction of the reported keys, plus the valid-issue count.
+    """True-positive fraction of the distinct reported keys, plus the valid-issue count.
 
-    A reported rule is a true positive when its canonical key is in the
-    truth manifest. An empty report has no defined precision -> (None, 0).
+    A reported key is a true positive when it is in the truth manifest. An
+    empty report has no defined precision -> (None, 0).
     """
-    truth = set(truth_keys)
-    keys = {r.key() for r in reported_rules}
+    keys = set(reported_keys)
     if not keys:
         return None, 0
-    tp = len(keys & truth)
+    tp = len(keys & set(truth_keys))
     return tp / len(keys), tp

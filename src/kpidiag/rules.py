@@ -14,8 +14,6 @@ import ast
 from dataclasses import replace
 from typing import Callable, Sequence
 
-import numpy as np
-
 from .errors import ConfigError
 from .ingest import LogTable
 from .model import KpiKind, KpiSpec, Predicate, PredicateOp, Rule
@@ -195,41 +193,24 @@ def filter_negative(rules: Sequence[Rule]) -> list[Rule]:
     ]
 
 
-def _impact_from_mask(mask: np.ndarray, full_table: LogTable, kpi: KpiSpec) -> float | None:
-    if not mask.any():
-        return None
-    if kpi.kind is KpiKind.CONTINUOUS:
-        vals = full_table.values(kpi.column)
-        return float(vals[mask].mean() - vals.mean())
-    codes = full_table.codes(kpi.column)
-    cats = full_table.categories(kpi.column)
-    try:
-        pos_code = cats.index(kpi.positive_label)
-    except ValueError:
-        return 0.0
-    positive = codes == pos_code
-    return float(positive[mask].mean() - positive.mean())
-
-
-def compute_impact(rule: Rule, full_table: LogTable, kpi: KpiSpec) -> float | None:
-    """KPI delta between the rule's matching subset and the whole population.
-
-    Continuous KPI: difference of means; binary KPI: difference of
-    positive rates. None when no rows match (the rule is stale relative to
-    the full data, which can happen when extraction ran on a sample).
-    """
-    mask = full_table.conjunction_mask(rule.all_predicates())
-    return _impact_from_mask(mask, full_table, kpi)
-
-
 def annotate_impacts(
     rules: Sequence[Rule], full_table: LogTable, kpi: KpiSpec
 ) -> list[Rule]:
-    """Attach performance_impact and full-data row counts to each rule."""
+    """Attach performance_impact and full-data row counts to each rule.
+
+    The impact is the KPI delta between the rule's matching rows and the
+    whole population: difference of means for a continuous KPI, of positive
+    rates for a binary one. It is None, and the rule stale, when no row
+    matches (extraction may have run on a sample of the full table).
+    """
+    if kpi.kind is KpiKind.CONTINUOUS:
+        kpi_values = full_table.values(kpi.column)
+    else:
+        kpi_values = full_table.category_mask(kpi.column, kpi.positive_label)
     out = []
     for rule in rules:
         mask = full_table.conjunction_mask(rule.all_predicates())
-        impact = _impact_from_mask(mask, full_table, kpi)
+        impact = float(kpi_values[mask].mean() - kpi_values.mean()) if mask.any() else None
         out.append(
             replace(
                 rule,

@@ -71,8 +71,8 @@ class HistoryStore:
         self._seen.add(pair)
         self.records.append(rec)
 
-    def append(self, new_records: Sequence[HistoryRecord]) -> None:
-        """Validate, then durably append; nothing is written on a validation error."""
+    def check(self, new_records: Sequence[HistoryRecord]) -> None:
+        """ValueError if a record repeats a (date, key) stored or earlier in the batch."""
         staged = set()
         for rec in new_records:
             pair = (rec.run_date, rec.predicate_key)
@@ -81,6 +81,10 @@ class HistoryStore:
                     f"duplicate record for {rec.predicate_key!r} on {rec.run_date}"
                 )
             staged.add(pair)
+
+    def append(self, new_records: Sequence[HistoryRecord]) -> None:
+        """Validate, then durably append; nothing is written on a validation error."""
+        self.check(new_records)
         lines = [
             f"{r.run_date.isoformat()}\t{r.predicate_key}\t{r.correlation_score!r}\t{r.request_count}\n"
             for r in new_records
@@ -155,11 +159,9 @@ def detect_resolved(
     return sorted(previous - current)
 
 
-def record_run(
-    rules: Sequence[Rule], store: HistoryStore, today: datetime.date
-) -> HistoryStore:
-    """Persist today's post-dedup rules as one history record per key."""
-    records = [
+def run_records(rules: Sequence[Rule], today: datetime.date) -> list[HistoryRecord]:
+    """Today's post-dedup rules as one history record per key."""
+    return [
         HistoryRecord(
             run_date=today,
             predicate_key=rule.key(),
@@ -168,5 +170,11 @@ def record_run(
         )
         for rule in rules
     ]
-    store.append(records)
+
+
+def record_run(
+    rules: Sequence[Rule], store: HistoryStore, today: datetime.date
+) -> HistoryStore:
+    """Persist today's post-dedup rules as one history record per key."""
+    store.append(run_records(rules, today))
     return store

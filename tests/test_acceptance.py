@@ -38,7 +38,7 @@ from kpidiag.synth import (
 from kpidiag.triage import HistoryStore, detect_resolved, record_run, triage
 
 from conftest import make_table
-from oracles import oracle_best_gain
+from oracles import iter_rows, oracle_best_gain
 
 RUN_DATE = datetime.date(2026, 8, 10)
 
@@ -96,7 +96,7 @@ def test_criterion_1_split_oracle_equivalence():
         min_rows = int(rng.integers(1, 4))
         cand = best_split(table, y, min_rows_in_leaf=min_rows)
         expected = oracle_best_gain(
-            list(table.iter_rows()), list(y), features, min_rows, classification
+            list(iter_rows(table)), list(y), features, min_rows, classification
         )
         if cand is None:
             assert expected is None or expected <= 1e-9, f"trial {trial}"

@@ -307,8 +307,46 @@ class TestComposition:
             )
             == 2
         )
-        assert (staged / "report.json").read_bytes() == (mono / "report.json").read_bytes()
+        for name in ("report.json", "report.md", "model.txt", "pruning.json"):
+            assert (staged / name).read_bytes() == (mono / name).read_bytes(), name
         assert (tmp_path / "h-staged.tsv").read_bytes() == (tmp_path / "h-mono.tsv").read_bytes()
+
+
+class TestHistoryIsRecordedLast:
+    def diagnose(self, tmp_path, data, out, date, *flags):
+        return main(
+            [
+                "diagnose",
+                "--config", str(run_config(tmp_path)),
+                "--input", str(data / "logs.csv"),
+                "--history", str(tmp_path / "history.tsv"),
+                "--out", str(out),
+                "--date", date,
+                *flags,
+            ]
+        )
+
+    def test_failed_report_write_leaves_history_unchanged(self, tmp_path, capsys):
+        data = generate_data(tmp_path, faults=[FAULT])
+        assert self.diagnose(tmp_path, data, tmp_path / "day1", "2026-08-09") == 2
+        history = (tmp_path / "history.tsv").read_bytes()
+        out = tmp_path / "day2"
+        (out / "report.json").mkdir(parents=True)
+        assert self.diagnose(tmp_path, data, out, RUN_DATE) == 1
+        assert "stage 'report' failed" in capsys.readouterr().err
+        assert (tmp_path / "history.tsv").read_bytes() == history
+
+    def test_same_date_rerun_fails_before_writing(self, tmp_path, capsys):
+        data = generate_data(tmp_path, faults=[FAULT])
+        out = tmp_path / "out"
+        assert self.diagnose(tmp_path, data, out, RUN_DATE) == 2
+        report = (out / "report.json").read_bytes()
+        history = (tmp_path / "history.tsv").read_bytes()
+        # another seed mines other scores, so a written report would differ
+        assert self.diagnose(tmp_path, data, out, RUN_DATE, "--seed", "6") == 1
+        assert "duplicate record" in capsys.readouterr().err
+        assert (out / "report.json").read_bytes() == report
+        assert (tmp_path / "history.tsv").read_bytes() == history
 
 
 class TestEval:

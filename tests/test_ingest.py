@@ -7,12 +7,12 @@ from kpidiag.ingest import (
     LogTable,
     SchemaConfig,
     load,
-    measure_cardinality,
     write_csv,
 )
 from kpidiag.model import ColumnKind, ColumnRole, KpiKind, KpiSpec
 
 from conftest import make_table
+from oracles import cell, evaluate, iter_rows
 
 LAT_KPI = KpiSpec(column="AuthLatency", kind=KpiKind.CONTINUOUS, threshold=50.0)
 
@@ -31,13 +31,13 @@ class TestCsvLoad:
         assert table.spec("Region").kind is ColumnKind.CATEGORICAL
         assert table.spec("AuthLatency").kind is ColumnKind.CONTINUOUS
         assert table.spec("AuthLatency").role is ColumnRole.KPI
-        assert table.cell("Region", 0) == "NorthAmerica"
-        assert table.cell("AuthLatency", 0) == 12.5
+        assert cell(table, "Region", 0) == "NorthAmerica"
+        assert cell(table, "AuthLatency", 0) == 12.5
 
     def test_empty_cell_is_missing(self, tmp_path):
         path = write(tmp_path, "a.csv", "Region,AuthLatency\nNorthAmerica,\n")
         table = load(path, "csv", SchemaConfig(kpi=LAT_KPI))
-        assert table.cell("AuthLatency", 0) is None
+        assert cell(table, "AuthLatency", 0) is None
 
     def test_row_length_mismatch_reports_line(self, tmp_path):
         path = write(tmp_path, "a.csv", "Region,AuthLatency\nNA,1\nNA\n")
@@ -56,7 +56,7 @@ class TestCsvLoad:
         )
         table = load(path, "csv", config)
         assert table.spec("Code").kind is ColumnKind.CATEGORICAL
-        assert table.cell("Code", 0) == "1234"
+        assert cell(table, "Code", 0) == "1234"
 
     def test_kpi_column_absent_is_a_config_error(self, tmp_path):
         path = write(tmp_path, "a.csv", "Region\nNA\n")
@@ -79,7 +79,7 @@ class TestJsonlLoad:
             '{"Region": "NA", "AuthLatency": 12.5}\n{"Region": "EU"}\n',
         )
         table = load(path, "jsonl", SchemaConfig(kpi=LAT_KPI))
-        assert table.cell("AuthLatency", 1) is None
+        assert cell(table, "AuthLatency", 1) is None
         assert table.row_count == 2
 
     def test_booleans_become_categories(self, tmp_path):
@@ -90,7 +90,7 @@ class TestJsonlLoad:
             '{"CrossDataCenter": false, "AuthLatency": 2}\n',
         )
         table = load(path, "jsonl", SchemaConfig(kpi=LAT_KPI))
-        assert table.cell("CrossDataCenter", 0) == "true"
+        assert cell(table, "CrossDataCenter", 0) == "true"
         assert table.spec("CrossDataCenter").kind is ColumnKind.CATEGORICAL
 
     def test_nested_value_is_rejected(self, tmp_path):
@@ -104,24 +104,60 @@ class TestJsonlLoad:
             load(path, "jsonl", SchemaConfig(kpi=LAT_KPI))
 
 
+class TestNonFinite:
+    @pytest.mark.parametrize("bad", ["inf", "-inf", "nan", "NaN", "Infinity"])
+    def test_csv_kpi_cell_rejected_with_line_and_column(self, tmp_path, bad):
+        path = write(tmp_path, "a.csv", f"Region,AuthLatency\nNA,1\nEU,{bad}\n")
+        with pytest.raises(SchemaError, match="row 3: column 'AuthLatency'.*not finite"):
+            load(path, "csv", SchemaConfig(kpi=LAT_KPI))
+
+    def test_csv_inferred_feature_rejected(self, tmp_path):
+        path = write(tmp_path, "a.csv", "X,AuthLatency\n1,1\nnan,2\ninf,3\n")
+        with pytest.raises(SchemaError, match="row 3: column 'X'.*not finite"):
+            load(path, "csv", SchemaConfig(kpi=LAT_KPI))
+
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+    def test_jsonl_constant_rejected_with_line_and_column(self, tmp_path, bad):
+        # the blank line 2 is skipped but still counted
+        path = write(tmp_path, "a.jsonl", f'{{"AuthLatency": 1}}\n\n{{"AuthLatency": {bad}}}\n')
+        with pytest.raises(SchemaError, match="row 3: column 'AuthLatency'.*not finite"):
+            load(path, "jsonl", SchemaConfig(kpi=LAT_KPI))
+
+    def test_jsonl_bad_value_names_its_own_line(self, tmp_path):
+        path = write(tmp_path, "a.jsonl", '{"AuthLatency": "oops"}\n{"AuthLatency": 2}\n')
+        with pytest.raises(SchemaError, match="row 1: column 'AuthLatency'.*not numeric"):
+            load(path, "jsonl", SchemaConfig(kpi=LAT_KPI))
+
+    def test_csv_row_after_a_multiline_field_names_its_line(self, tmp_path):
+        path = write(tmp_path, "a.csv", 'Region,AuthLatency\n"North\nAmerica",1\nEU,inf\n')
+        with pytest.raises(SchemaError, match="row 4: column 'AuthLatency'"):
+            load(path, "csv", SchemaConfig(kpi=LAT_KPI))
+
+
+def cardinalities(table):
+    return {
+        s.name: s.observed_cardinality for s in table.schema if s.kind is ColumnKind.CATEGORICAL
+    }
+
+
 class TestCardinality:
     def test_missing_is_excluded(self):
         table = make_table({"X": ("cat", ["a", "b", "a", None])})
-        assert measure_cardinality(table)["X"] == 2
+        assert cardinalities(table)["X"] == 2
 
     def test_empty_table(self):
         table = make_table({"X": ("cat", []), "Y": ("cont", [])})
-        assert measure_cardinality(table) == {"X": 0}
+        assert cardinalities(table) == {"X": 0}
 
     def test_desk_scale_unique_ids(self):
         n = 50_000
         table = make_table({"Id": ("cat", [f"id{i}" for i in range(n)])})
-        assert measure_cardinality(table)["Id"] == n
+        assert cardinalities(table)["Id"] == n
 
     def test_never_exceeds_row_count(self, rng):
         values = [str(v) for v in rng.integers(0, 40, size=200)]
         table = make_table({"X": ("cat", values)})
-        assert measure_cardinality(table)["X"] <= table.row_count
+        assert cardinalities(table)["X"] <= table.row_count
 
 
 class TestLogTable:
@@ -141,8 +177,8 @@ class TestLogTable:
         )
         sub = table.take(np.array([2, 0]))
         assert sub.row_count == 2
-        assert sub.cell("X", 0) == "c"
-        assert sub.cell("Y", 1) == 1.0
+        assert cell(sub, "X", 0) == "c"
+        assert cell(sub, "Y", 1) == 1.0
 
     def test_two_kpi_columns_rejected(self):
         from kpidiag.model import ColumnSpec
@@ -170,7 +206,7 @@ class TestLogTable:
             Predicate.greater_than("Y", 0.1, polarity=False),
         ]:
             mask = table.predicate_mask(p)
-            direct = [p.evaluate(row) for row in table.iter_rows()]
+            direct = [evaluate(p, row) for row in iter_rows(table)]
             assert mask.tolist() == direct
 
 

@@ -7,6 +7,7 @@ from kpidiag.model import MISSING_CATEGORY, KpiKind, KpiSpec
 from kpidiag.prep import impute, recommend_pruning, sample, stratify
 
 from conftest import make_table
+from oracles import cell
 
 LAT = KpiSpec(column="Lat", kind=KpiKind.CONTINUOUS, threshold=5.0)
 STATUS = KpiSpec(column="Status", kind=KpiKind.BINARY, positive_label="fail")
@@ -15,20 +16,20 @@ STATUS = KpiSpec(column="Status", kind=KpiKind.BINARY, positive_label="fail")
 class TestImpute:
     def test_categorical_placeholder(self):
         table = impute(make_table({"X": ("cat", ["a", None])}))
-        assert table.cell("X", 1) == MISSING_CATEGORY
-        assert table.cell("X", 0) == "a"
+        assert cell(table, "X", 1) == MISSING_CATEGORY
+        assert cell(table, "X", 0) == "a"
 
     def test_continuous_median(self):
         table = impute(make_table({"X": ("cont", [1.0, 3.0, None])}))
-        assert table.cell("X", 2) == 2.0
+        assert cell(table, "X", 2) == 2.0
 
     def test_single_value_median(self):
         table = impute(make_table({"X": ("cont", [5.0, None, None])}))
-        assert [table.cell("X", i) for i in range(3)] == [5.0, 5.0, 5.0]
+        assert [cell(table, "X", i) for i in range(3)] == [5.0, 5.0, 5.0]
 
     def test_all_missing_continuous_becomes_zero(self):
         table = impute(make_table({"X": ("cont", [None, None])}))
-        assert [table.cell("X", i) for i in range(2)] == [0.0, 0.0]
+        assert [cell(table, "X", i) for i in range(2)] == [0.0, 0.0]
 
     def test_categories_stay_sorted(self):
         # the placeholder sorts before uppercase letters, after digits
@@ -39,7 +40,7 @@ class TestImpute:
 
     def test_placeholder_already_present_collapses(self):
         table = impute(make_table({"X": ("cat", [MISSING_CATEGORY, None])}))
-        assert table.cell("X", 0) == table.cell("X", 1) == MISSING_CATEGORY
+        assert cell(table, "X", 0) == cell(table, "X", 1) == MISSING_CATEGORY
         assert table.spec("X").observed_cardinality == 1
 
     @given(

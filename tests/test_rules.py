@@ -6,7 +6,6 @@ from kpidiag.forest import Hyperparams, TreeNode, parse_text, train
 from kpidiag.model import KpiKind, KpiSpec, Predicate, Rule, canonical_key
 from kpidiag.rules import (
     annotate_impacts,
-    compute_impact,
     correlation_score,
     deduplicate,
     extract_rules,
@@ -251,6 +250,11 @@ class TestFilterNegative:
         assert filter_negative([]) == []
 
 
+def impact(rule, table, kpi):
+    (annotated,) = annotate_impacts([rule], table, kpi)
+    return annotated.performance_impact
+
+
 class TestComputeImpact:
     def test_continuous_subset_versus_global(self):
         # one matching row at 4424ms against a global mean of 5ms
@@ -263,14 +267,14 @@ class TestComputeImpact:
             kpi="Lat",
         )
         rule = rule_of(Predicate.equals("Rack", "bad"))
-        assert compute_impact(rule, table, LAT) == pytest.approx(4419.0, rel=1e-9)
+        assert impact(rule, table, LAT) == pytest.approx(4419.0, rel=1e-9)
 
     def test_rule_matching_everything_has_zero_impact(self):
         table = make_table(
             {"Rack": ("cat", ["a"] * 4), "Lat": ("cont", [1.0, 2.0, 3.0, 4.0])},
             kpi="Lat",
         )
-        assert compute_impact(rule_of(Predicate.equals("Rack", "a")), table, LAT) == 0.0
+        assert impact(rule_of(Predicate.equals("Rack", "a")), table, LAT) == 0.0
 
     def test_binary_rate_delta(self):
         status = ["fail"] * 9 + ["success"] + ["fail"] + ["success"] * 89
@@ -279,14 +283,14 @@ class TestComputeImpact:
             {"Rack": ("cat", rack), "Status": ("cat", status)}, kpi="Status"
         )
         rule = rule_of(Predicate.equals("Rack", "bad"))
-        assert compute_impact(rule, table, STATUS) == pytest.approx(0.8)
+        assert impact(rule, table, STATUS) == pytest.approx(0.8)
 
     def test_no_match_is_stale(self):
         table = make_table(
             {"Rack": ("cat", ["a", "b"]), "Lat": ("cont", [1.0, 2.0])}, kpi="Lat"
         )
         rule = rule_of(Predicate.equals("Rack", "zzz"))
-        assert compute_impact(rule, table, LAT) is None
+        assert impact(rule, table, LAT) is None
         (annotated,) = annotate_impacts([rule], table, LAT)
         assert annotated.stale is True
         assert annotated.performance_impact is None
@@ -305,7 +309,7 @@ class TestComputeImpact:
             Predicate.equals("Rack", "r1"), scope=[Predicate.equals("Region", "NA")]
         )
         # subset = {row 0} (10.0) vs global mean 5.0
-        assert compute_impact(rule, table, LAT) == pytest.approx(5.0)
+        assert impact(rule, table, LAT) == pytest.approx(5.0)
 
 
 class TestOrientationSoundness:
