@@ -12,6 +12,7 @@ from __future__ import annotations
 import bisect
 import csv
 import json
+import math
 from array import array
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, Sequence
@@ -100,11 +101,10 @@ class LogTable:
         for spec in schema:
             col = data[spec.name]
             if spec.kind is ColumnKind.CATEGORICAL:
-                texts = ["" if v is None else str(v) for v in col]
-                missing = np.array([v is None for v in col], dtype=bool)
-                codes[spec.name], categories[spec.name] = _encode_categorical(texts, missing)
+                texts = [v if v is None else str(v) for v in col]
+                codes[spec.name], categories[spec.name] = _dictionary_encode(texts)
             else:
-                values[spec.name] = _encode_continuous(col)
+                values[spec.name] = np.array(col, dtype=np.float64)
         return cls(schema, codes, categories, values, row_count)
 
     # -- column access -------------------------------------------------
@@ -199,20 +199,15 @@ class LogTable:
         return f"LogTable({len(self.schema)} columns, {self.row_count} rows)"
 
 
-def _encode_categorical(
-    texts: Sequence[str], missing: np.ndarray
-) -> tuple[np.ndarray, tuple[str, ...]]:
-    """int32 codes into the sorted distinct texts of the present cells (-1 = missing)."""
-    codes = np.full(len(texts), -1, dtype=np.int32)
-    if missing.all():
-        return codes, ()
-    cats, inverse = np.unique(np.array(texts, dtype=object)[~missing], return_inverse=True)
-    codes[~missing] = inverse
-    return codes, tuple(str(c) for c in cats)
-
-
-def _encode_continuous(col: Sequence[object]) -> np.ndarray:
-    return np.array([np.nan if v is None else float(v) for v in col], dtype=np.float64)
+def _dictionary_encode(texts: Sequence[str | None]) -> tuple[np.ndarray, tuple[str, ...]]:
+    """int32 codes into the sorted distinct texts (None = missing = -1)."""
+    distinct = dict.fromkeys(texts)
+    distinct.pop(None, None)
+    cats = sorted(distinct)
+    lookup = dict(zip(cats, range(len(cats))))
+    lookup[None] = -1
+    codes = np.fromiter(map(lookup.__getitem__, texts), dtype=np.int32, count=len(texts))
+    return codes, tuple(cats)
 
 
 def _distinct_codes(codes: np.ndarray, n_categories: int) -> int:
@@ -234,13 +229,14 @@ def load(path, format: str, schema_config: SchemaConfig) -> LogTable:
     inferred (all-numeric -> continuous, else categorical). Empty CSV cells
     and absent/null JSONL fields become missing. The KPI column must be
     present and takes its kind from the KPI spec. A continuous cell that is
-    not a finite number (`inf`, `nan`, JSON `NaN`/`Infinity`) is a
-    SchemaError; errors name the file line ("row N") and the column.
+    not a finite number (`inf`, `nan`, JSON `NaN`/`Infinity`), or a JSON
+    `NaN`/`Infinity` in a categorical column, is a SchemaError; errors name
+    the file line ("row N") and the column.
     """
     if format == "csv":
-        names, raw_columns, missing, row_lines = _read_csv(path)
+        names, columns, row_lines = _read_csv(path)
     elif format == "jsonl":
-        names, raw_columns, missing, row_lines = _read_jsonl(path, schema_config)
+        names, columns, row_lines = _read_jsonl(path, schema_config)
     else:
         raise ConfigError(f"unknown input format: {format!r}")
 
@@ -252,30 +248,45 @@ def load(path, format: str, schema_config: SchemaConfig) -> LogTable:
     codes: dict[str, np.ndarray] = {}
     categories: dict[str, tuple[str, ...]] = {}
     values: dict[str, np.ndarray] = {}
-    row_count = len(raw_columns[names[0]]) if names else 0
 
-    for name in names:
+    for name, col in zip(names, columns):
         decl = schema_config.decl(name)
         kind = decl.kind
         role = decl.role
         if name == kpi.column:
             role = ColumnRole.KPI
             kind = ColumnKind.CONTINUOUS if kpi.kind is KpiKind.CONTINUOUS else ColumnKind.CATEGORICAL
-        raw = raw_columns[name]
-        miss = missing[name]
+        cell_types = set(map(type, col)) - {type(None)}
+        if bool in cell_types:
+            col = ["true" if v is True else "false" if v is False else v for v in col]
+            cell_types = cell_types - {bool} | {str}
+        floats = None
         if kind is None:
-            kind = _infer_kind(raw, miss)
+            kind = ColumnKind.CATEGORICAL
+            if cell_types and cell_types <= {int, float}:
+                kind = ColumnKind.CONTINUOUS
+            elif cell_types == {str}:
+                try:
+                    floats = np.array(col, dtype=np.float64)
+                    kind = ColumnKind.CONTINUOUS
+                except ValueError:
+                    pass
         if kind is ColumnKind.CONTINUOUS:
-            values[name] = _parse_continuous(name, raw, miss, row_lines)
+            values[name] = _parse_continuous(name, col, row_lines, floats)
         else:
-            texts = [_categorical_text(v) for v in raw]
-            codes[name], categories[name] = _encode_categorical(texts, miss)
+            texts = col if cell_types <= {str} else _category_texts(name, col, row_lines)
+            codes[name], categories[name] = _dictionary_encode(texts)
         schema.append(ColumnSpec(name=name, kind=kind, role=role))
-    return LogTable(schema, codes, categories, values, row_count)
+    return LogTable(schema, codes, categories, values, len(row_lines))
+
+
+# Rows transposed into columns at a time; transposing the whole file at once
+# holds every row and every column in memory together.
+_CSV_BLOCK_ROWS = 4096
 
 
 def _read_csv(path):
-    """(names, raw cells per column, missing masks, file line of each row)."""
+    """(names, cells per column with None for an empty cell, file line of each row)."""
     row_lines = array("q")
     with open(path, newline="", encoding="utf-8") as f:
         reader = csv.reader(f)
@@ -283,7 +294,8 @@ def _read_csv(path):
             header = next(reader)
         except StopIteration:
             raise SchemaError("empty CSV file: missing header row") from None
-        columns: list[list[str]] = [[] for _ in header]
+        columns: list[list[str | None]] = [[] for _ in header]
+        block: list[list[str]] = []
         end = reader.line_num
         for row in reader:
             # a quoted field may span lines: a row starts after the last one ended
@@ -293,22 +305,27 @@ def _read_csv(path):
                     f"row {line_no}: expected {len(header)} fields, got {len(row)}"
                 )
             row_lines.append(line_no)
-            for acc, cell in zip(columns, row):
-                acc.append(cell)
-    raw = {name: col for name, col in zip(header, columns)}
-    missing = {
-        name: np.array([cell == "" for cell in col], dtype=bool)
-        for name, col in raw.items()
-    }
-    return list(header), raw, missing, row_lines
+            block.append(row)
+            if len(block) == _CSV_BLOCK_ROWS:
+                _append_rows(columns, block)
+                block = []
+        _append_rows(columns, block)
+    return list(header), columns, row_lines
+
+
+def _append_rows(columns: list[list[str | None]], rows: list[list[str]]) -> None:
+    for acc, cells in zip(columns, zip(*rows)):
+        acc += [cell or None for cell in cells]
+
+
+_NESTED = frozenset((dict, list))
 
 
 def _read_jsonl(path, schema_config: SchemaConfig):
+    """(names, cells per column with None for an absent or null field, file line of each row)."""
     records = []
     row_lines = array("q")
-    keys: list[str] = [n for n in schema_config.columns]
-    if schema_config.kpi.column not in keys:
-        keys.append(schema_config.kpi.column)
+    keys = list(dict.fromkeys([*schema_config.columns, schema_config.kpi.column]))
     seen = set(keys)
     with open(path, encoding="utf-8") as f:
         for line_no, line in enumerate(f, start=1):
@@ -320,74 +337,57 @@ def _read_jsonl(path, schema_config: SchemaConfig):
                 raise SchemaError(f"row {line_no}: invalid JSON ({e.msg})") from None
             if not isinstance(obj, dict):
                 raise SchemaError(f"row {line_no}: expected a flat JSON object")
-            for k, v in obj.items():
-                if isinstance(v, (dict, list)):
-                    raise SchemaError(f"row {line_no}: field {k!r} is nested; flatten upstream")
-                if k not in seen:
-                    seen.add(k)
-                    keys.append(k)
+            if not _NESTED.isdisjoint(map(type, obj.values())):
+                k = next(k for k, v in obj.items() if type(v) in _NESTED)
+                raise SchemaError(f"row {line_no}: field {k!r} is nested; flatten upstream")
+            if not seen.issuperset(obj):
+                new = [k for k in obj if k not in seen]
+                seen.update(new)
+                keys += new
             records.append(obj)
             row_lines.append(line_no)
-    raw: dict[str, list] = {k: [] for k in keys}
-    missing: dict[str, list[bool]] = {k: [] for k in keys}
-    for obj in records:
-        for k in keys:
-            v = obj.get(k)
-            if v is None:
-                raw[k].append("")
-                missing[k].append(True)
-            else:
-                if isinstance(v, bool):
-                    v = "true" if v else "false"
-                raw[k].append(v)
-                missing[k].append(False)
-    return keys, raw, {k: np.array(m, dtype=bool) for k, m in missing.items()}, row_lines
+    return keys, [[obj.get(k) for obj in records] for k in keys], row_lines
 
 
-def _infer_kind(raw: list, miss: np.ndarray) -> ColumnKind:
-    present = [v for v, m in zip(raw, miss) if not m]
-    if not present:
-        return ColumnKind.CATEGORICAL
-    if all(isinstance(v, (int, float)) for v in present):
-        return ColumnKind.CONTINUOUS
-    if any(not isinstance(v, str) for v in present):
-        return ColumnKind.CATEGORICAL
+def _parse_continuous(name: str, col: list, row_lines, floats: np.ndarray | None) -> np.ndarray:
+    """float64 values (None -> NaN) of a column, parsed unless `floats` already holds them."""
+    if floats is None:
+        try:
+            floats = np.array(col, dtype=np.float64)
+        except (ValueError, TypeError, OverflowError):
+            for i, v in enumerate(col):
+                if v is None:
+                    continue
+                try:
+                    float(v)
+                except OverflowError:
+                    raise SchemaError(
+                        f"row {row_lines[i]}: column {name!r} value {v!r} is not finite"
+                    ) from None
+                except (ValueError, TypeError):
+                    raise SchemaError(
+                        f"row {row_lines[i]}: column {name!r} declared continuous but "
+                        f"value {v!r} is not numeric"
+                    ) from None
+            raise
+    for i in np.flatnonzero(~np.isfinite(floats)).tolist():
+        if col[i] is not None:
+            raise SchemaError(f"row {row_lines[i]}: column {name!r} value {col[i]!r} is not finite")
+    return floats
+
+
+def _category_texts(name: str, col: list, row_lines) -> list[str | None]:
+    """Each cell's category text; numbers take their shortest exact form."""
     try:
-        np.array(present, dtype=np.float64)
-    except ValueError:
-        return ColumnKind.CATEGORICAL
-    return ColumnKind.CONTINUOUS
-
-
-def _parse_continuous(name: str, raw: list, miss: np.ndarray, row_lines) -> np.ndarray:
-    out = np.full(len(raw), np.nan, dtype=np.float64)
-    try:
-        out[~miss] = np.array([v for v, m in zip(raw, miss) if not m], dtype=np.float64)
-    except (ValueError, TypeError):
-        for i, (v, m) in enumerate(zip(raw, miss)):
-            if m:
-                continue
-            try:
-                float(v)
-            except (ValueError, TypeError):
+        return [format_number(v) if type(v) is float else v if v is None else str(v) for v in col]
+    except (ValueError, OverflowError):
+        # format_number cannot take a NaN or an infinity
+        for i, v in enumerate(col):
+            if type(v) is float and not math.isfinite(v):
                 raise SchemaError(
-                    f"row {row_lines[i]}: column {name!r} declared continuous but "
-                    f"value {v!r} is not numeric"
+                    f"row {row_lines[i]}: column {name!r} value {v!r} is not finite"
                 ) from None
         raise
-    bad = np.flatnonzero(~(np.isfinite(out) | miss))
-    if bad.size:
-        i = int(bad[0])
-        raise SchemaError(f"row {row_lines[i]}: column {name!r} value {raw[i]!r} is not finite")
-    return out
-
-
-def _categorical_text(v: object) -> str:
-    if isinstance(v, str):
-        return v
-    if isinstance(v, float):
-        return format_number(v)
-    return str(v)
 
 
 def write_csv(table: LogTable, path) -> None:

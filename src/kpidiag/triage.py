@@ -10,6 +10,9 @@ run-dates of history exist every rule is new (cold start).
 The store is a newline-delimited UTF-8 file, one record per line:
 
     run_date<TAB>predicate_key<TAB>score<TAB>count
+
+Loading rejects a line whose fields do not parse, or whose score is not a
+finite number, with a ValueError naming the file, the line and the field.
 """
 
 from __future__ import annotations
@@ -39,11 +42,14 @@ class HistoryStore:
     def __init__(self, path):
         self.path = os.fspath(path)
         self.records: list[HistoryRecord] = []
-        self._seen: set[tuple[datetime.date, str]] = set()
+        # the same records by key (in file order) and the keys on each run-date
+        self._by_key: dict[str, list[HistoryRecord]] = {}
+        self._by_date: dict[datetime.date, set[str]] = {}
         if os.path.exists(self.path):
             self._load()
 
     def _load(self):
+        dates: dict[str, datetime.date] = {}
         with open(self.path, encoding="utf-8") as f:
             for line_no, line in enumerate(f, start=1):
                 if not line.strip():
@@ -53,22 +59,39 @@ class HistoryStore:
                     raise ValueError(
                         f"{self.path}:{line_no}: expected 4 tab-separated fields"
                     )
-                rec = HistoryRecord(
-                    run_date=datetime.date.fromisoformat(parts[0]),
-                    predicate_key=parts[1],
-                    correlation_score=float(parts[2]),
-                    request_count=int(parts[3]),
-                )
-                self._remember(rec, line_no)
+                date_text, key, score_text, count_text = parts
+                try:
+                    day = dates.get(date_text)
+                    if day is None:
+                        day = dates[date_text] = datetime.date.fromisoformat(date_text)
+                    score = _finite_float(score_text)
+                    count = int(count_text)
+                except ValueError:
+                    raise self._field_error(line_no, parts) from None
+                self._remember(HistoryRecord(day, key, score, count), line_no)
+
+    def _field_error(self, line_no: int, parts: list[str]) -> ValueError:
+        """The error naming the first field of a line that does not parse."""
+        for name, text, parse, expected in (
+            ("run_date", parts[0], datetime.date.fromisoformat, "an ISO date"),
+            ("score", parts[2], _finite_float, "a finite number"),
+            ("count", parts[3], int, "an integer"),
+        ):
+            try:
+                parse(text)
+            except ValueError:
+                return ValueError(f"{self.path}:{line_no}: {name} field {text!r} is not {expected}")
+        raise AssertionError("every field parses")
 
     def _remember(self, rec: HistoryRecord, line_no=None):
-        pair = (rec.run_date, rec.predicate_key)
-        if pair in self._seen:
+        keys = self._by_date.setdefault(rec.run_date, set())
+        if rec.predicate_key in keys:
             where = f"{self.path}:{line_no}: " if line_no else ""
             raise ValueError(
                 f"{where}duplicate record for {rec.predicate_key!r} on {rec.run_date}"
             )
-        self._seen.add(pair)
+        keys.add(rec.predicate_key)
+        self._by_key.setdefault(rec.predicate_key, []).append(rec)
         self.records.append(rec)
 
     def check(self, new_records: Sequence[HistoryRecord]) -> None:
@@ -76,7 +99,7 @@ class HistoryStore:
         staged = set()
         for rec in new_records:
             pair = (rec.run_date, rec.predicate_key)
-            if pair in self._seen or pair in staged:
+            if rec.predicate_key in self._by_date.get(rec.run_date, ()) or pair in staged:
                 raise ValueError(
                     f"duplicate record for {rec.predicate_key!r} on {rec.run_date}"
                 )
@@ -94,28 +117,33 @@ class HistoryStore:
             f.flush()
             os.fsync(f.fileno())
         for rec in new_records:
-            self._seen.add((rec.run_date, rec.predicate_key))
-            self.records.append(rec)
+            self._remember(rec)
 
     def run_dates(self, before: datetime.date | None = None) -> list[datetime.date]:
         """Distinct run-dates in the store, ascending, optionally before a date."""
-        dates = {r.run_date for r in self.records}
+        dates = self._by_date.keys()
         if before is not None:
-            dates = {d for d in dates if d < before}
+            dates = [d for d in dates if d < before]
         return sorted(dates)
 
     def keys_on(self, day: datetime.date) -> set[str]:
-        return {r.predicate_key for r in self.records if r.run_date == day}
+        return set(self._by_date.get(day, ()))
 
     def scores_in_window(
         self, key: str, window_dates: Iterable[datetime.date]
     ) -> list[float]:
+        """The key's scores on the window's dates, in file order."""
         window = set(window_dates)
         return [
-            r.correlation_score
-            for r in self.records
-            if r.predicate_key == key and r.run_date in window
+            r.correlation_score for r in self._by_key.get(key, ()) if r.run_date in window
         ]
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not finite")
+    return value
 
 
 def triage(

@@ -3,12 +3,15 @@
 Everything here is deliberately naive pure Python: entropy from the
 definition, MSE as a two-pass mean of squared deviations, and best-split
 search as full enumeration of every predicate with row-by-row evaluation.
-Row-at-a-time views of a table, predicates and KPI criteria, and the
-structural walks over trees live here too: only tests need them.
+Row-at-a-time views of a table, predicates and KPI criteria, the
+structural walks over trees and a cell-by-cell file loader live here too:
+only tests need them.
 """
 
 from __future__ import annotations
 
+import csv
+import json
 import math
 from typing import Iterator, Mapping
 
@@ -16,8 +19,18 @@ import numpy as np
 
 from kpidiag.errors import SchemaError
 from kpidiag.forest import ForestModel, TreeNode
-from kpidiag.ingest import LogTable
-from kpidiag.model import ColumnKind, KpiKind, KpiSpec, Predicate, PredicateOp, SloDirection
+from kpidiag.ingest import LogTable, SchemaConfig
+from kpidiag.model import (
+    ColumnKind,
+    ColumnRole,
+    ColumnSpec,
+    KpiKind,
+    KpiSpec,
+    Predicate,
+    PredicateOp,
+    SloDirection,
+    format_number,
+)
 
 
 def evaluate(p: Predicate, row: Mapping[str, object]) -> bool:
@@ -60,6 +73,107 @@ def row(table: LogTable, i: int) -> dict[str, object]:
 def iter_rows(table: LogTable) -> Iterator[dict[str, object]]:
     for i in range(table.row_count):
         yield row(table, i)
+
+
+def load_reference(path, format: str, schema_config: SchemaConfig) -> LogTable:
+    """`ingest.load`, one cell at a time.
+
+    Reads the file into rows of cells (None = missing), infers each
+    undeclared column's kind, and parses or encodes every cell on its own.
+    Raises the SchemaError `ingest.load` must raise first ("row N: column
+    'X' ..."): per column in order, the first cell of a continuous column
+    that is not a number (or is too large for a float), then the first
+    that is not finite, and the first JSON NaN/infinity of a categorical one.
+    """
+    rows, lines = [], []
+    if format == "csv":
+        with open(path, newline="", encoding="utf-8") as f:
+            reader = csv.reader(f)
+            names = next(reader)
+            end = reader.line_num
+            for cells in reader:
+                lines.append(end + 1)
+                end = reader.line_num
+                rows.append({n: (c if c != "" else None) for n, c in zip(names, cells)})
+    else:
+        names = list(schema_config.columns)
+        if schema_config.kpi.column not in names:
+            names.append(schema_config.kpi.column)
+        with open(path, encoding="utf-8") as f:
+            for line_no, line in enumerate(f, start=1):
+                if not line.strip():
+                    continue
+                obj = json.loads(line)
+                row = {}
+                for k, v in obj.items():
+                    if k not in names:
+                        names.append(k)
+                    if isinstance(v, bool):
+                        v = "true" if v else "false"
+                    row[k] = v
+                rows.append(row)
+                lines.append(line_no)
+
+    schema, codes, categories, values = [], {}, {}, {}
+    kpi = schema_config.kpi
+    for name in names:
+        cells = [row.get(name) for row in rows]
+        present = [v for v in cells if v is not None]
+        kind = schema_config.decl(name).kind
+        role = schema_config.decl(name).role
+        if name == kpi.column:
+            role = ColumnRole.KPI
+            binary = kpi.kind is KpiKind.BINARY
+            kind = ColumnKind.CATEGORICAL if binary else ColumnKind.CONTINUOUS
+        if kind is None:
+            kind = _reference_kind(present)
+
+        def fail(i, problem):
+            raise SchemaError(f"row {lines[i]}: column {name!r} value {cells[i]!r} {problem}")
+
+        if kind is ColumnKind.CONTINUOUS:
+            parsed = []
+            for i, v in enumerate(cells):
+                try:
+                    parsed.append(math.nan if v is None else float(v))
+                except OverflowError:
+                    fail(i, "is not finite")
+                except ValueError:
+                    fail(i, "is not numeric")
+            for i, v in enumerate(cells):
+                if v is not None and not math.isfinite(parsed[i]):
+                    fail(i, "is not finite")
+            values[name] = np.array(parsed, dtype=np.float64)
+        else:
+            texts = []
+            for i, v in enumerate(cells):
+                if isinstance(v, float) and not math.isfinite(v):
+                    fail(i, "is not finite")
+                if isinstance(v, float):
+                    v = format_number(v)
+                texts.append(None if v is None else str(v))
+            cats = sorted({t for t in texts if t is not None})
+            position = {c: i for i, c in enumerate(cats)}
+            codes[name] = np.array(
+                [-1 if t is None else position[t] for t in texts], dtype=np.int32
+            )
+            categories[name] = tuple(cats)
+        schema.append(ColumnSpec(name, kind, role))
+    return LogTable(schema, codes, categories, values, len(rows))
+
+
+def _reference_kind(present: list) -> ColumnKind:
+    """All numbers, or all strings that parse as numbers: continuous."""
+    if present and all(isinstance(v, (int, float)) for v in present):
+        return ColumnKind.CONTINUOUS
+    if present and all(isinstance(v, str) for v in present):
+        try:
+            for v in present:
+                float(v)
+        except ValueError:
+            return ColumnKind.CATEGORICAL
+        return ColumnKind.CONTINUOUS
+    return ColumnKind.CATEGORICAL
 
 
 def forest_structure_equal(a: ForestModel, b: ForestModel) -> bool:

@@ -1,6 +1,16 @@
+import csv
+import datetime
+import json
+import re
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from kpidiag import synth
 from kpidiag.errors import ConfigError, SchemaError
 from kpidiag.ingest import (
     ColumnDecl,
@@ -12,7 +22,7 @@ from kpidiag.ingest import (
 from kpidiag.model import ColumnKind, ColumnRole, KpiKind, KpiSpec
 
 from conftest import make_table
-from oracles import cell, evaluate, iter_rows
+from oracles import cell, evaluate, iter_rows, load_reference
 
 LAT_KPI = KpiSpec(column="AuthLatency", kind=KpiKind.CONTINUOUS, threshold=50.0)
 
@@ -132,6 +142,137 @@ class TestNonFinite:
         path = write(tmp_path, "a.csv", 'Region,AuthLatency\n"North\nAmerica",1\nEU,inf\n')
         with pytest.raises(SchemaError, match="row 4: column 'AuthLatency'"):
             load(path, "csv", SchemaConfig(kpi=LAT_KPI))
+
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+    def test_jsonl_constant_in_declared_categorical_rejected(self, tmp_path, bad):
+        path = write(
+            tmp_path,
+            "a.jsonl",
+            f'{{"Tag": "a", "AuthLatency": 1}}\n{{"Tag": {bad}, "AuthLatency": 2}}\n',
+        )
+        config = SchemaConfig(
+            kpi=LAT_KPI, columns={"Tag": ColumnDecl(kind=ColumnKind.CATEGORICAL)}
+        )
+        with pytest.raises(SchemaError, match="row 2: column 'Tag'.*not finite"):
+            load(path, "jsonl", config)
+
+    def test_jsonl_constant_in_inferred_categorical_rejected(self, tmp_path):
+        # strings and a NaN: the column is inferred categorical
+        path = write(
+            tmp_path,
+            "a.jsonl",
+            '{"Tag": "a", "AuthLatency": 1}\n\n{"Tag": NaN, "AuthLatency": 2}\n',
+        )
+        with pytest.raises(SchemaError, match="row 3: column 'Tag'.*not finite"):
+            load(path, "jsonl", SchemaConfig(kpi=LAT_KPI))
+
+    def test_jsonl_integer_beyond_float_range_rejected(self, tmp_path):
+        path = write(tmp_path, "a.jsonl", f'{{"AuthLatency": 1}}\n{{"AuthLatency": 1{"0" * 400}}}\n')
+        with pytest.raises(SchemaError, match="row 2: column 'AuthLatency'.*not finite"):
+            load(path, "jsonl", SchemaConfig(kpi=LAT_KPI))
+
+
+# -- loader against the cell-by-cell reference --------------------------------
+
+COLUMN_NAMES = ("K", "A", "Ärger", "日志")
+NUMBER_TEXTS = ("1", "-2.5", "1e3", " 7", "0.1", "-0", "nan", "inf", "1_000", "١٢")
+CATEGORY_TEXTS = ("a", "b", "Zürich", "東京", "a ", "1", "true", "")
+TEXT = st.text(
+    st.characters(blacklist_categories=("Cs",), blacklist_characters="\r\n\x00"), max_size=4
+)
+NUMBERS = st.one_of(
+    st.integers(),
+    st.sampled_from([2**53 + 1, 10**400]),
+    st.floats(),
+)
+CELLS = {
+    "numbers": NUMBERS,
+    "number texts": st.sampled_from(NUMBER_TEXTS),
+    "categories": st.sampled_from(CATEGORY_TEXTS),
+    "anything": st.one_of(NUMBERS, TEXT, st.booleans(), st.sampled_from(NUMBER_TEXTS)),
+}
+
+
+@st.composite
+def tables(draw):
+    """(columns as {name: cells}, schema config, omit JSONL keys of missing cells)."""
+    names = ["K"] + draw(st.lists(st.sampled_from(COLUMN_NAMES[1:]), unique=True))
+    rows = draw(st.integers(min_value=0, max_value=6))
+    columns = {}
+    for name in names:
+        cell = st.one_of(st.none(), CELLS[draw(st.sampled_from(sorted(CELLS)))])
+        columns[name] = draw(st.lists(cell, min_size=rows, max_size=rows))
+    kinds = st.sampled_from([None, ColumnKind.CATEGORICAL, ColumnKind.CONTINUOUS])
+    decls = {n: ColumnDecl(kind=draw(kinds)) for n in names[1:] if draw(st.booleans())}
+    if draw(st.booleans()):
+        kpi = KpiSpec(column="K", kind=KpiKind.CONTINUOUS, threshold=0.0)
+    else:
+        kpi = KpiSpec(column="K", kind=KpiKind.BINARY, positive_label="1")
+    return columns, SchemaConfig(kpi=kpi, columns=decls), draw(st.booleans())
+
+
+def csv_text(v):
+    if v is None:
+        return ""
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    return v if isinstance(v, str) else repr(v)
+
+
+def write_both(dir: Path, columns: dict, omit_missing: bool) -> tuple[Path, Path]:
+    csv_path, jsonl_path = dir / "t.csv", dir / "t.jsonl"
+    names = list(columns)
+    rows = list(zip(*columns.values()))
+    with open(csv_path, "w", newline="", encoding="utf-8") as f:
+        writer = csv.writer(f)
+        writer.writerow(names)
+        writer.writerows([csv_text(v) for v in row] for row in rows)
+    with open(jsonl_path, "w", encoding="utf-8") as f:
+        for row in rows:
+            obj = {n: v for n, v in zip(names, row) if not (omit_missing and v is None)}
+            f.write(json.dumps(obj) + "\n")
+    return csv_path, jsonl_path
+
+
+def outcome(loader, path, format, config):
+    """The loaded table, or the (row, column, problem) a SchemaError names."""
+    try:
+        return loader(path, format, config)
+    except SchemaError as e:
+        named = re.fullmatch(r"row (\d+): column '(.*?)' .*(not numeric|not finite)", str(e))
+        assert named, f"error names no row and column: {e}"
+        return named.groups()
+
+
+class TestAgainstReference:
+    @settings(max_examples=300, deadline=None)
+    @given(tables())
+    def test_load_equals_reference_or_both_name_the_same_cell(self, drawn):
+        columns, config, omit_missing = drawn
+        with tempfile.TemporaryDirectory() as dir:
+            for path, format in zip(write_both(Path(dir), columns, omit_missing), ("csv", "jsonl")):
+                expected = outcome(load_reference, path, format, config)
+                assert outcome(load, path, format, config) == expected, format
+
+    def test_generated_day_with_missing_cells(self, tmp_path):
+        attrs = tuple(
+            synth.AttributeSpec(name=f"C{c}", kind=ColumnKind.CATEGORICAL, cardinality=c)
+            for c in (3, 40, 3000)
+        ) + tuple(synth.AttributeSpec(name=f"X{i}", kind=ColumnKind.CONTINUOUS) for i in range(3))
+        kpi = synth.KpiProfile(column="Lat", kind=KpiKind.CONTINUOUS)
+        table, _ = synth.generate(
+            synth.GeneratorConfig(attrs, 12_000, kpi, (), seed=7), datetime.date(2026, 8, 10)
+        )
+        rng = np.random.default_rng(7)
+        columns = {}
+        for name in table.column_names:
+            cells = [cell(table, name, i) for i in range(table.row_count)]
+            if name != "Lat":
+                cells = [None if m else v for v, m in zip(cells, rng.random(len(cells)) < 0.05)]
+            columns[name] = cells
+        config = SchemaConfig(kpi=KpiSpec(column="Lat", kind=KpiKind.CONTINUOUS, threshold=1.0))
+        for path, format in zip(write_both(tmp_path, columns, True), ("csv", "jsonl")):
+            assert load(path, format, config) == load_reference(path, format, config), format
 
 
 def cardinalities(table):

@@ -231,3 +231,59 @@ class TestHistoryStore:
         path.write_text("2026-01-01\tk\t1.0\n", encoding="utf-8")  # 3 fields
         with pytest.raises(ValueError, match=":1"):
             HistoryStore(path)
+
+    @pytest.mark.parametrize(
+        "fields, named",
+        [
+            ("2026-08-09\tk\t0.5\t", "count field '' is not an integer"),
+            ("2026-08-09\tk\t0.5\t1.0", "count field '1.0' is not an integer"),
+            ("2026-02-30\tk\t0.5\t3", "run_date field '2026-02-30' is not an ISO date"),
+            ("yesterday\tk\t0.5\t3", "run_date field 'yesterday' is not an ISO date"),
+            ("2026-08-09\tk\thigh\t3", "score field 'high' is not a finite number"),
+            ("2026-08-09\tk\tnan\t3", "score field 'nan' is not a finite number"),
+            ("2026-08-09\tk\tinf\t3", "score field 'inf' is not a finite number"),
+            ("2026-08-09\tk\t-inf\t3", "score field '-inf' is not a finite number"),
+        ],
+        ids=[
+            "empty-count",
+            "float-count",
+            "impossible-date",
+            "word-date",
+            "word-score",
+            "nan-score",
+            "inf-score",
+            "minus-inf-score",
+        ],
+    )
+    def test_bad_field_names_line_and_field(self, tmp_path, fields, named):
+        path = tmp_path / "history.tsv"
+        path.write_text(f"2026-08-08\tk\t0.5\t3\n{fields}\n", encoding="utf-8")
+        with pytest.raises(ValueError) as err:
+            HistoryStore(path)
+        assert str(err.value) == f"{path}:2: {named}"
+
+    def test_indexes_answer_like_a_scan_of_the_records(self, tmp_path):
+        path = tmp_path / "history.tsv"
+        batches = [  # out of date order, and 2026-01-02 twice
+            (D(2026, 1, 5), {"k0": 1.0, "k1": 2.0}),
+            (D(2026, 1, 2), {"k1": 3.0, "k2": 4.0}),
+            (D(2026, 1, 9), {"k0": 5.0, "k1": 6.0}),
+            (D(2026, 1, 2), {"k0": 7.0}),
+            (D(2026, 1, 7), {"k1": 8.0, "k2": 9.0}),
+        ]
+        for day, scores in batches:
+            HistoryStore(path).append([HistoryRecord(day, k, v, 1) for k, v in scores.items()])
+        store = HistoryStore(path)
+        window = [D(2026, 1, 2), D(2026, 1, 7), D(2026, 1, 9)]
+        assert store.scores_in_window("k1", window) == [3.0, 6.0, 8.0]  # file order
+        for key in ("k0", "k1", "k2", "absent"):
+            scan = [
+                r.correlation_score
+                for r in store.records
+                if r.predicate_key == key and r.run_date in window
+            ]
+            assert store.scores_in_window(key, window) == scan
+        assert store.keys_on(D(2026, 1, 2)) == {"k0", "k1", "k2"}
+        assert store.keys_on(D(2026, 1, 3)) == set()
+        assert store.run_dates() == [D(2026, 1, d) for d in (2, 5, 7, 9)]
+        assert store.run_dates(before=D(2026, 1, 7)) == [D(2026, 1, 2), D(2026, 1, 5)]
