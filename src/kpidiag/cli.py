@@ -9,7 +9,8 @@
     kpidiag dump-model --model outdir/model.txt
 
 diagnose exits 0 when nothing is new or regressed, 2 when something is,
-1 on error. Flags override the corresponding config values.
+1 on error, a usage error included. On diagnose and train, flags override
+the corresponding config values.
 """
 
 from __future__ import annotations
@@ -55,7 +56,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--history", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--format", choices=["json", "markdown", "both"], default="both")
     _date_arg(p)
     _add_override_flags(p)
 
@@ -76,7 +76,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--out", required=True)
     _date_arg(p)
-    _add_override_flags(p)
 
     p = sub.add_parser("triage", help="triage mined rules against history and report")
     p.add_argument("--config", required=True)
@@ -96,13 +95,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_with_flags(args) -> RunConfig:
-    config = load_run_config(args.config)
-    return config.with_overrides(
-        seed=getattr(args, "seed", None),
-        sample_rows=getattr(args, "sample_rows", None),
-        num_trees=getattr(args, "num_trees", None),
-        min_rows_in_leaf_pct=getattr(args, "min_rows_in_leaf_pct", None),
-        feature_sample_ratio=getattr(args, "feature_sample_ratio", None),
+    return load_run_config(args.config).with_overrides(
+        seed=args.seed,
+        sample_rows=args.sample_rows,
+        num_trees=args.num_trees,
+        min_rows_in_leaf_pct=args.min_rows_in_leaf_pct,
+        feature_sample_ratio=args.feature_sample_ratio,
     )
 
 
@@ -113,10 +111,8 @@ def _cmd_diagnose(args) -> int:
         print(f"warning: {w}", file=sys.stderr)
     for stage, seconds in result.timings.items():
         print(f"{stage}: {seconds:.2f}s", file=sys.stderr)
-    if args.format in ("json", "both"):
-        print(result.report_json, end="")
-    if args.format in ("markdown", "both"):
-        print(result.report_markdown, end="")
+    print(result.report_json, end="")
+    print(result.report_markdown, end="")
     return result.exit_code
 
 
@@ -139,7 +135,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_extract(args) -> int:
-    config = _config_with_flags(args)
+    config = load_run_config(args.config)
     model = pipeline.read_model(args.model)
     imputed, _, _ = pipeline.prepare_table(config, args.input)
     mined = pipeline.mine_rules(config, model, imputed, args.date)
@@ -189,7 +185,10 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as e:  # argparse exits 0 after --help and 2 on a usage error
+        return 0 if e.code == 0 else 1
     try:
         return _COMMANDS[args.command](args)
     except (StageError, ConfigError, OSError, ValueError) as e:

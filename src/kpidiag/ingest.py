@@ -333,8 +333,8 @@ def _read_jsonl(path, schema_config: SchemaConfig):
                 continue
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise SchemaError(f"row {line_no}: invalid JSON ({e.msg})") from None
+            except ValueError as e:  # JSONDecodeError, or an integer too long to convert
+                raise SchemaError(f"row {line_no}: invalid JSON ({getattr(e, 'msg', e)})") from None
             if not isinstance(obj, dict):
                 raise SchemaError(f"row {line_no}: expected a flat JSON object")
             if not _NESTED.isdisjoint(map(type, obj.values())):

@@ -2,9 +2,9 @@
 
 Reports come in two formats: a schema-stable JSON document and a markdown
 table. Each rule carries a standalone ANSI-style SQL filter query that an
-operator can paste into whatever engine holds the logs; a small built-in
-evaluator executes that exact dialect against an in-memory table so tests
-can prove query/predicate equivalence.
+operator can paste into whatever engine holds the logs. This module only
+generates and renders those queries; the tests check that each one selects
+exactly the rows its rule matches.
 """
 
 from __future__ import annotations
@@ -14,9 +14,6 @@ import json
 import re
 from typing import Iterable, Sequence
 
-import numpy as np
-
-from .ingest import LogTable
 from .model import (
     KpiSpec,
     Predicate,
@@ -27,8 +24,25 @@ from .model import (
 )
 
 _BARE_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
-_NUMBER = re.compile(r"[-+]?(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?")
-_KEYWORDS = {"SELECT", "FROM", "WHERE", "AND"}
+# Every keyword SQLite 3.40 reports, plus the boolean literals: a bare
+# identifier that spells one is a syntax error or, for NULL, a silent no-match.
+_KEYWORDS = frozenset(
+    """
+    ABORT ACTION ADD AFTER ALL ALTER ALWAYS ANALYZE AND AS ASC ATTACH AUTOINCREMENT
+    BEFORE BEGIN BETWEEN BY CASCADE CASE CAST CHECK COLLATE COLUMN COMMIT CONFLICT
+    CONSTRAINT CREATE CROSS CURRENT CURRENT_DATE CURRENT_TIME CURRENT_TIMESTAMP
+    DATABASE DEFAULT DEFERRABLE DEFERRED DELETE DESC DETACH DISTINCT DO DROP EACH
+    ELSE END ESCAPE EXCEPT EXCLUDE EXCLUSIVE EXISTS EXPLAIN FAIL FALSE FILTER FIRST
+    FOLLOWING FOR FOREIGN FROM FULL GENERATED GLOB GROUP GROUPS HAVING IF IGNORE
+    IMMEDIATE IN INDEX INDEXED INITIALLY INNER INSERT INSTEAD INTERSECT INTO IS
+    ISNULL JOIN KEY LAST LEFT LIKE LIMIT MATCH MATERIALIZED NATURAL NO NOT NOTHING
+    NOTNULL NULL NULLS OF OFFSET ON OR ORDER OTHERS OUTER OVER PARTITION PLAN PRAGMA
+    PRECEDING PRIMARY QUERY RAISE RANGE RECURSIVE REFERENCES REGEXP REINDEX RELEASE
+    RENAME REPLACE RESTRICT RETURNING RIGHT ROLLBACK ROW ROWS SAVEPOINT SELECT SET
+    TABLE TEMP TEMPORARY THEN TIES TO TRANSACTION TRIGGER TRUE UNBOUNDED UNION
+    UNIQUE UPDATE USING VACUUM VALUES VIEW VIRTUAL WHEN WHERE WINDOW WITH WITHOUT
+    """.split()
+)
 
 
 def _quote_ident(name: str) -> str:
@@ -58,137 +72,6 @@ def generate_query(rule: Rule, table_name: str = "logs") -> str:
     """
     conds = [_condition_sql(p) for p in rule.all_predicates()]
     return f"SELECT * FROM {_quote_ident(table_name)} WHERE " + " AND ".join(conds)
-
-
-# -- built-in evaluator for the generated dialect --------------------------
-
-
-class QueryParseError(Exception):
-    pass
-
-
-def _tokenize(sql: str) -> list[tuple[str, object]]:
-    tokens: list[tuple[str, object]] = []
-    i, n = 0, len(sql)
-    while i < n:
-        c = sql[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c == "'":
-            j = i + 1
-            buf = []
-            while True:
-                if j >= n:
-                    raise QueryParseError("unterminated string literal")
-                if sql[j] == "'":
-                    if j + 1 < n and sql[j + 1] == "'":
-                        buf.append("'")
-                        j += 2
-                        continue
-                    j += 1
-                    break
-                buf.append(sql[j])
-                j += 1
-            tokens.append(("STRING", "".join(buf)))
-            i = j
-            continue
-        if c == '"':
-            j = i + 1
-            buf = []
-            while True:
-                if j >= n:
-                    raise QueryParseError("unterminated quoted identifier")
-                if sql[j] == '"':
-                    if j + 1 < n and sql[j + 1] == '"':
-                        buf.append('"')
-                        j += 2
-                        continue
-                    j += 1
-                    break
-                buf.append(sql[j])
-                j += 1
-            tokens.append(("IDENT", "".join(buf)))
-            i = j
-            continue
-        if c == "*":
-            tokens.append(("STAR", "*"))
-            i += 1
-            continue
-        if sql.startswith("<=", i) or sql.startswith("<>", i):
-            tokens.append(("OP", sql[i : i + 2]))
-            i += 2
-            continue
-        if c in "=>":
-            tokens.append(("OP", c))
-            i += 1
-            continue
-        m = _NUMBER.match(sql, i)
-        if m and (c.isdigit() or c in "+-."):
-            tokens.append(("NUMBER", float(m.group(0))))
-            i = m.end()
-            continue
-        m = re.match(r"[A-Za-z_][A-Za-z0-9_]*", sql[i:])
-        if m:
-            word = m.group(0)
-            if word.upper() in _KEYWORDS:
-                tokens.append(("KEYWORD", word.upper()))
-            else:
-                tokens.append(("IDENT", word))
-            i += len(word)
-            continue
-        raise QueryParseError(f"unexpected character {c!r} at offset {i}")
-    return tokens
-
-
-def parse_query(sql: str) -> tuple[str, list[Predicate]]:
-    """Parse the generated dialect back into (table_name, predicates)."""
-    tokens = _tokenize(sql)
-    pos = 0
-
-    def expect(kind: str, value=None):
-        nonlocal pos
-        if pos >= len(tokens):
-            raise QueryParseError("unexpected end of query")
-        k, v = tokens[pos]
-        if k != kind or (value is not None and v != value):
-            raise QueryParseError(f"expected {value or kind}, got {v!r}")
-        pos += 1
-        return v
-
-    expect("KEYWORD", "SELECT")
-    expect("STAR")
-    expect("KEYWORD", "FROM")
-    table_name = expect("IDENT")
-    expect("KEYWORD", "WHERE")
-    predicates: list[Predicate] = []
-    while True:
-        attr = expect("IDENT")
-        op = expect("OP")
-        if pos >= len(tokens):
-            raise QueryParseError("condition missing its literal")
-        kind, value = tokens[pos]
-        pos += 1
-        if op in ("=", "<>"):
-            if kind != "STRING":
-                raise QueryParseError(f"expected a string literal after {op}")
-            predicates.append(Predicate.equals(attr, value, polarity=op == "="))
-        elif op in (">", "<="):
-            if kind != "NUMBER":
-                raise QueryParseError(f"expected a numeric literal after {op}")
-            predicates.append(Predicate.greater_than(attr, value, polarity=op == ">"))
-        else:
-            raise QueryParseError(f"unsupported operator {op!r}")
-        if pos >= len(tokens):
-            break
-        expect("KEYWORD", "AND")
-    return table_name, predicates
-
-
-def execute_query(sql: str, table: LogTable) -> np.ndarray:
-    """Run a generated query against an in-memory table; returns row indices."""
-    _, predicates = parse_query(sql)
-    return np.flatnonzero(table.conjunction_mask(predicates))
 
 
 # -- rendering --------------------------------------------------------------

@@ -136,7 +136,6 @@ def generate(
     """Draw one day of logs; returns the table and the truth manifest."""
     rng = np.random.default_rng(cfg.seed)
     n = cfg.row_count
-    by_name = {a.name: a for a in cfg.attributes}
 
     codes: dict[str, np.ndarray] = {}
     categories: dict[str, tuple[str, ...]] = {}
@@ -151,10 +150,9 @@ def generate(
             values[attr.name] = _draw_continuous(attr, n, rng)
         schema.append(ColumnSpec(attr.name, attr.kind, ColumnRole.FEATURE))
 
+    features = LogTable(schema, codes, categories, values, n)
     active = [f for f in cfg.faults if f.active_on(day)]
-    fault_masks = [
-        _trigger_mask(f, by_name, codes, categories, values, n) for f in active
-    ]
+    fault_masks = [_trigger_mask(f, features) for f in active]
 
     kpi = cfg.kpi
     if kpi.kind is KpiKind.CONTINUOUS:
@@ -246,27 +244,22 @@ def _draw_continuous(attr: AttributeSpec, n: int, rng: np.random.Generator) -> n
     raise ConfigError(f"unknown continuous distribution {attr.distribution!r}")
 
 
-def _trigger_mask(fault, by_name, codes, categories, values, n) -> np.ndarray:
-    mask = np.ones(n, dtype=bool)
+def _trigger_mask(fault: FaultSpec, features: LogTable) -> np.ndarray:
+    """Rows matching the fault's trigger, after checking it against the generated columns."""
     for p in fault.trigger:
-        attr = by_name.get(p.attribute)
-        if attr is None:
+        if p.attribute not in features.column_names:
             raise ConfigError(f"fault trigger references unknown attribute {p.attribute!r}")
+        kind = features.spec(p.attribute).kind
         if p.op is PredicateOp.EQUALS:
-            if attr.kind is not ColumnKind.CATEGORICAL:
+            if kind is not ColumnKind.CATEGORICAL:
                 raise ConfigError(f"equality trigger on continuous attribute {p.attribute!r}")
-            cats = categories[p.attribute]
-            if p.value not in cats:
+            if p.value not in features.categories(p.attribute):
                 raise ConfigError(
                     f"trigger value {p.value!r} outside the generated categories of {p.attribute!r}"
                 )
-            base = codes[p.attribute] == cats.index(p.value)
-        else:
-            if attr.kind is not ColumnKind.CONTINUOUS:
-                raise ConfigError(f"threshold trigger on categorical attribute {p.attribute!r}")
-            base = values[p.attribute] > p.value
-        mask &= base if p.polarity else ~base
-    return mask
+        elif kind is not ColumnKind.CONTINUOUS:
+            raise ConfigError(f"threshold trigger on categorical attribute {p.attribute!r}")
+    return features.conjunction_mask(fault.trigger)
 
 
 def manifest_keys(manifest: dict) -> set[str]:

@@ -4,8 +4,8 @@ Everything here is deliberately naive pure Python: entropy from the
 definition, MSE as a two-pass mean of squared deviations, and best-split
 search as full enumeration of every predicate with row-by-row evaluation.
 Row-at-a-time views of a table, predicates and KPI criteria, the
-structural walks over trees and a cell-by-cell file loader live here too:
-only tests need them.
+structural walks over trees, a cell-by-cell file loader and an evaluator
+for the generated SQL dialect live here too: only tests need them.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
 from typing import Iterator, Mapping
 
 import numpy as np
@@ -73,6 +74,53 @@ def row(table: LogTable, i: int) -> dict[str, object]:
 def iter_rows(table: LogTable) -> Iterator[dict[str, object]]:
     for i in range(table.row_count):
         yield row(table, i)
+
+
+class QueryParseError(Exception):
+    pass
+
+
+_IDENT = r'([A-Za-z_][A-Za-z0-9_]*|"(?:[^"]|"")*")(?!")'
+_HEAD = re.compile(r"SELECT\s+\*\s+FROM\s+" + _IDENT + r"\s+WHERE\s+")
+_COND = re.compile(
+    _IDENT + r"\s*(?:(=|<>)\s*'((?:[^']|'')*)'(?!')"
+    r"|(>|<=)\s*([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?))"
+)
+_AND = re.compile(r"\s+AND\s+")
+
+
+def _unquote(ident: str) -> str:
+    return ident[1:-1].replace('""', '"') if ident.startswith('"') else ident
+
+
+def execute_query(sql: str, table: LogTable) -> np.ndarray:
+    """Parse `SELECT * FROM t WHERE c (AND c)*` and run it row by row; returns row indices.
+
+    A condition is `ident = 'str'`, `ident <> 'str'`, `ident > num` or
+    `ident <= num`; identifiers are bare or double-quoted, with doubled
+    quotes as escapes in both quoted forms.
+    """
+    m = _HEAD.match(sql)
+    if m is None:
+        raise QueryParseError(f"not a filter query: {sql!r}")
+    predicates = []
+    while True:
+        c = _COND.match(sql, m.end())
+        if c is None:
+            raise QueryParseError(f"bad condition at offset {m.end()}: {sql!r}")
+        attr, eq, text, gt, number = c.groups()
+        if eq:
+            p = Predicate.equals(_unquote(attr), text.replace("''", "'"), eq == "=")
+        else:
+            p = Predicate.greater_than(_unquote(attr), float(number), gt == ">")
+        predicates.append(p)
+        if c.end() == len(sql):
+            break
+        m = _AND.match(sql, c.end())
+        if m is None:
+            raise QueryParseError(f"expected AND at offset {c.end()}: {sql!r}")
+    hits = [i for i, r in enumerate(iter_rows(table)) if all(evaluate(p, r) for p in predicates)]
+    return np.array(hits, dtype=np.intp)
 
 
 def load_reference(path, format: str, schema_config: SchemaConfig) -> LogTable:

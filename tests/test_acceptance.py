@@ -25,7 +25,7 @@ from kpidiag.model import (
     Rule,
     TriageCategory,
 )
-from kpidiag.report import execute_query, generate_query
+from kpidiag.report import generate_query
 from kpidiag.synth import (
     AttributeSpec,
     FaultSpec,
@@ -38,7 +38,7 @@ from kpidiag.synth import (
 from kpidiag.triage import HistoryStore, detect_resolved, record_run, triage
 
 from conftest import make_table
-from oracles import iter_rows, oracle_best_gain
+from oracles import execute_query, iter_rows, oracle_best_gain
 
 RUN_DATE = datetime.date(2026, 8, 10)
 

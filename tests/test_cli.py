@@ -190,6 +190,26 @@ class TestDiagnose:
         )
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "command, extra",
+        [
+            ("diagnose", ["--trees-typo", "3"]),
+            ("diagnose", ["--date", "2026-13-01"]),
+            ("diagnose", ["--format", "json"]),
+            ("extract", ["--seed", "3"]),
+        ],
+    )
+    def test_usage_error_exits_one_not_the_alert_code(self, tmp_path, command, extra, capsys):
+        argv = [command, "--config", "run.json", "--input", "x.csv", "--out", str(tmp_path / "out")]
+        argv += ["--history", "h.tsv"] if command == "diagnose" else ["--model", "model.txt"]
+        assert main(argv + extra) == 1
+        assert "usage:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_help_exits_zero(self, capsys):
+        assert main(["diagnose", "--help"]) == 0
+        assert "--history" in capsys.readouterr().out
+
     def test_binary_kpi_pipeline(self, tmp_path):
         fault = {
             "trigger": [{"attribute": "B", "op": "eq", "value": "c07"}],

@@ -113,6 +113,12 @@ class TestJsonlLoad:
         with pytest.raises(SchemaError, match="row 2"):
             load(path, "jsonl", SchemaConfig(kpi=LAT_KPI))
 
+    def test_integer_too_long_to_convert_reports_line(self, tmp_path):
+        # json.loads raises a plain ValueError here, not a JSONDecodeError
+        path = write(tmp_path, "a.jsonl", f'{{"AuthLatency": 1}}\n\n{{"AuthLatency": {"9" * 5000}}}\n')
+        with pytest.raises(SchemaError, match="row 3: invalid JSON"):
+            load(path, "jsonl", SchemaConfig(kpi=LAT_KPI))
+
 
 class TestNonFinite:
     @pytest.mark.parametrize("bad", ["inf", "-inf", "nan", "NaN", "Infinity"])

@@ -1,5 +1,8 @@
+import _sqlite3
+import ctypes
 import datetime
 import json
+import sqlite3
 
 import numpy as np
 import pytest
@@ -13,8 +16,6 @@ from kpidiag.model import (
     TriagedRule,
 )
 from kpidiag.report import (
-    QueryParseError,
-    execute_query,
     generate_query,
     precision,
     render_json,
@@ -22,6 +23,7 @@ from kpidiag.report import (
 )
 
 from conftest import make_table
+from oracles import QueryParseError, execute_query
 
 LAT = KpiSpec(column="Lat", kind=KpiKind.CONTINUOUS, threshold=5.0)
 RUN_DATE = datetime.date(2026, 8, 10)
@@ -139,6 +141,57 @@ class TestExecuteQuery:
             got = execute_query(generate_query(rule), table).tolist()
             expected = np.flatnonzero(table.conjunction_mask(rule.all_predicates())).tolist()
             assert got == expected, f"trial {trial}"
+
+
+def sqlite_keywords() -> list[str]:
+    """The keyword list of the SQLite library the stdlib `sqlite3` module links."""
+    try:
+        lib = ctypes.CDLL(_sqlite3.__file__)
+        count, name_of = lib.sqlite3_keyword_count, lib.sqlite3_keyword_name
+    except (OSError, AttributeError) as e:
+        pytest.skip(f"SQLite keyword list not loadable: {e}")
+    name, size = ctypes.c_char_p(), ctypes.c_int()
+    words = []
+    for i in range(count()):
+        name_of(i, ctypes.byref(name), ctypes.byref(size))
+        words.append(name.value[: size.value].decode("ascii"))
+    return words
+
+
+class TestSqliteRunsGeneratedQueries:
+    """SQLite selects the rule's rows even when a column is named after a keyword.
+
+    Thresholds keep three decimals: SQLite parses a few full-precision
+    `repr(float)` literals one unit in the last place off, so it cannot
+    stand in for the oracle on arbitrary floats.
+    """
+
+    CATS = ["a", "b", "a", "c", "b", "a"]
+    NUMS = [0.1, 0.125, 0.5, -1.25, 0.126, 0.124]
+
+    def test_keyword_named_columns(self):
+        keywords = sqlite_keywords()
+        assert "NULL" in keywords
+        db = sqlite3.connect(":memory:")
+        for word in keywords:
+            name = word.lower()
+            table = make_table({name: ("cat", self.CATS), "Num": ("cont", self.NUMS)})
+            db.execute(f'CREATE TABLE "t_{name}" (i INTEGER, "{name}" TEXT, Num REAL)')
+            db.executemany(
+                f'INSERT INTO "t_{name}" VALUES (?, ?, ?)',
+                zip(range(len(self.CATS)), self.CATS, self.NUMS),
+            )
+            for rule in (
+                rule_of(Predicate.equals(name, "a")),
+                rule_of(
+                    Predicate.greater_than("Num", 0.125),
+                    scope=[Predicate.equals(name, "b", polarity=False)],
+                ),
+            ):
+                sql = generate_query(rule, f"t_{name}")
+                got = sorted(r[0] for r in db.execute(sql))
+                expected = np.flatnonzero(table.conjunction_mask(rule.all_predicates()))
+                assert got == expected.tolist(), sql
 
 
 class TestRender:
