@@ -9,8 +9,8 @@
     kpidiag dump-model --model outdir/model.txt
 
 diagnose exits 0 when nothing is new or regressed, 2 when something is,
-1 on error, a usage error included. On diagnose and train, flags override
-the corresponding config values.
+1 on error, a usage error included; it prints the JSON report to stdout.
+Run settings come only from the --config file.
 """
 
 from __future__ import annotations
@@ -22,17 +22,9 @@ import os
 import sys
 
 from . import forest, pipeline, report, synth
-from .config import RunConfig, load_generator_config, load_run_config
+from .config import load_generator_config, load_run_config
 from .errors import ConfigError, StageError
 from .ingest import write_csv
-
-
-def _add_override_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=None, help="override the config seed")
-    p.add_argument("--sample-rows", type=int, default=None, dest="sample_rows")
-    p.add_argument("--trees", type=int, default=None, dest="num_trees")
-    p.add_argument("--min-leaf-pct", type=float, default=None, dest="min_rows_in_leaf_pct")
-    p.add_argument("--feature-ratio", type=float, default=None, dest="feature_sample_ratio")
 
 
 def _date_arg(p: argparse.ArgumentParser) -> None:
@@ -57,7 +49,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--history", required=True)
     p.add_argument("--out", required=True)
     _date_arg(p)
-    _add_override_flags(p)
 
     p = sub.add_parser("generate", help="generate synthetic logs plus a truth manifest")
     p.add_argument("--config", required=True)
@@ -68,7 +59,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True)
-    _add_override_flags(p)
 
     p = sub.add_parser("extract", help="mine rules from a trained model dump")
     p.add_argument("--config", required=True)
@@ -94,25 +84,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_with_flags(args) -> RunConfig:
-    return load_run_config(args.config).with_overrides(
-        seed=args.seed,
-        sample_rows=args.sample_rows,
-        num_trees=args.num_trees,
-        min_rows_in_leaf_pct=args.min_rows_in_leaf_pct,
-        feature_sample_ratio=args.feature_sample_ratio,
-    )
-
-
 def _cmd_diagnose(args) -> int:
-    config = _config_with_flags(args)
+    config = load_run_config(args.config)
     result = pipeline.run_diagnose(config, args.input, args.history, args.out, args.date)
     for w in result.warnings:
         print(f"warning: {w}", file=sys.stderr)
     for stage, seconds in result.timings.items():
         print(f"{stage}: {seconds:.2f}s", file=sys.stderr)
     print(result.report_json, end="")
-    print(result.report_markdown, end="")
     return result.exit_code
 
 
@@ -127,7 +106,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    _, _, warnings = pipeline.run_train(_config_with_flags(args), args.input, args.out)
+    _, _, warnings = pipeline.run_train(load_run_config(args.config), args.input, args.out)
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
     print(f"wrote {args.out}/model.txt", file=sys.stderr)
@@ -147,7 +126,7 @@ def _cmd_extract(args) -> int:
 def _cmd_triage(args) -> int:
     config = load_run_config(args.config)
     mined = pipeline.read_rules(args.rules)
-    triaged, report_json, _ = pipeline.run_triage(config, mined, args.history, args.out, args.date)
+    triaged, report_json = pipeline.run_triage(config, mined, args.history, args.out, args.date)
     print(report_json, end="")
     return pipeline.exit_code_for(triaged)
 

@@ -14,15 +14,16 @@ Example:
                       "min_rows_in_leaf_pct": 1.0}
     }
 
-Command-line flags override config values; the config file is the single
-source of schema truth.
+The file is the only source of run settings: `_SETTINGS` states each one's
+key, JSON type and valid values, and `RunConfig` its default.
 """
 
 from __future__ import annotations
 
 import datetime
 import json
-from dataclasses import dataclass, field, replace
+import sys
+from dataclasses import dataclass, field
 
 from .errors import ConfigError
 from .ingest import ColumnDecl, SchemaConfig
@@ -36,20 +37,6 @@ from .model import (
     SloDirection,
 )
 from .synth import AttributeSpec, FaultSpec, GeneratorConfig, KpiProfile
-
-_RUN_KEYS = {
-    "kpi",
-    "columns",
-    "scoring",
-    "sample_rows",
-    "seed",
-    "max_cardinality",
-    "min_score",
-    "hyperparams",
-    "input_format",
-    "table_name",
-}
-_HYPER_KEYS = {"num_trees", "feature_sample_ratio", "min_rows_in_leaf_pct"}
 
 
 @dataclass(frozen=True)
@@ -70,38 +57,98 @@ class RunConfig:
     def schema_config(self) -> SchemaConfig:
         return SchemaConfig(kpi=self.kpi, columns=self.columns)
 
-    def with_overrides(self, **overrides) -> "RunConfig":
-        supplied = {k: v for k, v in overrides.items() if v is not None}
-        return replace(self, **supplied) if supplied else self
+
+@dataclass(frozen=True)
+class _Setting:
+    """A setting's JSON type and valid values: numbers >= low, or in (low,
+    high] when high is given; strings among choices, or any string."""
+
+    type: type  # int, float or str
+    low: float | None = None
+    high: float | None = None
+    choices: tuple[str, ...] = ()
+
+    def valid(self) -> str:
+        """The valid values, worded as in README's configuration table."""
+        if self.type is str:
+            return " or ".join(json.dumps(c) for c in self.choices) or "a string"
+        text = "an integer" if self.type is int else "a finite number"
+        if self.high is not None:
+            return f"{text} in ({self.low:g}, {self.high:g}]"
+        return text if self.low is None else f"{text} >= {self.low:g}"
+
+    def parse(self, key: str, raw):
+        """raw as this setting's type, or a ConfigError naming key."""
+        if self.type is str:
+            ok = isinstance(raw, str) and (not self.choices or raw in self.choices)
+        else:
+            # type(), not isinstance: JSON true is no number and 7.5 no integer;
+            # the abs bound rejects NaN, infinities and integers past float range
+            ok = type(raw) in ((int,) if self.type is int else (int, float))
+            ok = ok and abs(raw) <= sys.float_info.max and (
+                self.low is None
+                or (self.low < raw <= self.high if self.high is not None else self.low <= raw)
+            )
+        if not ok:
+            raise ConfigError(f"{key} must be {self.valid()}, got {json.dumps(raw)}")
+        return self.type(raw)
 
 
-def parse_kpi(obj: dict) -> KpiSpec:
+# Every run setting besides `kpi` and `columns`. A dotted key lies inside
+# the object its first part names; the key's last part is the RunConfig
+# field that holds the default.
+_SETTINGS = {
+    "scoring": _Setting(str),
+    "sample_rows": _Setting(int, low=2),
+    "seed": _Setting(int, low=0),
+    "max_cardinality": _Setting(int, low=1),
+    "min_score": _Setting(float),
+    "input_format": _Setting(str, choices=("csv", "jsonl")),
+    "table_name": _Setting(str),
+    "hyperparams.num_trees": _Setting(int, low=1),
+    "hyperparams.feature_sample_ratio": _Setting(float, low=0, high=1),
+    "hyperparams.min_rows_in_leaf_pct": _Setting(float, low=0, high=100),
+}
+
+
+def _object(key: str, value) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{key} must be a JSON object, got {json.dumps(value)}")
+    return value
+
+
+def parse_kpi(obj) -> KpiSpec:
     try:
-        column = obj["column"]
+        column = _object("kpi", obj)["column"]
         kind = KpiKind(obj["kind"])
-        slo = obj["slo"]
+        slo = _object("kpi.slo", obj["slo"])
     except (KeyError, ValueError) as e:
         raise ConfigError(f"bad kpi section: {e}") from None
     if kind is KpiKind.CONTINUOUS:
         if "threshold" not in slo:
             raise ConfigError("continuous KPI slo needs a threshold")
         direction = SloDirection(slo.get("direction", "above"))
-        return KpiSpec(column=column, kind=kind, threshold=float(slo["threshold"]), direction=direction)
+        threshold = _Setting(float).parse("kpi.slo.threshold", slo["threshold"])
+        return KpiSpec(column=column, kind=kind, threshold=threshold, direction=direction)
     if "positive_label" not in slo:
         raise ConfigError("binary KPI slo needs a positive_label")
     return KpiSpec(column=column, kind=kind, positive_label=str(slo["positive_label"]))
 
 
-def parse_run_config(obj: dict) -> RunConfig:
-    unknown = set(obj) - _RUN_KEYS
+def parse_run_config(obj) -> RunConfig:
+    """A RunConfig from a parsed config file; each rejection names the key."""
+    given = {k: v for k, v in _object("config", obj).items() if k not in ("kpi", "columns", "hyperparams")}
+    hyper = _object("hyperparams", obj.get("hyperparams", {}))
+    unknown = {k for k in given if "." in k}
+    given.update((f"hyperparams.{k}", v) for k, v in hyper.items())
+    unknown |= set(given) - set(_SETTINGS)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     if "kpi" not in obj:
         raise ConfigError("config must name the KPI column")
-    kpi = parse_kpi(obj["kpi"])
     columns: dict[str, ColumnDecl] = {}
-    for name, decl in obj.get("columns", {}).items():
-        unknown = set(decl) - {"kind", "role"}
+    for name, decl in _object("columns", obj.get("columns", {})).items():
+        unknown = set(_object(f"columns.{name}", decl)) - {"kind", "role"}
         if unknown:
             raise ConfigError(f"column {name!r}: unknown keys {sorted(unknown)}")
         try:
@@ -110,42 +157,20 @@ def parse_run_config(obj: dict) -> RunConfig:
         except ValueError as e:
             raise ConfigError(f"column {name!r}: {e}") from None
         columns[name] = ColumnDecl(kind=kind, role=role)
-    hp = obj.get("hyperparams", {})
-    unknown = set(hp) - _HYPER_KEYS
-    if unknown:
-        raise ConfigError(f"unknown hyperparams keys: {sorted(unknown)}")
-    cfg = RunConfig(
-        kpi=kpi,
-        columns=columns,
-        scoring=str(obj.get("scoring", "metric")),
-        sample_rows=int(obj.get("sample_rows", 1_000_000)),
-        seed=int(obj.get("seed", 0)),
-        max_cardinality=int(obj.get("max_cardinality", 10_000)),
-        min_score=float(obj.get("min_score", 0.0)),
-        num_trees=int(hp.get("num_trees", 50)),
-        feature_sample_ratio=float(hp.get("feature_sample_ratio", 0.6)),
-        min_rows_in_leaf_pct=float(hp.get("min_rows_in_leaf_pct", 1.0)),
-        input_format=str(obj.get("input_format", "csv")),
-        table_name=str(obj.get("table_name", "logs")),
-    )
-    if cfg.sample_rows < 2:
-        raise ConfigError("sample_rows must be >= 2")
-    if not (0 < cfg.feature_sample_ratio <= 1):
-        raise ConfigError("feature_sample_ratio must be in (0, 1]")
-    if cfg.num_trees < 1:
-        raise ConfigError("num_trees must be >= 1")
-    if not (0 < cfg.min_rows_in_leaf_pct <= 100):
-        raise ConfigError("min_rows_in_leaf_pct must be in (0, 100]")
-    return cfg
+    settings = {key.rpartition(".")[2]: _SETTINGS[key].parse(key, v) for key, v in given.items()}
+    return RunConfig(kpi=parse_kpi(obj["kpi"]), columns=columns, **settings)
+
+
+def _read_json(path):
+    with open(path, encoding="utf-8") as f:
+        try:
+            return json.load(f)
+        except ValueError as e:  # a JSONDecodeError, or an integer past int_max_str_digits
+            raise ConfigError(f"{path}: invalid JSON ({getattr(e, 'msg', e)})") from None
 
 
 def load_run_config(path) -> RunConfig:
-    with open(path, encoding="utf-8") as f:
-        try:
-            obj = json.load(f)
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"{path}: invalid JSON ({e.msg})") from None
-    return parse_run_config(obj)
+    return parse_run_config(_read_json(path))
 
 
 # -- predicate / generator-config serialization ----------------------------
@@ -221,12 +246,7 @@ def parse_generator_config(obj: dict) -> GeneratorConfig:
 
 
 def load_generator_config(path) -> GeneratorConfig:
-    with open(path, encoding="utf-8") as f:
-        try:
-            obj = json.load(f)
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"{path}: invalid JSON ({e.msg})") from None
-    return parse_generator_config(obj)
+    return parse_generator_config(_read_json(path))
 
 
 def _opt_float(v) -> float | None:

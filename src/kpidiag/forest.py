@@ -88,12 +88,6 @@ class TreeNode:
         return self.split is None
 
 
-@dataclass(frozen=True)
-class SplitCandidate:
-    predicate: Predicate
-    gain: float
-
-
 @dataclass
 class ForestModel:
     """A trained forest. hyperparams is None for models parsed from text."""
@@ -172,12 +166,10 @@ class _TrainingData:
         self._in_left = np.zeros(self.n, dtype=bool)
         self._scratch = np.empty((3, self.n))
 
-    def node(self, features: Sequence[str], idx: np.ndarray | None = None):
-        """(rows idx, {continuous feature: the same rows in value order}); all rows by default."""
+    def node(self, features: Sequence[str]):
+        """The root: (all row ids, {continuous feature: the rows in value order})."""
         cont = [f for f in features if f in self.cont_raw]
-        if idx is None:
-            return np.arange(self.n, dtype=np.int32), {f: self.cont_order[f] for f in cont}
-        return idx, {f: idx[np.argsort(self.cont_raw[f][idx], kind="stable")] for f in cont}
+        return np.arange(self.n, dtype=np.int32), {f: self.cont_order[f] for f in cont}
 
     def best_split(self, idx, orders, features: Sequence[str], min_rows: int):
         """Max-gain (gain, predicate, category index or None) over all features,
@@ -290,22 +282,6 @@ class _TrainingData:
         if threshold >= hi_v:
             threshold = lo_v
         return best[0], Predicate.greater_than(name, float(threshold)), None
-
-
-def best_split(
-    table: LogTable,
-    labels_or_target: np.ndarray,
-    features: Sequence[str] | None = None,
-    min_rows_in_leaf: int = 1,
-    idx: np.ndarray | None = None,
-) -> SplitCandidate | None:
-    """One-shot best split over a table; thin wrapper over the training core."""
-    y = np.asarray(labels_or_target)
-    if features is None:
-        features = [s.name for s in table.feature_columns()]
-    td = _TrainingData(table, features, y)
-    found = td.best_split(*td.node(features, idx), features, min_rows_in_leaf)
-    return None if found is None else SplitCandidate(found[1], found[0])
 
 
 def _grow_tree(td: _TrainingData, features: Sequence[str], min_rows: int) -> TreeNode:

@@ -122,12 +122,6 @@ class LogTable:
     def feature_columns(self) -> tuple[ColumnSpec, ...]:
         return tuple(s for s in self.schema if s.role is ColumnRole.FEATURE)
 
-    def kpi_column(self) -> ColumnSpec | None:
-        for s in self.schema:
-            if s.role is ColumnRole.KPI:
-                return s
-        return None
-
     def codes(self, name: str) -> np.ndarray:
         """int32 category codes for a categorical column (-1 = missing)."""
         if self.spec(name).kind is not ColumnKind.CATEGORICAL:

@@ -34,7 +34,6 @@ from .triage import triage as triage_today
 class DiagnoseResult:
     exit_code: int
     report_json: str
-    report_markdown: str
     triaged: list[TriagedRule]
     warnings: list[str] = field(default_factory=list)
     timings: dict[str, float] = field(default_factory=dict)
@@ -159,9 +158,9 @@ def run_triage(
 ):
     """triage -> detect resolved -> write reports -> record history.
 
-    Returns (triaged, report json, report markdown). The store is appended
-    to only after both reports are written; a record it would reject (a
-    same-date rerun) fails here before anything is written.
+    Returns (triaged, report json). The store is appended to only after
+    both reports are written; a record it would reject (a same-date rerun)
+    fails here before anything is written.
     """
     timer = timer or _StageTimer()
     with timer.stage("triage"):
@@ -180,7 +179,7 @@ def run_triage(
         _write(out_dir, "report.md", report_md)
     with timer.stage("triage"):
         record_run(mined, store, run_date)
-    return triaged, report_json, report_md
+    return triaged, report_json
 
 
 def exit_code_for(triaged: list[TriagedRule]) -> int:
@@ -203,13 +202,10 @@ def run_diagnose(
     timer = _StageTimer()
     imputed, model, warnings = run_train(config, input_path, out_dir, timer)
     mined = mine_rules(config, model, imputed, run_date, timer)
-    triaged, report_json, report_md = run_triage(
-        config, mined, history_path, out_dir, run_date, timer
-    )
+    triaged, report_json = run_triage(config, mined, history_path, out_dir, run_date, timer)
     return DiagnoseResult(
         exit_code=exit_code_for(triaged),
         report_json=report_json,
-        report_markdown=report_md,
         triaged=triaged,
         warnings=warnings,
         timings=timer.timings,

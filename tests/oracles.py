@@ -4,8 +4,9 @@ Everything here is deliberately naive pure Python: entropy from the
 definition, MSE as a two-pass mean of squared deviations, and best-split
 search as full enumeration of every predicate with row-by-row evaluation.
 Row-at-a-time views of a table, predicates and KPI criteria, the
-structural walks over trees, a cell-by-cell file loader and an evaluator
-for the generated SQL dialect live here too: only tests need them.
+structural walks over trees, a cell-by-cell file loader, an evaluator
+for the generated SQL dialect and a one-node entry to the forest's split
+search live here too: only tests need them.
 """
 
 from __future__ import annotations
@@ -14,12 +15,13 @@ import csv
 import json
 import math
 import re
+from dataclasses import dataclass
 from typing import Iterator, Mapping
 
 import numpy as np
 
 from kpidiag.errors import SchemaError
-from kpidiag.forest import ForestModel, TreeNode
+from kpidiag.forest import ForestModel, TreeNode, _TrainingData
 from kpidiag.ingest import LogTable, SchemaConfig
 from kpidiag.model import (
     ColumnKind,
@@ -237,6 +239,30 @@ def forest_structure_equal(a: ForestModel, b: ForestModel) -> bool:
         return node_eq(x.left, y.left) and node_eq(x.right, y.right)
 
     return all(node_eq(x, y) for x, y in zip(a.trees, b.trees))
+
+
+@dataclass(frozen=True)
+class SplitCandidate:
+    predicate: Predicate
+    gain: float
+
+
+def best_split(
+    table: LogTable,
+    labels_or_target: np.ndarray,
+    min_rows_in_leaf: int = 1,
+    idx: np.ndarray | None = None,
+) -> SplitCandidate | None:
+    """The training core's best split of one node over the table's feature
+    columns; the node holds the rows idx (all rows by default)."""
+    y = np.asarray(labels_or_target)
+    if idx is not None:
+        rows = np.sort(idx)
+        table, y = table.take(rows), y[rows]
+    features = [s.name for s in table.feature_columns()]
+    td = _TrainingData(table, features, y)
+    found = td.best_split(*td.node(features), features, min_rows_in_leaf)
+    return None if found is None else SplitCandidate(found[1], found[0])
 
 
 def iter_split_nodes(tree: TreeNode) -> Iterator[TreeNode]:

@@ -15,7 +15,6 @@ import pytest
 
 from kpidiag import pipeline, prep
 from kpidiag.config import RunConfig
-from kpidiag.forest import best_split
 from kpidiag.ingest import write_csv
 from kpidiag.model import (
     ColumnKind,
@@ -38,7 +37,7 @@ from kpidiag.synth import (
 from kpidiag.triage import HistoryStore, detect_resolved, record_run, triage
 
 from conftest import make_table
-from oracles import execute_query, iter_rows, oracle_best_gain
+from oracles import best_split, execute_query, iter_rows, oracle_best_gain
 
 RUN_DATE = datetime.date(2026, 8, 10)
 

@@ -1,9 +1,11 @@
 import json
+import math
+import re
 
 import pytest
 
 from kpidiag.cli import main
-from kpidiag.config import parse_run_config
+from kpidiag.config import _SETTINGS, parse_run_config
 from kpidiag.errors import ConfigError
 from kpidiag.model import KpiKind
 
@@ -98,13 +100,6 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="positive_label"):
             parse_run_config({"kpi": {"column": "S", "kind": "binary", "slo": {}}})
 
-    def test_overrides(self):
-        cfg = parse_run_config(
-            {"kpi": {"column": "Lat", "kind": "continuous", "slo": {"threshold": 5}}}
-        )
-        new = cfg.with_overrides(seed=9, num_trees=3, sample_rows=None)
-        assert (new.seed, new.num_trees, new.sample_rows) == (9, 3, 1_000_000)
-
     def test_documented_defaults(self):
         from kpidiag.forest import Hyperparams
 
@@ -118,6 +113,95 @@ class TestConfigParsing:
         assert cfg.max_cardinality == 10_000
         hp = Hyperparams()
         assert (hp.num_trees, hp.feature_sample_ratio) == (50, 0.6)
+
+
+MINIMAL = {"kpi": {"column": "Lat", "kind": "continuous", "slo": {"threshold": 5}}}
+
+# Every run setting: its JSON type and values just outside its range.
+SETTING_RANGES = {
+    "scoring": ("str", []),
+    "sample_rows": ("int", [1]),
+    "seed": ("int", [-1]),
+    "max_cardinality": ("int", [0]),
+    "min_score": ("float", []),
+    "input_format": ("str", ["parquet", "CSV"]),
+    "table_name": ("str", []),
+    "hyperparams.num_trees": ("int", [0]),
+    "hyperparams.feature_sample_ratio": ("float", [0, math.nextafter(1.0, 2.0)]),
+    "hyperparams.min_rows_in_leaf_pct": ("float", [0, math.nextafter(100.0, 101.0)]),
+}
+
+
+def _bad_values(kind, out_of_range):
+    wrong_type = [5] if kind == "str" else ["abc"]
+    return [None, True, *wrong_type, *out_of_range] + {
+        "int": [7.5, 7.9],
+        "float": [math.nan, math.inf, -math.inf],
+        "str": [],
+    }[kind]
+
+
+def _with(key, value):
+    """MINIMAL with the dotted key set to value."""
+    obj = json.loads(json.dumps(MINIMAL))
+    *parents, name = key.split(".")
+    node = obj
+    for part in parents:
+        node = node.setdefault(part, {})
+    node[name] = value
+    return obj
+
+
+BAD_CONFIGS = [
+    (key, value)
+    for key, (kind, out_of_range) in SETTING_RANGES.items()
+    for value in _bad_values(kind, out_of_range)
+] + [
+    ("hyperparams", []),
+    ("hyperparams", None),
+    ("columns", []),
+    ("columns.A", "excluded"),
+    ("kpi.slo", 22.0),
+    ("kpi.slo.threshold", None),
+    ("kpi.slo.threshold", math.nan),
+    ("kpi.slo.threshold", math.inf),
+    ("kpi.slo.threshold", "22"),
+]
+
+
+def test_every_setting_has_bad_value_cases():
+    assert set(SETTING_RANGES) == set(_SETTINGS)
+
+
+@pytest.mark.parametrize("key, value", BAD_CONFIGS, ids=[f"{k}={json.dumps(v)}" for k, v in BAD_CONFIGS])
+def test_bad_setting_is_a_config_error_naming_the_key(tmp_path, capsys, key, value):
+    obj = _with(key, value)
+    with pytest.raises(ConfigError, match=f"^{re.escape(key)} must be "):
+        parse_run_config(obj)
+    config = write_json(tmp_path / "run.json", obj)
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(config), "--input", "x.csv", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key} must be ") and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("sample_rows", 2),
+        ("seed", 0),
+        ("max_cardinality", 1),
+        ("min_score", -3),
+        ("input_format", "jsonl"),
+        ("hyperparams.num_trees", 1),
+        ("hyperparams.feature_sample_ratio", 1),
+        ("hyperparams.min_rows_in_leaf_pct", 100),
+        ("hyperparams.min_rows_in_leaf_pct", 1e-9),
+    ],
+)
+def test_range_edges_accepted(key, value):
+    assert getattr(parse_run_config(_with(key, value)), key.rpartition(".")[2]) == value
 
 
 class TestDiagnose:
@@ -136,6 +220,7 @@ class TestDiagnose:
         )
         assert code == 2
         doc = json.loads((out / "report.json").read_text())
+        assert json.loads(capsys.readouterr().out) == doc  # stdout is the JSON report alone
         assert doc["rules"][0]["key"] == "A=c3"
         assert doc["rules"][0]["triage"] == "new"
         assert (out / "report.md").exists()
@@ -190,6 +275,12 @@ class TestDiagnose:
         )
         assert code == 1
 
+    def test_config_integer_past_digit_limit_names_the_file(self, tmp_path, capsys):
+        cfg = tmp_path / "big.json"
+        cfg.write_text('{"seed": ' + "9" * 5000 + "}", encoding="utf-8")
+        assert main(["train", "--config", str(cfg), "--input", "x.csv", "--out", str(tmp_path)]) == 1
+        assert f"error: {cfg}: invalid JSON (Exceeds the limit" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "command, extra",
         [
@@ -197,11 +288,13 @@ class TestDiagnose:
             ("diagnose", ["--date", "2026-13-01"]),
             ("diagnose", ["--format", "json"]),
             ("extract", ["--seed", "3"]),
+            ("diagnose", ["--seed", "3"]),
+            ("train", ["--trees", "3"]),
         ],
     )
     def test_usage_error_exits_one_not_the_alert_code(self, tmp_path, command, extra, capsys):
         argv = [command, "--config", "run.json", "--input", "x.csv", "--out", str(tmp_path / "out")]
-        argv += ["--history", "h.tsv"] if command == "diagnose" else ["--model", "model.txt"]
+        argv += {"diagnose": ["--history", "h.tsv"], "extract": ["--model", "model.txt"]}.get(command, [])
         assert main(argv + extra) == 1
         assert "usage:" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
@@ -333,16 +426,15 @@ class TestComposition:
 
 
 class TestHistoryIsRecordedLast:
-    def diagnose(self, tmp_path, data, out, date, *flags):
+    def diagnose(self, tmp_path, data, out, date, config=None):
         return main(
             [
                 "diagnose",
-                "--config", str(run_config(tmp_path)),
+                "--config", str(config or run_config(tmp_path)),
                 "--input", str(data / "logs.csv"),
                 "--history", str(tmp_path / "history.tsv"),
                 "--out", str(out),
                 "--date", date,
-                *flags,
             ]
         )
 
@@ -363,7 +455,9 @@ class TestHistoryIsRecordedLast:
         report = (out / "report.json").read_bytes()
         history = (tmp_path / "history.tsv").read_bytes()
         # another seed mines other scores, so a written report would differ
-        assert self.diagnose(tmp_path, data, out, RUN_DATE, "--seed", "6") == 1
+        seed6 = dict(json.loads(run_config(tmp_path).read_text()), seed=6)
+        config = write_json(tmp_path / "run-seed6.json", seed6)
+        assert self.diagnose(tmp_path, data, out, RUN_DATE, config) == 1
         assert "duplicate record" in capsys.readouterr().err
         assert (out / "report.json").read_bytes() == report
         assert (tmp_path / "history.tsv").read_bytes() == history

@@ -10,7 +10,6 @@ from kpidiag.forest import (
     Hyperparams,
     TargetKind,
     TreeNode,
-    best_split,
     dump_text,
     parse_text,
     train,
@@ -20,6 +19,7 @@ from kpidiag.synth import AttributeSpec, FaultSpec, GeneratorConfig, KpiProfile,
 
 from conftest import make_table
 from oracles import (
+    best_split,
     cell,
     forest_structure_equal,
     iter_rows,
