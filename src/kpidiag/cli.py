@@ -22,7 +22,7 @@ import os
 import sys
 
 from . import forest, pipeline, report, synth
-from .config import load_generator_config, load_run_config
+from .config import load_generator_config, load_run_config, read_json
 from .errors import ConfigError, StageError
 from .ingest import write_csv
 
@@ -117,7 +117,7 @@ def _cmd_extract(args) -> int:
     config = load_run_config(args.config)
     model = pipeline.read_model(args.model)
     imputed, _, _ = pipeline.prepare_table(config, args.input)
-    mined = pipeline.mine_rules(config, model, imputed, args.date)
+    mined = pipeline.mine_rules(config, model, imputed)
     pipeline.write_rules(mined, args.out)
     print(f"wrote {len(mined)} rules to {args.out}/rules.json", file=sys.stderr)
     return 0
@@ -131,11 +131,21 @@ def _cmd_triage(args) -> int:
     return pipeline.exit_code_for(triaged)
 
 
+def _report_keys(path) -> set[str]:
+    """The rule keys of a report.json; an error names the file and the entry."""
+    doc = read_json(path)
+    entries = doc.get("rules", []) if isinstance(doc, dict) else None
+    if not isinstance(entries, list):
+        raise ConfigError(f"{path}: expected a JSON object with a list of rules")
+    for i, entry in enumerate(entries):
+        if not (isinstance(entry, dict) and isinstance(entry.get("key"), str)):
+            raise ConfigError(f"{path}: rule {i}: needs a string \"key\"")
+    return {entry["key"] for entry in entries}
+
+
 def _cmd_eval(args) -> int:
-    with open(args.report, encoding="utf-8") as f:
-        doc = json.load(f)
+    reported = _report_keys(args.report)
     truth = synth.manifest_keys(synth.load_manifest(args.manifest))
-    reported = {entry["key"] for entry in doc.get("rules", [])}
     value, valid = report.precision(reported, truth)
     out = {
         "precision": value,

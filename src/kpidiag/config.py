@@ -34,8 +34,10 @@ from .model import (
     KpiSpec,
     Predicate,
     PredicateOp,
+    Rule,
     SloDirection,
 )
+from .rules import resolve_scoring
 from .synth import AttributeSpec, FaultSpec, GeneratorConfig, KpiProfile
 
 
@@ -119,7 +121,7 @@ def _object(key: str, value) -> dict:
 
 def parse_kpi(obj) -> KpiSpec:
     try:
-        column = _object("kpi", obj)["column"]
+        column = _Setting(str).parse("kpi.column", _object("kpi", obj)["column"])
         kind = KpiKind(obj["kind"])
         slo = _object("kpi.slo", obj["slo"])
     except (KeyError, ValueError) as e:
@@ -132,7 +134,8 @@ def parse_kpi(obj) -> KpiSpec:
         return KpiSpec(column=column, kind=kind, threshold=threshold, direction=direction)
     if "positive_label" not in slo:
         raise ConfigError("binary KPI slo needs a positive_label")
-    return KpiSpec(column=column, kind=kind, positive_label=str(slo["positive_label"]))
+    label = _Setting(str).parse("kpi.slo.positive_label", slo["positive_label"])
+    return KpiSpec(column=column, kind=kind, positive_label=label)
 
 
 def parse_run_config(obj) -> RunConfig:
@@ -158,10 +161,12 @@ def parse_run_config(obj) -> RunConfig:
             raise ConfigError(f"column {name!r}: {e}") from None
         columns[name] = ColumnDecl(kind=kind, role=role)
     settings = {key.rpartition(".")[2]: _SETTINGS[key].parse(key, v) for key, v in given.items()}
-    return RunConfig(kpi=parse_kpi(obj["kpi"]), columns=columns, **settings)
+    config = RunConfig(kpi=parse_kpi(obj["kpi"]), columns=columns, **settings)
+    resolve_scoring(config.scoring)  # a bad expression fails here, before any input is read
+    return config
 
 
-def _read_json(path):
+def read_json(path):
     with open(path, encoding="utf-8") as f:
         try:
             return json.load(f)
@@ -170,10 +175,17 @@ def _read_json(path):
 
 
 def load_run_config(path) -> RunConfig:
-    return parse_run_config(_read_json(path))
+    return parse_run_config(read_json(path))
 
 
-# -- predicate / generator-config serialization ----------------------------
+# -- predicate / rule / generator-config serialization ----------------------
+
+_COUNT = _Setting(int, low=0)
+_NUMBER = _Setting(float)
+
+
+def _optional(setting: _Setting, key: str, raw):
+    return None if raw is None else setting.parse(key, raw)
 
 
 def predicate_to_json(p: Predicate) -> dict:
@@ -192,52 +204,87 @@ def predicate_from_json(d: dict) -> Predicate:
         if op is PredicateOp.GREATER_THAN:
             value = float(value)
         return Predicate(d["attribute"], op, value, bool(d.get("polarity", True)))
-    except (KeyError, ValueError) as e:
+    except (KeyError, TypeError, ValueError) as e:  # TypeError: d is no JSON object
         raise ConfigError(f"bad predicate record: {e}") from None
 
 
-def parse_generator_config(obj: dict) -> GeneratorConfig:
+def rule_to_json(rule: Rule) -> dict:
+    return {
+        "correlated_predicate": predicate_to_json(rule.correlated_predicate),
+        "scope_predicates": [predicate_to_json(p) for p in rule.scope_predicates],
+        "correlation_score": rule.correlation_score,
+        "request_count": rule.request_count,
+        "performance_impact": rule.performance_impact,
+        "full_row_count": rule.full_row_count,
+    }
+
+
+def rule_from_json(d) -> Rule:
+    """A Rule from its rules.json record; a malformed record is a ConfigError."""
+    d = _object("record", d)
     try:
-        attributes = tuple(
-            AttributeSpec(
-                name=a["name"],
-                kind=ColumnKind(a["kind"]),
-                cardinality=int(a.get("cardinality", 0)),
-                weighting=a.get("weighting", "uniform"),
-                distribution=a.get("distribution", "lognormal"),
-                loc=float(a.get("loc", 0.0)),
-                scale=float(a.get("scale", 1.0)),
-                zipf_s=float(a.get("zipf_s", 1.5)),
-            )
-            for a in obj["attributes"]
+        scope = d["scope_predicates"]
+        if not isinstance(scope, list):
+            raise ConfigError(f"scope_predicates must be a list, got {json.dumps(scope)}")
+        return Rule(
+            correlated_predicate=predicate_from_json(d["correlated_predicate"]),
+            scope_predicates=tuple(predicate_from_json(p) for p in scope),
+            correlation_score=_NUMBER.parse("correlation_score", d["correlation_score"]),
+            request_count=_COUNT.parse("request_count", d["request_count"]),
+            performance_impact=_optional(_NUMBER, "performance_impact", d.get("performance_impact")),
+            full_row_count=_optional(_COUNT, "full_row_count", d.get("full_row_count")),
         )
+    except KeyError as e:
+        raise ConfigError(f"missing key {e}") from None
+
+
+def _attribute(i: int, a: dict) -> AttributeSpec:
+    key = f"attributes[{i}]"
+    return AttributeSpec(
+        name=a["name"],
+        kind=ColumnKind(a["kind"]),
+        cardinality=_COUNT.parse(f"{key}.cardinality", a.get("cardinality", 0)),
+        weighting=a.get("weighting", "uniform"),
+        distribution=a.get("distribution", "lognormal"),
+        loc=_NUMBER.parse(f"{key}.loc", a.get("loc", 0.0)),
+        scale=_NUMBER.parse(f"{key}.scale", a.get("scale", 1.0)),
+        zipf_s=_NUMBER.parse(f"{key}.zipf_s", a.get("zipf_s", 1.5)),
+    )
+
+
+def _fault(i: int, fault: dict) -> FaultSpec:
+    key = f"faults[{i}]"
+    return FaultSpec(
+        trigger=tuple(predicate_from_json(p) for p in fault["trigger"]),
+        shift=_optional(_NUMBER, f"{key}.shift", fault.get("shift")),
+        multiplier=_optional(_NUMBER, f"{key}.multiplier", fault.get("multiplier")),
+        failure_probability=_optional(
+            _NUMBER, f"{key}.failure_probability", fault.get("failure_probability")
+        ),
+        first_day=_opt_date(fault.get("first_day")),
+        last_day=_opt_date(fault.get("last_day")),
+    )
+
+
+def parse_generator_config(obj: dict) -> GeneratorConfig:
+    """A GeneratorConfig from a parsed file; a bad number names its key."""
+    try:
         kpi_obj = obj["kpi"]
         kpi = KpiProfile(
             column=kpi_obj["column"],
             kind=KpiKind(kpi_obj["kind"]),
-            mu=float(kpi_obj.get("mu", 0.0)),
-            sigma=float(kpi_obj.get("sigma", 1.0)),
-            failure_rate=float(kpi_obj.get("failure_rate", 0.001)),
+            mu=_NUMBER.parse("kpi.mu", kpi_obj.get("mu", 0.0)),
+            sigma=_NUMBER.parse("kpi.sigma", kpi_obj.get("sigma", 1.0)),
+            failure_rate=_NUMBER.parse("kpi.failure_rate", kpi_obj.get("failure_rate", 0.001)),
             positive_label=kpi_obj.get("positive_label", "fail"),
             negative_label=kpi_obj.get("negative_label", "success"),
         )
-        faults = tuple(
-            FaultSpec(
-                trigger=tuple(predicate_from_json(p) for p in fault["trigger"]),
-                shift=_opt_float(fault.get("shift")),
-                multiplier=_opt_float(fault.get("multiplier")),
-                failure_probability=_opt_float(fault.get("failure_probability")),
-                first_day=_opt_date(fault.get("first_day")),
-                last_day=_opt_date(fault.get("last_day")),
-            )
-            for fault in obj.get("faults", [])
-        )
         return GeneratorConfig(
-            attributes=attributes,
-            row_count=int(obj["row_count"]),
+            attributes=tuple(_attribute(i, a) for i, a in enumerate(obj["attributes"])),
+            row_count=_COUNT.parse("row_count", obj["row_count"]),
             kpi=kpi,
-            faults=faults,
-            seed=int(obj.get("seed", 0)),
+            faults=tuple(_fault(i, f) for i, f in enumerate(obj.get("faults", []))),
+            seed=_COUNT.parse("seed", obj.get("seed", 0)),
         )
     except KeyError as e:
         raise ConfigError(f"generator config missing key {e}") from None
@@ -246,11 +293,7 @@ def parse_generator_config(obj: dict) -> GeneratorConfig:
 
 
 def load_generator_config(path) -> GeneratorConfig:
-    return parse_generator_config(_read_json(path))
-
-
-def _opt_float(v) -> float | None:
-    return None if v is None else float(v)
+    return parse_generator_config(read_json(path))
 
 
 def _opt_date(v) -> datetime.date | None:

@@ -26,7 +26,7 @@ true) then right order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
@@ -90,16 +90,10 @@ class TreeNode:
 
 @dataclass
 class ForestModel:
-    """A trained forest. hyperparams is None for models parsed from text."""
+    """A trained forest, or one parsed back from its text dump."""
 
     trees: list[TreeNode]
     target_kind: TargetKind
-    hyperparams: Hyperparams | None = None
-    feature_list: tuple[str, ...] = field(default_factory=tuple)
-
-    def __post_init__(self):
-        if self.hyperparams is not None and len(self.trees) != self.hyperparams.num_trees:
-            raise ValueError("tree count does not match hyperparams.num_trees")
 
 
 # -- training internals ----------------------------------------------------
@@ -336,7 +330,7 @@ def train(
         else:
             subset = []
         trees.append(_grow_tree(td, subset, hyperparams.min_rows_in_leaf))
-    return ForestModel(trees, td.kind, hyperparams, tuple(features))
+    return ForestModel(trees, td.kind)
 
 
 # -- text dump / parse -----------------------------------------------------
@@ -465,7 +459,7 @@ def parse_text(text: str) -> ForestModel:
     close_tree(len(lines))
     if not trees:
         raise DumpParseError("empty dump: no trees found", None)
-    return ForestModel(trees, kind, None, _collect_features(trees))
+    return ForestModel(trees, kind)
 
 
 def _parse_predicate(head: str, line_no: int) -> Predicate:
@@ -484,15 +478,3 @@ def _parse_predicate(head: str, line_no: int) -> Predicate:
     except ValueError:
         raise DumpParseError(f"bad threshold {rest!r}", line_no) from None
     return Predicate.greater_than(attr, threshold)
-
-
-def _collect_features(trees: list[TreeNode]) -> tuple[str, ...]:
-    names = set()
-    stack = list(trees)
-    while stack:
-        node = stack.pop()
-        if node.split is not None:
-            names.add(node.split.attribute)
-            stack.append(node.left)
-            stack.append(node.right)
-    return tuple(sorted(names))

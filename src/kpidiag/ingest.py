@@ -14,7 +14,7 @@ import csv
 import json
 import math
 from array import array
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -66,46 +66,17 @@ class LogTable:
         self._categories = dict(categories)
         self._values = dict(values)
         self.row_count = row_count
-        final_schema = []
-        for spec in schema:
-            if spec.kind is ColumnKind.CATEGORICAL:
-                col = self._codes[spec.name]
-                if col.shape != (row_count,):
-                    raise SchemaError(f"column {spec.name!r} length != row count")
-                card = _distinct_codes(col, len(self._categories[spec.name]))
-                final_schema.append(replace(spec, observed_cardinality=card))
-            else:
-                col = self._values[spec.name]
-                if col.shape != (row_count,):
-                    raise SchemaError(f"column {spec.name!r} length != row count")
-                final_schema.append(replace(spec, observed_cardinality=None))
-        self.schema: tuple[ColumnSpec, ...] = tuple(final_schema)
+        self.schema: tuple[ColumnSpec, ...] = tuple(schema)
+        for spec in self.schema:
+            col = (self._codes if spec.kind is ColumnKind.CATEGORICAL else self._values)[spec.name]
+            if col.shape != (row_count,):
+                raise SchemaError(f"column {spec.name!r} length != row count")
         self._by_name = {s.name: s for s in self.schema}
         if len(self._by_name) != len(self.schema):
             raise SchemaError("duplicate column names")
         kpi_cols = [s for s in self.schema if s.role is ColumnRole.KPI]
         if len(kpi_cols) > 1:
             raise SchemaError("more than one KPI column")
-
-    @classmethod
-    def from_columns(
-        cls,
-        schema: Sequence[ColumnSpec],
-        data: Mapping[str, Sequence[object]],
-    ) -> "LogTable":
-        """Build from per-column Python sequences (None = missing)."""
-        codes: dict[str, np.ndarray] = {}
-        categories: dict[str, tuple[str, ...]] = {}
-        values: dict[str, np.ndarray] = {}
-        row_count = len(next(iter(data.values()))) if data else 0
-        for spec in schema:
-            col = data[spec.name]
-            if spec.kind is ColumnKind.CATEGORICAL:
-                texts = [v if v is None else str(v) for v in col]
-                codes[spec.name], categories[spec.name] = _dictionary_encode(texts)
-            else:
-                values[spec.name] = np.array(col, dtype=np.float64)
-        return cls(schema, codes, categories, values, row_count)
 
     # -- column access -------------------------------------------------
 
@@ -202,15 +173,6 @@ def _dictionary_encode(texts: Sequence[str | None]) -> tuple[np.ndarray, tuple[s
     lookup[None] = -1
     codes = np.fromiter(map(lookup.__getitem__, texts), dtype=np.int32, count=len(texts))
     return codes, tuple(cats)
-
-
-def _distinct_codes(codes: np.ndarray, n_categories: int) -> int:
-    present = codes[codes >= 0]
-    if present.size == 0:
-        return 0
-    if n_categories and present.size > n_categories:
-        return int(np.count_nonzero(np.bincount(present, minlength=n_categories)))
-    return int(np.unique(present).size)
 
 
 # -- file loading --------------------------------------------------------

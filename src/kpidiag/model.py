@@ -8,7 +8,6 @@ greater-than test on a continuous threshold.
 
 from __future__ import annotations
 
-import datetime
 from dataclasses import dataclass
 from enum import Enum
 
@@ -33,16 +32,11 @@ class ColumnRole(Enum):
 
 @dataclass(frozen=True)
 class ColumnSpec:
-    """Per-attribute schema entry.
-
-    observed_cardinality is the distinct non-missing value count and is
-    only populated for categorical columns attached to a table.
-    """
+    """Per-attribute schema entry."""
 
     name: str
     kind: ColumnKind
     role: ColumnRole = ColumnRole.FEATURE
-    observed_cardinality: int | None = None
 
 
 class PredicateOp(Enum):
@@ -156,7 +150,7 @@ class Rule:
     correlated_predicate is the node's own test oriented toward the
     higher-scoring (degraded) side. request_count comes from sampled
     training data; full_row_count and performance_impact are filled in
-    later against the full table (stale=True when no full rows match).
+    later against the full table.
     """
 
     correlated_predicate: Predicate
@@ -164,9 +158,12 @@ class Rule:
     correlation_score: float
     request_count: int
     performance_impact: float | None = None
-    as_of: datetime.date | None = None
     full_row_count: int | None = None
-    stale: bool = False
+
+    @property
+    def stale(self) -> bool:
+        """No full-table row matches the rule, so it has no impact."""
+        return self.performance_impact is None
 
     def key(self) -> str:
         return canonical_key(self.correlated_predicate)

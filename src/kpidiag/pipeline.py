@@ -12,7 +12,6 @@ monolithic `diagnose` run and produce byte-identical files.
 
 from __future__ import annotations
 
-import dataclasses
 import datetime
 import json
 import os
@@ -22,8 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import forest, ingest, prep, report, rules
-from .config import RunConfig, predicate_from_json, predicate_to_json
-from .errors import StageError
+from .config import RunConfig, read_json, rule_from_json, rule_to_json
+from .errors import ConfigError, StageError
 from .ingest import LogTable
 from .model import KpiKind, Rule, TriageCategory, TriagedRule
 from .triage import HistoryStore, detect_resolved, record_run, run_records
@@ -133,7 +132,6 @@ def mine_rules(
     config: RunConfig,
     model: forest.ForestModel,
     imputed: LogTable,
-    run_date: datetime.date,
     timer: _StageTimer | None = None,
 ) -> list[Rule]:
     """extract -> dedup -> drop inverted equalities -> impact -> score floor."""
@@ -144,7 +142,6 @@ def mine_rules(
         kept = rules.filter_negative(rules.deduplicate(candidates))
     with timer.stage("impact"):
         annotated = rules.annotate_impacts(kept, imputed, config.kpi)
-        annotated = [dataclasses.replace(r, as_of=run_date) for r in annotated]
     return [r for r in annotated if r.correlation_score >= config.min_score]
 
 
@@ -201,7 +198,7 @@ def run_diagnose(
     """
     timer = _StageTimer()
     imputed, model, warnings = run_train(config, input_path, out_dir, timer)
-    mined = mine_rules(config, model, imputed, run_date, timer)
+    mined = mine_rules(config, model, imputed, timer)
     triaged, report_json = run_triage(config, mined, history_path, out_dir, run_date, timer)
     return DiagnoseResult(
         exit_code=exit_code_for(triaged),
@@ -232,40 +229,23 @@ def pruning_report_json(pruning, warnings) -> str:
 # -- rule (de)serialization for the stage-composition files ----------------
 
 
-def rule_to_json(rule: Rule) -> dict:
-    return {
-        "correlated_predicate": predicate_to_json(rule.correlated_predicate),
-        "scope_predicates": [predicate_to_json(p) for p in rule.scope_predicates],
-        "correlation_score": rule.correlation_score,
-        "request_count": rule.request_count,
-        "performance_impact": rule.performance_impact,
-        "as_of": rule.as_of.isoformat() if rule.as_of else None,
-        "full_row_count": rule.full_row_count,
-        "stale": rule.stale,
-    }
-
-
-def rule_from_json(d: dict) -> Rule:
-    return Rule(
-        correlated_predicate=predicate_from_json(d["correlated_predicate"]),
-        scope_predicates=tuple(predicate_from_json(p) for p in d["scope_predicates"]),
-        correlation_score=float(d["correlation_score"]),
-        request_count=int(d["request_count"]),
-        performance_impact=d.get("performance_impact"),
-        as_of=datetime.date.fromisoformat(d["as_of"]) if d.get("as_of") else None,
-        full_row_count=d.get("full_row_count"),
-        stale=bool(d.get("stale", False)),
-    )
-
-
 def write_rules(rules_list: list[Rule], out_dir) -> None:
     doc = [rule_to_json(r) for r in rules_list]
     _write(out_dir, "rules.json", json.dumps(doc, indent=2, ensure_ascii=False) + "\n")
 
 
 def read_rules(path) -> list[Rule]:
-    with open(path, encoding="utf-8") as f:
-        return [rule_from_json(d) for d in json.load(f)]
+    """The rules of a rules.json file; an error names the file and the record."""
+    doc = read_json(path)
+    if not isinstance(doc, list):
+        raise ConfigError(f"{path}: expected a JSON list of rules")
+    out = []
+    for i, d in enumerate(doc):
+        try:
+            out.append(rule_from_json(d))
+        except ConfigError as e:
+            raise ConfigError(f"{path}: rule {i}: {e}") from None
+    return out
 
 
 def read_model(path) -> forest.ForestModel:

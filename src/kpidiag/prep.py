@@ -94,7 +94,8 @@ def recommend_pruning(
         if spec.role is not ColumnRole.FEATURE:
             continue
         if spec.kind is ColumnKind.CATEGORICAL:
-            card = spec.observed_cardinality or 0
+            codes = table.codes(spec.name)
+            card = int(np.count_nonzero(np.bincount(codes[codes >= 0])))
         else:
             col = table.values(spec.name)
             card = int(np.unique(col[~np.isnan(col)]).size)

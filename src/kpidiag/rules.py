@@ -24,20 +24,8 @@ from .forest import ForestModel, TreeNode
 ScoringFunction = Callable[[float, float], float]
 
 
-def volume_weighted_score(row_count: float, metric: float) -> float:
-    """row_count x metric: weights degradation by how many requests see it."""
-    return row_count * metric
-
-
-def metric_score(row_count: float, metric: float) -> float:
-    """The node metric alone (failure probability / mean KPI)."""
-    return metric
-
-
-BUILTIN_SCORING: dict[str, ScoringFunction] = {
-    "volume_weighted": volume_weighted_score,
-    "metric": metric_score,
-}
+# Builtin scoring functions by name, each as the expression it compiles to.
+BUILTIN_SCORING = {"metric": "metric", "volume_weighted": "row_count * metric"}
 
 _ALLOWED_EXPR_NODES = (
     ast.Expression,
@@ -86,23 +74,8 @@ def scoring_from_expression(expr: str) -> ScoringFunction:
 
 
 def resolve_scoring(name_or_expr: str) -> ScoringFunction:
-    """Look up a builtin by name, else compile as an expression."""
-    if name_or_expr in BUILTIN_SCORING:
-        return BUILTIN_SCORING[name_or_expr]
-    return scoring_from_expression(name_or_expr)
-
-
-def score_node(f: ScoringFunction, node: TreeNode) -> float:
-    """Apply a scoring function to one node's (row_count, metric)."""
-    return float(f(node.row_count, node.metric))
-
-
-def correlation_score(f: ScoringFunction, split_node: TreeNode) -> float:
-    """Score(left child) - Score(right child); positive means the
-    predicate-true side correlates with degradation."""
-    if split_node.is_leaf:
-        raise ValueError("correlation_score requires a split node")
-    return score_node(f, split_node.left) - score_node(f, split_node.right)
+    """Compile a builtin's expression by name, else name_or_expr itself."""
+    return scoring_from_expression(BUILTIN_SCORING.get(name_or_expr, name_or_expr))
 
 
 def extract_rules(model: ForestModel, f: ScoringFunction) -> list[Rule]:
@@ -110,7 +83,8 @@ def extract_rules(model: ForestModel, f: ScoringFunction) -> list[Rule]:
 
     Scope predicates are the root-to-parent path, each oriented along the
     branch taken. Nodes whose children score identically carry no signal
-    and yield nothing.
+    and yield nothing. A node's score difference, f(left) - f(right), is
+    the correlation score: positive means the predicate-true side is worse.
     """
     out: list[Rule] = []
     for tree in model.trees:
@@ -120,7 +94,9 @@ def extract_rules(model: ForestModel, f: ScoringFunction) -> list[Rule]:
             node, path = stack.pop()
             if node.is_leaf:
                 continue
-            delta = correlation_score(f, node)
+            delta = f(node.left.row_count, node.left.metric) - f(
+                node.right.row_count, node.right.metric
+            )
             if delta > 0:
                 out.append(
                     Rule(
@@ -216,7 +192,6 @@ def annotate_impacts(
                 rule,
                 performance_impact=impact,
                 full_row_count=int(mask.sum()),
-                stale=impact is None,
             )
         )
     return out

@@ -4,9 +4,10 @@ Everything here is deliberately naive pure Python: entropy from the
 definition, MSE as a two-pass mean of squared deviations, and best-split
 search as full enumeration of every predicate with row-by-row evaluation.
 Row-at-a-time views of a table, predicates and KPI criteria, the
-structural walks over trees, a cell-by-cell file loader, an evaluator
-for the generated SQL dialect and a one-node entry to the forest's split
-search live here too: only tests need them.
+structural walks over trees, a table built from Python lists, a
+cell-by-cell file loader, an evaluator for the generated SQL dialect and a
+one-node entry to the forest's split search live here too: only tests
+need them.
 """
 
 from __future__ import annotations
@@ -16,13 +17,13 @@ import json
 import math
 import re
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
 from kpidiag.errors import SchemaError
 from kpidiag.forest import ForestModel, TreeNode, _TrainingData
-from kpidiag.ingest import LogTable, SchemaConfig
+from kpidiag.ingest import LogTable, SchemaConfig, _dictionary_encode
 from kpidiag.model import (
     ColumnKind,
     ColumnRole,
@@ -224,6 +225,24 @@ def _reference_kind(present: list) -> ColumnKind:
             return ColumnKind.CATEGORICAL
         return ColumnKind.CONTINUOUS
     return ColumnKind.CATEGORICAL
+
+
+def table_from_columns(
+    schema: Sequence[ColumnSpec], data: Mapping[str, Sequence[object]]
+) -> LogTable:
+    """Build from per-column Python sequences (None = missing)."""
+    codes: dict[str, np.ndarray] = {}
+    categories: dict[str, tuple[str, ...]] = {}
+    values: dict[str, np.ndarray] = {}
+    row_count = len(next(iter(data.values()))) if data else 0
+    for spec in schema:
+        col = data[spec.name]
+        if spec.kind is ColumnKind.CATEGORICAL:
+            texts = [v if v is None else str(v) for v in col]
+            codes[spec.name], categories[spec.name] = _dictionary_encode(texts)
+        else:
+            values[spec.name] = np.array(col, dtype=np.float64)
+    return LogTable(schema, codes, categories, values, row_count)
 
 
 def forest_structure_equal(a: ForestModel, b: ForestModel) -> bool:

@@ -66,7 +66,7 @@ def mine(table, kpi, scoring, seed, min_score=0.0, trees=50):
     )
     imputed = prep.impute(table)
     model = pipeline.build_model(config, imputed)
-    return pipeline.mine_rules(config, model, imputed, RUN_DATE)
+    return pipeline.mine_rules(config, model, imputed)
 
 
 def test_criterion_1_split_oracle_equivalence():

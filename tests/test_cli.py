@@ -204,6 +204,42 @@ def test_range_edges_accepted(key, value):
     assert getattr(parse_run_config(_with(key, value)), key.rpartition(".")[2]) == value
 
 
+def test_kpi_column_and_positive_label_must_be_strings():
+    binary = {"column": "S", "kind": "binary", "slo": {"positive_label": None}}
+    with pytest.raises(ConfigError, match=r"^kpi\.slo\.positive_label must be a string, got null$"):
+        parse_run_config({"kpi": binary})
+    with pytest.raises(ConfigError, match=r"^kpi\.column must be a string, got 5$"):
+        parse_run_config({"kpi": dict(binary, column=5, slo={"positive_label": "fail"})})
+
+
+BAD_GENERATOR = [
+    ("seed", None),
+    ("seed", 7.9),
+    ("row_count", "3000"),
+    ("attributes[0].cardinality", True),
+    ("attributes[2].loc", None),
+    ("kpi.sigma", "1.5"),
+    ("faults[0].shift", "30"),
+]
+
+
+@pytest.mark.parametrize("key, value", BAD_GENERATOR, ids=[f"{k}={json.dumps(v)}" for k, v in BAD_GENERATOR])
+def test_bad_generator_number_is_a_config_error_naming_the_key(tmp_path, capsys, key, value):
+    path = gen_config(tmp_path, faults=[FAULT])
+    obj = json.loads(path.read_text())
+    *parents, name = re.findall(r"\w+", key)
+    node = obj
+    for part in parents:
+        node = node[int(part) if part.isdigit() else part]
+    node[name] = value
+    write_json(path, obj)
+    out = tmp_path / "data"
+    assert main(["generate", "--config", str(path), "--out", str(out), "--date", RUN_DATE]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key} must be ") and err.endswith(f", got {json.dumps(value)}\n")
+    assert not out.exists()
+
+
 class TestDiagnose:
     def test_planted_fault_exits_two_with_top_rule(self, tmp_path, capsys):
         data = generate_data(tmp_path, faults=[FAULT])
@@ -274,6 +310,24 @@ class TestDiagnose:
             ]
         )
         assert code == 1
+
+    def test_bad_scoring_expression_fails_before_any_output(self, tmp_path, capsys):
+        data = generate_data(tmp_path, faults=[FAULT])
+        capsys.readouterr()
+        out = tmp_path / "out"
+        code = main(
+            [
+                "diagnose",
+                "--config", str(run_config(tmp_path, scoring="row_count +")),
+                "--input", str(data / "logs.csv"),
+                "--history", str(tmp_path / "history.tsv"),
+                "--out", str(out),
+                "--date", RUN_DATE,
+            ]
+        )
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: bad scoring expression 'row_count +'")
+        assert not out.exists()
 
     def test_config_integer_past_digit_limit_names_the_file(self, tmp_path, capsys):
         cfg = tmp_path / "big.json"
@@ -486,6 +540,43 @@ class TestEval:
         assert result["precision"] == 1.0
         assert result["valid_issues"] == 1
         assert result["missed"] == []
+
+
+RULE = {
+    "correlated_predicate": {"attribute": "A", "op": "eq", "value": "c3", "polarity": True},
+    "scope_predicates": [],
+    "correlation_score": 1.5,
+    "request_count": 10,
+    "performance_impact": 2.0,
+    "full_row_count": 12,
+}
+
+MALFORMED_FILES = [
+    ("triage", [RULE, dict(RULE, correlation_score=None)],
+     "rule 1: correlation_score must be a finite number, got null"),
+    ("triage", [{k: v for k, v in RULE.items() if k != "request_count"}],
+     "rule 0: missing key 'request_count'"),
+    ("triage", {"rules": [RULE]}, "expected a JSON list of rules"),
+    ("eval", {"rules": [{"key": "A=c3"}, {"triage": "new"}]}, 'rule 1: needs a string "key"'),
+]
+
+
+@pytest.mark.parametrize(
+    "command, doc, message",
+    MALFORMED_FILES,
+    ids=["null-score", "no-request-count", "object-not-list", "report-entry-without-key"],
+)
+def test_malformed_rules_or_report_names_the_file_and_record(tmp_path, capsys, command, doc, message):
+    path = write_json(tmp_path / "in.json", doc)
+    out = tmp_path / "out"
+    if command == "triage":
+        argv = ["triage", "--config", str(run_config(tmp_path)), "--rules", str(path),
+                "--history", str(tmp_path / "h.tsv"), "--out", str(out), "--date", RUN_DATE]
+    else:
+        argv = ["eval", "--report", str(path), "--manifest", str(tmp_path / "manifest.json")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+    assert not out.exists()
 
 
 class TestDumpModel:

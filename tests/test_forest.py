@@ -453,7 +453,6 @@ class TestDumpAndParse:
         root = model.trees[0]
         assert root.split == Predicate.greater_than("Lat", 2.5)
         assert root.right.split == Predicate.equals("Region", "EU")
-        assert model.feature_list == ("Lat", "Region")
 
     def test_empty_dump_is_an_error(self):
         with pytest.raises(DumpParseError, match="empty"):

@@ -14,15 +14,14 @@ from kpidiag import synth
 from kpidiag.errors import ConfigError, SchemaError
 from kpidiag.ingest import (
     ColumnDecl,
-    LogTable,
     SchemaConfig,
     load,
     write_csv,
 )
 from kpidiag.model import ColumnKind, ColumnRole, KpiKind, KpiSpec
 
-from conftest import make_table
-from oracles import cell, evaluate, iter_rows, load_reference
+from conftest import category_counts, make_table
+from oracles import cell, evaluate, iter_rows, load_reference, table_from_columns
 
 LAT_KPI = KpiSpec(column="AuthLatency", kind=KpiKind.CONTINUOUS, threshold=50.0)
 
@@ -281,30 +280,24 @@ class TestAgainstReference:
             assert load(path, format, config) == load_reference(path, format, config), format
 
 
-def cardinalities(table):
-    return {
-        s.name: s.observed_cardinality for s in table.schema if s.kind is ColumnKind.CATEGORICAL
-    }
-
-
 class TestCardinality:
     def test_missing_is_excluded(self):
         table = make_table({"X": ("cat", ["a", "b", "a", None])})
-        assert cardinalities(table)["X"] == 2
+        assert category_counts(table)["X"] == 2
 
     def test_empty_table(self):
         table = make_table({"X": ("cat", []), "Y": ("cont", [])})
-        assert cardinalities(table) == {"X": 0}
+        assert category_counts(table) == {"X": 0}
 
     def test_desk_scale_unique_ids(self):
         n = 50_000
         table = make_table({"Id": ("cat", [f"id{i}" for i in range(n)])})
-        assert cardinalities(table)["Id"] == n
+        assert category_counts(table)["Id"] == n
 
     def test_never_exceeds_row_count(self, rng):
         values = [str(v) for v in rng.integers(0, 40, size=200)]
         table = make_table({"X": ("cat", values)})
-        assert cardinalities(table)["X"] <= table.row_count
+        assert category_counts(table)["X"] <= table.row_count
 
 
 class TestLogTable:
@@ -316,7 +309,7 @@ class TestLogTable:
             ColumnSpec("B", ColumnKind.CONTINUOUS),
         ]
         with pytest.raises(SchemaError):
-            LogTable.from_columns(specs, {"A": ["x"], "B": [1.0, 2.0]})
+            table_from_columns(specs, {"A": ["x"], "B": [1.0, 2.0]})
 
     def test_take_preserves_values(self):
         table = make_table(
@@ -335,7 +328,7 @@ class TestLogTable:
             ColumnSpec("B", ColumnKind.CONTINUOUS, ColumnRole.KPI),
         ]
         with pytest.raises(SchemaError):
-            LogTable.from_columns(specs, {"A": [1.0], "B": [2.0]})
+            table_from_columns(specs, {"A": [1.0], "B": [2.0]})
 
     def test_predicate_mask_matches_row_evaluation(self, rng):
         from kpidiag.model import Predicate

@@ -2,25 +2,22 @@ import numpy as np
 import pytest
 
 from kpidiag.errors import ConfigError
-from kpidiag.forest import Hyperparams, TreeNode, parse_text, train
+from kpidiag.forest import ForestModel, Hyperparams, TargetKind, TreeNode, parse_text, train
 from kpidiag.model import KpiKind, KpiSpec, Predicate, Rule, canonical_key
 from kpidiag.rules import (
     annotate_impacts,
-    correlation_score,
     deduplicate,
     extract_rules,
     filter_negative,
-    metric_score,
     resolve_scoring,
-    score_node,
     scoring_from_expression,
-    volume_weighted_score,
 )
 
 from conftest import make_table
 
 LAT = KpiSpec(column="Lat", kind=KpiKind.CONTINUOUS, threshold=5.0)
 STATUS = KpiSpec(column="Status", kind=KpiKind.BINARY, positive_label="fail")
+METRIC = resolve_scoring("metric")
 
 
 def rule_of(correlated, scope=(), score=1.0, count=10):
@@ -32,27 +29,32 @@ def rule_of(correlated, scope=(), score=1.0, count=10):
     )
 
 
+def one_split_score(scoring: str, node: TreeNode) -> float | None:
+    """The correlation score extract_rules gives a tree of one split node,
+    None when it yields no rule."""
+    model = ForestModel([node], TargetKind.REGRESSION)
+    rules = extract_rules(model, resolve_scoring(scoring))
+    return rules[0].correlation_score if rules else None
+
+
 class TestScoring:
     def test_volume_weighted(self):
-        node = TreeNode(row_count=1000, metric=4.0)
-        assert score_node(volume_weighted_score, node) == 4000.0
+        assert resolve_scoring("volume_weighted")(1000, 4.0) == 4000.0
 
     def test_metric_only(self):
-        node = TreeNode(row_count=1000, metric=0.93)
-        assert score_node(metric_score, node) == 0.93
+        assert resolve_scoring("metric")(1000, 0.93) == 0.93
 
     def test_zero_metric_scores_zero(self):
-        node = TreeNode(row_count=123, metric=0.0)
-        assert score_node(volume_weighted_score, node) == 0.0
-        assert score_node(metric_score, node) == 0.0
+        assert resolve_scoring("volume_weighted")(123, 0.0) == 0.0
+        assert resolve_scoring("metric")(123, 0.0) == 0.0
 
     def test_expression_escape_hatch(self):
         f = scoring_from_expression("row_count * metric ** 2")
         assert f(10, 3.0) == 90.0
 
     def test_resolve_builtin_and_expression(self):
-        assert resolve_scoring("metric") is metric_score
-        assert resolve_scoring("volume_weighted") is volume_weighted_score
+        assert resolve_scoring("metric")(7, 2.0) == 2.0
+        assert resolve_scoring("volume_weighted")(7, 2.0) == 14.0
         assert resolve_scoring("row_count * metric")(7, 2.0) == 14.0
 
     def test_expression_rejects_anything_else(self):
@@ -70,7 +72,7 @@ class TestCorrelationScore:
             left=TreeNode(100, 0.9),
             right=TreeNode(100, 0.1),
         )
-        assert correlation_score(metric_score, node) == pytest.approx(0.8)
+        assert one_split_score("metric", node) == pytest.approx(0.8)
 
     def test_identical_children(self):
         node = TreeNode(
@@ -80,7 +82,7 @@ class TestCorrelationScore:
             left=TreeNode(10, 0.5),
             right=TreeNode(10, 0.5),
         )
-        assert correlation_score(metric_score, node) == 0.0
+        assert one_split_score("metric", node) is None
 
     def test_volume_weighted_delta(self):
         node = TreeNode(
@@ -90,11 +92,7 @@ class TestCorrelationScore:
             left=TreeNode(100, 50.0),
             right=TreeNode(900, 5.0),
         )
-        assert correlation_score(volume_weighted_score, node) == pytest.approx(500.0)
-
-    def test_leaf_is_a_contract_violation(self):
-        with pytest.raises(ValueError):
-            correlation_score(metric_score, TreeNode(10, 0.5))
+        assert one_split_score("volume_weighted", node) == pytest.approx(500.0)
 
 
 class TestExtractRules:
@@ -102,7 +100,7 @@ class TestExtractRules:
         model = parse_text(
             "TREE 0 Classification\nX=a\t20\t0.5\n  LEAF\t10\t0.9\n  LEAF\t10\t0.1\n"
         )
-        (rule,) = extract_rules(model, metric_score)
+        (rule,) = extract_rules(model, METRIC)
         assert rule.correlated_predicate == Predicate.equals("X", "a")
         assert rule.scope_predicates == ()
         assert rule.correlation_score == pytest.approx(0.8)
@@ -117,7 +115,7 @@ class TestExtractRules:
             "    LEAF\t10\t0.1\n"
             "  LEAF\t20\t0.1\n"
         )
-        rules = extract_rules(model, metric_score)
+        rules = extract_rules(model, METRIC)
         assert len(rules) == 2
         deeper = next(r for r in rules if r.scope_predicates)
         assert deeper.scope_predicates == (Predicate.equals("X", "a"),)
@@ -127,7 +125,7 @@ class TestExtractRules:
         model = parse_text(
             "TREE 0 Classification\nX=a\t20\t0.5\n  LEAF\t10\t0.1\n  LEAF\t10\t0.9\n"
         )
-        (rule,) = extract_rules(model, metric_score)
+        (rule,) = extract_rules(model, METRIC)
         assert rule.correlated_predicate == Predicate.equals("X", "a", polarity=False)
         assert rule.correlation_score == pytest.approx(0.8)
         assert rule.request_count == 10
@@ -141,7 +139,7 @@ class TestExtractRules:
             "    LEAF\t10\t0.9\n"
             "    LEAF\t10\t0.1\n"
         )
-        rules = extract_rules(model, metric_score)
+        rules = extract_rules(model, METRIC)
         deeper = next(r for r in rules if r.scope_predicates)
         assert deeper.scope_predicates == (Predicate.equals("X", "a", polarity=False),)
 
@@ -149,7 +147,7 @@ class TestExtractRules:
         model = parse_text(
             "TREE 0 Classification\nX=a\t20\t0.5\n  LEAF\t10\t0.5\n  LEAF\t10\t0.5\n"
         )
-        assert extract_rules(model, metric_score) == []
+        assert extract_rules(model, METRIC) == []
 
     def test_incident_shape_scope_conjunction(self):
         # deep path: RequestType:Offbox ∧ LocDataCenter:AN ∧ CrossDataCenter:true
@@ -166,7 +164,7 @@ class TestExtractRules:
             "    LEAF\t200\t20.0\n"
             "  LEAF\t600\t10.0\n"
         )
-        rules = extract_rules(model, metric_score)
+        rules = extract_rules(model, METRIC)
         rack = next(r for r in rules if r.key() == "Rack=AN150C01")
         assert [p.text() for p in rack.scope_predicates] == [
             "RequestType:Offbox",
@@ -183,7 +181,7 @@ class TestExtractRules:
         )
         labels = rng.random(300) < 0.3
         model = train(table, labels, Hyperparams(num_trees=5, min_rows_in_leaf=10, rng_seed=3))
-        for rule in extract_rules(model, metric_score):
+        for rule in extract_rules(model, METRIC):
             assert rule.correlation_score > 0
 
 
@@ -229,7 +227,7 @@ class TestDeduplicate:
             labels,
             Hyperparams(num_trees=50, feature_sample_ratio=1.0, rng_seed=0),
         )
-        candidates = extract_rules(model, metric_score)
+        candidates = extract_rules(model, METRIC)
         assert len(candidates) == 50
         assert len(deduplicate(candidates)) == 1
 
@@ -322,7 +320,7 @@ class TestOrientationSoundness:
         )
         y = rng.lognormal(size=400) + (table.codes("A") == 2) * 10.0
         model = train(table, y, Hyperparams(num_trees=6, min_rows_in_leaf=10, rng_seed=8))
-        for f in (metric_score, volume_weighted_score):
+        for f in map(resolve_scoring, ("metric", "volume_weighted")):
             # independently walk the trees: the emitted rule set must be the
             # higher-scoring orientation at every non-tied split node
             expected = []
@@ -374,7 +372,7 @@ def test_planted_fault_recovered_across_seeds():
         model = train(
             table, y, Hyperparams(num_trees=8, min_rows_in_leaf=40, rng_seed=seed)
         )
-        mined = filter_negative(deduplicate(extract_rules(model, metric_score)))
+        mined = filter_negative(deduplicate(extract_rules(model, METRIC)))
         assert mined, f"seed {seed}: nothing extracted"
         if mined[0].key() == planted_key:
             hits += 1

@@ -15,6 +15,8 @@ from kpidiag.synth import (
     slo_threshold,
 )
 
+from conftest import category_counts
+
 DAY = datetime.date(2026, 8, 10)
 
 
@@ -55,7 +57,7 @@ class TestCardinality:
         for k in (10, 100, 400):
             cfg = config([cat("A", k)], rows=10 * k, seed=3)
             table, _ = generate(cfg, DAY)
-            assert table.spec("A").observed_cardinality == k
+            assert category_counts(table)["A"] == k
 
     def test_zipf_skews_toward_the_head(self):
         cfg = config([cat("A", 50, weighting="zipf", zipf_s=1.5)], rows=20_000, seed=4)
