@@ -22,8 +22,8 @@ import os
 import sys
 
 from . import forest, pipeline, report, synth
-from .config import load_generator_config, load_run_config, read_json
-from .errors import ConfigError, StageError
+from .config import fault_keys, load_generator_config, load_run_config, report_key, rule_from_json
+from .errors import ConfigError, DumpParseError, StageError
 from .ingest import write_csv
 
 
@@ -115,8 +115,8 @@ def _cmd_train(args) -> int:
 
 def _cmd_extract(args) -> int:
     config = load_run_config(args.config)
-    model = pipeline.read_model(args.model)
-    imputed, _, _ = pipeline.prepare_table(config, args.input)
+    model = pipeline.read_model(args.model, config.kpi.kind)
+    imputed = pipeline.prepare_table(config, args.input)
     mined = pipeline.mine_rules(config, model, imputed)
     pipeline.write_rules(mined, args.out)
     print(f"wrote {len(mined)} rules to {args.out}/rules.json", file=sys.stderr)
@@ -125,27 +125,15 @@ def _cmd_extract(args) -> int:
 
 def _cmd_triage(args) -> int:
     config = load_run_config(args.config)
-    mined = pipeline.read_rules(args.rules)
+    mined = pipeline.read_records(args.rules, "rule", rule_from_json)
     triaged, report_json = pipeline.run_triage(config, mined, args.history, args.out, args.date)
     print(report_json, end="")
     return pipeline.exit_code_for(triaged)
 
 
-def _report_keys(path) -> set[str]:
-    """The rule keys of a report.json; an error names the file and the entry."""
-    doc = read_json(path)
-    entries = doc.get("rules", []) if isinstance(doc, dict) else None
-    if not isinstance(entries, list):
-        raise ConfigError(f"{path}: expected a JSON object with a list of rules")
-    for i, entry in enumerate(entries):
-        if not (isinstance(entry, dict) and isinstance(entry.get("key"), str)):
-            raise ConfigError(f"{path}: rule {i}: needs a string \"key\"")
-    return {entry["key"] for entry in entries}
-
-
 def _cmd_eval(args) -> int:
-    reported = _report_keys(args.report)
-    truth = synth.manifest_keys(synth.load_manifest(args.manifest))
+    reported = set(pipeline.read_records(args.report, "rule", report_key, key="rules"))
+    truth = set().union(*pipeline.read_records(args.manifest, "fault", fault_keys, key="faults"))
     value, valid = report.precision(reported, truth)
     out = {
         "precision": value,
@@ -180,7 +168,7 @@ def main(argv=None) -> int:
         return 0 if e.code == 0 else 1
     try:
         return _COMMANDS[args.command](args)
-    except (StageError, ConfigError, OSError, ValueError) as e:
+    except (StageError, ConfigError, DumpParseError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

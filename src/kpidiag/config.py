@@ -15,7 +15,8 @@ Example:
     }
 
 The file is the only source of run settings: `_SETTINGS` states each one's
-key, JSON type and valid values, and `RunConfig` its default.
+key, JSON type and valid values, and `RunConfig` its default. Every JSON
+file the tool reads is checked field by field through `_Setting` and `_get`.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ from __future__ import annotations
 import datetime
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field
+from enum import EnumMeta
 
 from .errors import ConfigError
 from .ingest import ColumnDecl, SchemaConfig
@@ -60,19 +62,29 @@ class RunConfig:
         return SchemaConfig(kpi=self.kpi, columns=self.columns)
 
 
+_JSON_TYPES = {bool: "true or false", list: "a JSON list", dict: "a JSON object"}
+
+
 @dataclass(frozen=True)
 class _Setting:
-    """A setting's JSON type and valid values: numbers >= low, or in (low,
-    high] when high is given; strings among choices, or any string."""
+    """A JSON value's type and valid values: numbers >= low, or in (low,
+    high] when high is given; strings among choices, or any string; an
+    enum's values; or any boolean, list or object."""
 
-    type: type  # int, float or str
+    type: type  # int, float, str, an Enum, or a key of _JSON_TYPES
     low: float | None = None
     high: float | None = None
     choices: tuple[str, ...] = ()
 
+    def __post_init__(self):
+        if isinstance(self.type, EnumMeta):
+            object.__setattr__(self, "choices", tuple(m.value for m in self.type))
+
     def valid(self) -> str:
         """The valid values, worded as in README's configuration table."""
-        if self.type is str:
+        if self.type in _JSON_TYPES:
+            return _JSON_TYPES[self.type]
+        if self.type not in (int, float):
             return " or ".join(json.dumps(c) for c in self.choices) or "a string"
         text = "an integer" if self.type is int else "a finite number"
         if self.high is not None:
@@ -81,7 +93,9 @@ class _Setting:
 
     def parse(self, key: str, raw):
         """raw as this setting's type, or a ConfigError naming key."""
-        if self.type is str:
+        if self.type in _JSON_TYPES:
+            ok = type(raw) is self.type
+        elif self.type not in (int, float):
             ok = isinstance(raw, str) and (not self.choices or raw in self.choices)
         else:
             # type(), not isinstance: JSON true is no number and 7.5 no integer;
@@ -92,76 +106,88 @@ class _Setting:
                 or (self.low < raw <= self.high if self.high is not None else self.low <= raw)
             )
         if not ok:
-            raise ConfigError(f"{key} must be {self.valid()}, got {json.dumps(raw)}")
-        return self.type(raw)
+            got = {list: "list", dict: "object"}.get(type(raw)) or json.dumps(raw)
+            raise ConfigError(f"{key} must be {self.valid()}, got {got}")
+        return raw if self.type in _JSON_TYPES else self.type(raw)
+
+
+_STRING = _Setting(str)
+_NUMBER = _Setting(float)
+_COUNT = _Setting(int, low=0)
+_LIST = _Setting(list)
+_OBJECT = _Setting(dict)
+_OP = _Setting(PredicateOp)
+_POLARITY = _Setting(bool)
+
+
+def _get(obj, parent: str, key: str, setting: _Setting, default=MISSING):
+    """obj[key] parsed by setting; errors name the key's path (parent is obj's). An
+    absent key, or a null where the default is None, takes the default if one is given."""
+    _OBJECT.parse(parent or "record", obj)
+    path = f"{parent}.{key}" if parent else key
+    raw = obj.get(key, MISSING)
+    if raw is MISSING or (raw is None and default is None):
+        if default is MISSING:
+            raise ConfigError(f"missing key {path!r}")
+        return default
+    return setting.parse(path, raw)
+
+
+def _each(obj, parent: str, key: str, parse, default=MISSING) -> tuple:
+    """parse(path, item) for each item of the list at obj[key]."""
+    path = f"{parent}.{key}" if parent else key
+    return tuple(parse(f"{path}[{i}]", x) for i, x in enumerate(_get(obj, parent, key, _LIST, default)))
 
 
 # Every run setting besides `kpi` and `columns`. A dotted key lies inside
 # the object its first part names; the key's last part is the RunConfig
 # field that holds the default.
 _SETTINGS = {
-    "scoring": _Setting(str),
+    "scoring": _STRING,
     "sample_rows": _Setting(int, low=2),
     "seed": _Setting(int, low=0),
     "max_cardinality": _Setting(int, low=1),
-    "min_score": _Setting(float),
+    "min_score": _NUMBER,
     "input_format": _Setting(str, choices=("csv", "jsonl")),
-    "table_name": _Setting(str),
+    "table_name": _STRING,
     "hyperparams.num_trees": _Setting(int, low=1),
     "hyperparams.feature_sample_ratio": _Setting(float, low=0, high=1),
     "hyperparams.min_rows_in_leaf_pct": _Setting(float, low=0, high=100),
 }
 
 
-def _object(key: str, value) -> dict:
-    if not isinstance(value, dict):
-        raise ConfigError(f"{key} must be a JSON object, got {json.dumps(value)}")
-    return value
-
-
 def parse_kpi(obj) -> KpiSpec:
-    try:
-        column = _Setting(str).parse("kpi.column", _object("kpi", obj)["column"])
-        kind = KpiKind(obj["kind"])
-        slo = _object("kpi.slo", obj["slo"])
-    except (KeyError, ValueError) as e:
-        raise ConfigError(f"bad kpi section: {e}") from None
+    column = _get(obj, "kpi", "column", _STRING)
+    kind = _get(obj, "kpi", "kind", _Setting(KpiKind))
+    slo = _get(obj, "kpi", "slo", _OBJECT)
     if kind is KpiKind.CONTINUOUS:
-        if "threshold" not in slo:
-            raise ConfigError("continuous KPI slo needs a threshold")
-        direction = SloDirection(slo.get("direction", "above"))
-        threshold = _Setting(float).parse("kpi.slo.threshold", slo["threshold"])
+        threshold = _get(slo, "kpi.slo", "threshold", _NUMBER)
+        direction = _get(slo, "kpi.slo", "direction", _Setting(SloDirection), SloDirection.ABOVE)
         return KpiSpec(column=column, kind=kind, threshold=threshold, direction=direction)
-    if "positive_label" not in slo:
-        raise ConfigError("binary KPI slo needs a positive_label")
-    label = _Setting(str).parse("kpi.slo.positive_label", slo["positive_label"])
+    label = _get(slo, "kpi.slo", "positive_label", _STRING)
     return KpiSpec(column=column, kind=kind, positive_label=label)
 
 
 def parse_run_config(obj) -> RunConfig:
     """A RunConfig from a parsed config file; each rejection names the key."""
-    given = {k: v for k, v in _object("config", obj).items() if k not in ("kpi", "columns", "hyperparams")}
-    hyper = _object("hyperparams", obj.get("hyperparams", {}))
+    given = {k: v for k, v in _OBJECT.parse("config", obj).items() if k not in ("kpi", "columns", "hyperparams")}
     unknown = {k for k in given if "." in k}
-    given.update((f"hyperparams.{k}", v) for k, v in hyper.items())
+    given.update((f"hyperparams.{k}", v) for k, v in _get(obj, "", "hyperparams", _OBJECT, {}).items())
     unknown |= set(given) - set(_SETTINGS)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    if "kpi" not in obj:
-        raise ConfigError("config must name the KPI column")
     columns: dict[str, ColumnDecl] = {}
-    for name, decl in _object("columns", obj.get("columns", {})).items():
-        unknown = set(_object(f"columns.{name}", decl)) - {"kind", "role"}
+    for name, decl in _get(obj, "", "columns", _OBJECT, {}).items():
+        at = f"columns.{name}"
+        unknown = set(_OBJECT.parse(at, decl)) - {"kind", "role"}
         if unknown:
             raise ConfigError(f"column {name!r}: unknown keys {sorted(unknown)}")
-        try:
-            kind = ColumnKind(decl["kind"]) if "kind" in decl else None
-            role = ColumnRole(decl.get("role", "feature"))
-        except ValueError as e:
-            raise ConfigError(f"column {name!r}: {e}") from None
-        columns[name] = ColumnDecl(kind=kind, role=role)
+        columns[name] = ColumnDecl(
+            kind=_get(decl, at, "kind", _Setting(ColumnKind), None),
+            role=_get(decl, at, "role", _Setting(ColumnRole), ColumnRole.FEATURE),
+        )
     settings = {key.rpartition(".")[2]: _SETTINGS[key].parse(key, v) for key, v in given.items()}
-    config = RunConfig(kpi=parse_kpi(obj["kpi"]), columns=columns, **settings)
+    config = RunConfig(kpi=parse_kpi(_get(obj, "", "kpi", _OBJECT)), columns=columns, **settings)
     resolve_scoring(config.scoring)  # a bad expression fails here, before any input is read
     return config
 
@@ -180,13 +206,6 @@ def load_run_config(path) -> RunConfig:
 
 # -- predicate / rule / generator-config serialization ----------------------
 
-_COUNT = _Setting(int, low=0)
-_NUMBER = _Setting(float)
-
-
-def _optional(setting: _Setting, key: str, raw):
-    return None if raw is None else setting.parse(key, raw)
-
 
 def predicate_to_json(p: Predicate) -> dict:
     return {
@@ -197,15 +216,10 @@ def predicate_to_json(p: Predicate) -> dict:
     }
 
 
-def predicate_from_json(d: dict) -> Predicate:
-    try:
-        op = PredicateOp(d["op"])
-        value = d["value"]
-        if op is PredicateOp.GREATER_THAN:
-            value = float(value)
-        return Predicate(d["attribute"], op, value, bool(d.get("polarity", True)))
-    except (KeyError, TypeError, ValueError) as e:  # TypeError: d is no JSON object
-        raise ConfigError(f"bad predicate record: {e}") from None
+def _predicate(at: str, d) -> Predicate:
+    op = _get(d, at, "op", _OP)
+    value = _get(d, at, "value", _NUMBER if op is PredicateOp.GREATER_THAN else _STRING)
+    return Predicate(_get(d, at, "attribute", _STRING), op, value, _get(d, at, "polarity", _POLARITY, True))
 
 
 def rule_to_json(rule: Rule) -> dict:
@@ -221,80 +235,77 @@ def rule_to_json(rule: Rule) -> dict:
 
 def rule_from_json(d) -> Rule:
     """A Rule from its rules.json record; a malformed record is a ConfigError."""
-    d = _object("record", d)
-    try:
-        scope = d["scope_predicates"]
-        if not isinstance(scope, list):
-            raise ConfigError(f"scope_predicates must be a list, got {json.dumps(scope)}")
-        return Rule(
-            correlated_predicate=predicate_from_json(d["correlated_predicate"]),
-            scope_predicates=tuple(predicate_from_json(p) for p in scope),
-            correlation_score=_NUMBER.parse("correlation_score", d["correlation_score"]),
-            request_count=_COUNT.parse("request_count", d["request_count"]),
-            performance_impact=_optional(_NUMBER, "performance_impact", d.get("performance_impact")),
-            full_row_count=_optional(_COUNT, "full_row_count", d.get("full_row_count")),
-        )
-    except KeyError as e:
-        raise ConfigError(f"missing key {e}") from None
+    return Rule(
+        correlated_predicate=_predicate("correlated_predicate", _get(d, "", "correlated_predicate", _OBJECT)),
+        scope_predicates=_each(d, "", "scope_predicates", _predicate),
+        correlation_score=_get(d, "", "correlation_score", _NUMBER),
+        request_count=_get(d, "", "request_count", _COUNT),
+        performance_impact=_get(d, "", "performance_impact", _NUMBER, None),
+        full_row_count=_get(d, "", "full_row_count", _COUNT, None),
+    )
 
 
-def _attribute(i: int, a: dict) -> AttributeSpec:
-    key = f"attributes[{i}]"
+def report_key(entry) -> str:
+    """The canonical key of a report.json rule entry."""
+    return _get(entry, "", "key", _STRING)
+
+
+def fault_keys(fault) -> tuple[str, ...]:
+    """The canonical keys of a manifest.json fault entry."""
+    return _each(fault, "", "keys", _STRING.parse)
+
+
+def _attribute(at: str, a) -> AttributeSpec:
     return AttributeSpec(
-        name=a["name"],
-        kind=ColumnKind(a["kind"]),
-        cardinality=_COUNT.parse(f"{key}.cardinality", a.get("cardinality", 0)),
-        weighting=a.get("weighting", "uniform"),
-        distribution=a.get("distribution", "lognormal"),
-        loc=_NUMBER.parse(f"{key}.loc", a.get("loc", 0.0)),
-        scale=_NUMBER.parse(f"{key}.scale", a.get("scale", 1.0)),
-        zipf_s=_NUMBER.parse(f"{key}.zipf_s", a.get("zipf_s", 1.5)),
+        name=_get(a, at, "name", _STRING),
+        kind=_get(a, at, "kind", _Setting(ColumnKind)),
+        cardinality=_get(a, at, "cardinality", _COUNT, 0),
+        weighting=_get(a, at, "weighting", _STRING, "uniform"),
+        distribution=_get(a, at, "distribution", _STRING, "lognormal"),
+        loc=_get(a, at, "loc", _NUMBER, 0.0),
+        scale=_get(a, at, "scale", _NUMBER, 1.0),
+        zipf_s=_get(a, at, "zipf_s", _NUMBER, 1.5),
     )
 
 
-def _fault(i: int, fault: dict) -> FaultSpec:
-    key = f"faults[{i}]"
+def _fault(at: str, f) -> FaultSpec:
     return FaultSpec(
-        trigger=tuple(predicate_from_json(p) for p in fault["trigger"]),
-        shift=_optional(_NUMBER, f"{key}.shift", fault.get("shift")),
-        multiplier=_optional(_NUMBER, f"{key}.multiplier", fault.get("multiplier")),
-        failure_probability=_optional(
-            _NUMBER, f"{key}.failure_probability", fault.get("failure_probability")
-        ),
-        first_day=_opt_date(fault.get("first_day")),
-        last_day=_opt_date(fault.get("last_day")),
+        trigger=_each(f, at, "trigger", _predicate),
+        shift=_get(f, at, "shift", _NUMBER, None),
+        multiplier=_get(f, at, "multiplier", _NUMBER, None),
+        failure_probability=_get(f, at, "failure_probability", _NUMBER, None),
+        first_day=_date(f, at, "first_day"),
+        last_day=_date(f, at, "last_day"),
     )
 
 
-def parse_generator_config(obj: dict) -> GeneratorConfig:
-    """A GeneratorConfig from a parsed file; a bad number names its key."""
+def _date(obj, parent: str, key: str) -> datetime.date | None:
+    text = _get(obj, parent, key, _STRING, None)
     try:
-        kpi_obj = obj["kpi"]
-        kpi = KpiProfile(
-            column=kpi_obj["column"],
-            kind=KpiKind(kpi_obj["kind"]),
-            mu=_NUMBER.parse("kpi.mu", kpi_obj.get("mu", 0.0)),
-            sigma=_NUMBER.parse("kpi.sigma", kpi_obj.get("sigma", 1.0)),
-            failure_rate=_NUMBER.parse("kpi.failure_rate", kpi_obj.get("failure_rate", 0.001)),
-            positive_label=kpi_obj.get("positive_label", "fail"),
-            negative_label=kpi_obj.get("negative_label", "success"),
-        )
-        return GeneratorConfig(
-            attributes=tuple(_attribute(i, a) for i, a in enumerate(obj["attributes"])),
-            row_count=_COUNT.parse("row_count", obj["row_count"]),
-            kpi=kpi,
-            faults=tuple(_fault(i, f) for i, f in enumerate(obj.get("faults", []))),
-            seed=_COUNT.parse("seed", obj.get("seed", 0)),
-        )
-    except KeyError as e:
-        raise ConfigError(f"generator config missing key {e}") from None
-    except ValueError as e:
-        raise ConfigError(f"bad generator config: {e}") from None
+        return None if text is None else datetime.date.fromisoformat(text)
+    except ValueError:
+        raise ConfigError(f"{parent}.{key} must be an ISO date, got {json.dumps(text)}") from None
+
+
+def parse_generator_config(obj) -> GeneratorConfig:
+    """A GeneratorConfig from a parsed file; each rejection names the key."""
+    kpi = _get(_OBJECT.parse("config", obj), "", "kpi", _OBJECT)
+    return GeneratorConfig(
+        attributes=_each(obj, "", "attributes", _attribute),
+        row_count=_get(obj, "", "row_count", _COUNT),
+        kpi=KpiProfile(
+            column=_get(kpi, "kpi", "column", _STRING),
+            kind=_get(kpi, "kpi", "kind", _Setting(KpiKind)),
+            mu=_get(kpi, "kpi", "mu", _NUMBER, 0.0),
+            sigma=_get(kpi, "kpi", "sigma", _NUMBER, 1.0),
+            failure_rate=_get(kpi, "kpi", "failure_rate", _NUMBER, 0.001),
+            positive_label=_get(kpi, "kpi", "positive_label", _STRING, "fail"),
+            negative_label=_get(kpi, "kpi", "negative_label", _STRING, "success"),
+        ),
+        faults=_each(obj, "", "faults", _fault, ()),
+        seed=_get(obj, "", "seed", _COUNT, 0),
+    )
 
 
 def load_generator_config(path) -> GeneratorConfig:
     return parse_generator_config(read_json(path))
-
-
-def _opt_date(v) -> datetime.date | None:
-    return None if v is None else datetime.date.fromisoformat(v)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import forest, ingest, prep, report, rules
-from .config import RunConfig, read_json, rule_from_json, rule_to_json
+from .config import _LIST, RunConfig, _get, read_json, rule_to_json
 from .errors import ConfigError, StageError
 from .ingest import LogTable
 from .model import KpiKind, Rule, TriageCategory, TriagedRule
@@ -70,23 +70,17 @@ def _seeds(seed: int) -> tuple[int, int]:
     )
 
 
-def prepare_table(config: RunConfig, input_path, timer: _StageTimer | None = None):
-    """ingest -> impute -> pruning advisory. Returns (imputed, pruning, warnings)."""
+def prepare_table(config: RunConfig, input_path, timer: _StageTimer | None = None) -> LogTable:
+    """ingest -> impute; a KPI column without a single value is an error."""
     timer = timer or _StageTimer()
     with timer.stage("ingest"):
         table = ingest.load(input_path, config.input_format, config.schema_config())
+        kpi = config.kpi.column
+        present = table.codes(kpi) >= 0 if config.kpi.kind is KpiKind.BINARY else ~np.isnan(table.values(kpi))
+        if not present.any():
+            raise ConfigError(f"KPI column {kpi!r} has no values in {input_path}")
     with timer.stage("impute"):
-        imputed = prep.impute(table)
-    with timer.stage("prune"):
-        pruning = prep.recommend_pruning(imputed, config.max_cardinality)
-    # config-excluded columns never reach the advisory (they are not
-    # features), so anything flagged here is still in play
-    warnings = [
-        f"column {rec.attribute!r} flagged ({rec.reason}, cardinality "
-        f"{rec.cardinality}) but not excluded by the config"
-        for rec in pruning
-    ]
-    return imputed, pruning, warnings
+        return prep.impute(table)
 
 
 def build_model(
@@ -115,12 +109,21 @@ def build_model(
 
 
 def run_train(config: RunConfig, input_path, out_dir, timer: _StageTimer | None = None):
-    """prepare -> train, then write model.txt and pruning.json into out_dir.
+    """prepare -> pruning advisory -> train, then write model.txt and pruning.json into out_dir.
 
     Returns (imputed table, model, warnings).
     """
     timer = timer or _StageTimer()
-    imputed, pruning, warnings = prepare_table(config, input_path, timer)
+    imputed = prepare_table(config, input_path, timer)
+    with timer.stage("prune"):
+        pruning = prep.recommend_pruning(imputed, config.max_cardinality)
+    # config-excluded columns never reach the advisory (they are not
+    # features), so anything flagged here is still in play
+    warnings = [
+        f"column {rec.attribute!r} flagged ({rec.reason}, cardinality "
+        f"{rec.cardinality}) but not excluded by the config"
+        for rec in pruning
+    ]
     model = build_model(config, imputed, timer)
     with timer.stage("dump-model"):
         _write(out_dir, "model.txt", forest.dump_text(model))
@@ -234,20 +237,26 @@ def write_rules(rules_list: list[Rule], out_dir) -> None:
     _write(out_dir, "rules.json", json.dumps(doc, indent=2, ensure_ascii=False) + "\n")
 
 
-def read_rules(path) -> list[Rule]:
-    """The rules of a rules.json file; an error names the file and the record."""
+def read_records(path, noun: str, parse, key: str | None = None) -> list:
+    """parse(record) for each record of a JSON file: the file's list, or the
+    list its object holds under key. An error names the file and the record."""
     doc = read_json(path)
-    if not isinstance(doc, list):
-        raise ConfigError(f"{path}: expected a JSON list of rules")
-    out = []
-    for i, d in enumerate(doc):
-        try:
-            out.append(rule_from_json(d))
-        except ConfigError as e:
-            raise ConfigError(f"{path}: rule {i}: {e}") from None
-    return out
+    where = f"{path}: "
+    try:
+        records = _LIST.parse(f"{noun}s", doc) if key is None else _get(doc, "", key, _LIST)
+        out = []
+        for i, record in enumerate(records):
+            where = f"{path}: {noun} {i}: "
+            out.append(parse(record))
+        return out
+    except ConfigError as e:
+        raise ConfigError(f"{where}{e}") from None
 
 
-def read_model(path) -> forest.ForestModel:
+def read_model(path, kpi: KpiKind | None = None) -> forest.ForestModel:
+    """A model dump; given a KPI kind, its trees must be the kind that KPI trains."""
     with open(path, encoding="utf-8") as f:
-        return forest.parse_text(f.read())
+        model = forest.parse_text(f.read())
+    if kpi is not None and (model.target_kind is forest.TargetKind.CLASSIFICATION) is not (kpi is KpiKind.BINARY):
+        raise ConfigError(f"{path}: {model.target_kind.value} trees, but the config's KPI is {kpi.value}")
+    return model

@@ -264,18 +264,10 @@ def _trigger_mask(fault: FaultSpec, features: LogTable) -> np.ndarray:
 
 def manifest_keys(manifest: dict) -> set[str]:
     """All canonical predicate keys across the manifest's active faults."""
-    keys: set[str] = set()
-    for fault in manifest.get("faults", []):
-        keys.update(fault["keys"])
-    return keys
+    return set().union(*(fault["keys"] for fault in manifest.get("faults", [])))
 
 
 def write_manifest(manifest: dict, path) -> None:
     with open(path, "w", encoding="utf-8") as f:
         json.dump(manifest, f, indent=2, ensure_ascii=False)
         f.write("\n")
-
-
-def load_manifest(path) -> dict:
-    with open(path, encoding="utf-8") as f:
-        return json.load(f)

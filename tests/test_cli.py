@@ -4,6 +4,7 @@ import re
 
 import pytest
 
+from kpidiag import prep
 from kpidiag.cli import main
 from kpidiag.config import _SETTINGS, parse_run_config
 from kpidiag.errors import ConfigError
@@ -93,7 +94,7 @@ class TestConfigParsing:
             )
 
     def test_missing_kpi_rejected(self):
-        with pytest.raises(ConfigError, match="KPI"):
+        with pytest.raises(ConfigError, match=r"^missing key 'kpi'$"):
             parse_run_config({})
 
     def test_binary_needs_positive_label(self):
@@ -551,32 +552,129 @@ RULE = {
     "full_row_count": 12,
 }
 
-MALFORMED_FILES = [
-    ("triage", [RULE, dict(RULE, correlation_score=None)],
+GEN = {
+    "row_count": 50,
+    "attributes": [{"name": "A", "kind": "categorical", "cardinality": 3},
+                   {"name": "C", "kind": "continuous"}],
+    "kpi": {"column": "Lat", "kind": "continuous"},
+}
+
+
+def _gen_with(attribute=None, fault=None, trigger=None):
+    """GEN with the first attribute, one shifting fault or its trigger predicate changed."""
+    pred = dict({"attribute": "C", "op": "gt", "value": 1.0}, **(trigger or {}))
+    doc = dict(GEN, faults=[dict({"trigger": [pred], "shift": 3.0}, **(fault or {}))])
+    doc["attributes"] = [dict(GEN["attributes"][0], **(attribute or {})), GEN["attributes"][1]]
+    return doc
+
+
+def _kpi_with(**kw):
+    return {"kpi": dict(MINIMAL["kpi"], **kw)}
+
+
+# (id, file, whole document, message after `error: ` and, for the last
+# three files, after `PATH: `); every message names the key
+MALFORMED_INPUTS = [
+    ("run-not-object", "run", [], "config must be a JSON object, got list"),
+    ("run-no-kpi", "run", {}, "missing key 'kpi'"),
+    ("kpi-kind", "run", _kpi_with(kind="ratio"), 'kpi.kind must be "continuous" or "binary", got "ratio"'),
+    ("slo-direction", "run", _kpi_with(slo={"threshold": 5, "direction": "sideways"}),
+     'kpi.slo.direction must be "above" or "below", got "sideways"'),
+    ("column-kind", "run", dict(MINIMAL, columns={"A": {"kind": "numeric"}}),
+     'columns.A.kind must be "categorical" or "continuous", got "numeric"'),
+    ("attributes-not-list", "gen", dict(GEN, attributes=5), "attributes must be a JSON list, got 5"),
+    ("no-row-count", "gen", {k: v for k, v in GEN.items() if k != "row_count"}, "missing key 'row_count'"),
+    ("attribute-name", "gen", _gen_with(attribute={"name": 5}), "attributes[0].name must be a string, got 5"),
+    ("first-day-number", "gen", _gen_with(fault={"first_day": 5}), "faults[0].first_day must be a string, got 5"),
+    ("last-day-month-13", "gen", _gen_with(fault={"last_day": "2026-13-01"}),
+     'faults[0].last_day must be an ISO date, got "2026-13-01"'),
+    ("trigger-op", "gen", _gen_with(trigger={"op": "lt"}), 'faults[0].trigger[0].op must be "eq" or "gt", got "lt"'),
+    ("trigger-nan", "gen", _gen_with(trigger={"value": "nan"}),
+     'faults[0].trigger[0].value must be a finite number, got "nan"'),
+    ("null-score", "rules", [RULE, dict(RULE, correlation_score=None)],
      "rule 1: correlation_score must be a finite number, got null"),
-    ("triage", [{k: v for k, v in RULE.items() if k != "request_count"}],
+    ("no-request-count", "rules", [{k: v for k, v in RULE.items() if k != "request_count"}],
      "rule 0: missing key 'request_count'"),
-    ("triage", {"rules": [RULE]}, "expected a JSON list of rules"),
-    ("eval", {"rules": [{"key": "A=c3"}, {"triage": "new"}]}, 'rule 1: needs a string "key"'),
+    ("object-not-list", "rules", {"rules": [RULE]}, "rules must be a JSON list, got object"),
+    ("polarity-string", "rules", [dict(RULE, correlated_predicate=dict(RULE["correlated_predicate"], polarity="false"))],
+     'rule 0: correlated_predicate.polarity must be true or false, got "false"'),
+    ("scope-not-object", "rules", [RULE, dict(RULE, scope_predicates=[5])],
+     "rule 1: scope_predicates[0] must be a JSON object, got 5"),
+    ("no-attribute", "rules", [dict(RULE, correlated_predicate={"op": "eq", "value": "c3"})],
+     "rule 0: missing key 'correlated_predicate.attribute'"),
+    ("report-no-rules", "report", {}, "missing key 'rules'"),
+    ("report-entry-without-key", "report", {"rules": [{"key": "A=c3"}, {"triage": "new"}]},
+     "rule 1: missing key 'key'"),
+    ("report-entry-not-object", "report", {"rules": [{"key": "A=c3"}, 5]},
+     "rule 1: record must be a JSON object, got 5"),
+    ("report-key-number", "report", {"rules": [{"key": 5}]}, "rule 0: key must be a string, got 5"),
+    ("manifest-not-object", "manifest", [], "record must be a JSON object, got list"),
+    ("fault-without-keys", "manifest", {"faults": [{}]}, "fault 0: missing key 'keys'"),
+    ("keys-not-list", "manifest", {"faults": [{"keys": "A=c3"}]}, 'fault 0: keys must be a JSON list, got "A=c3"'),
+    ("key-number", "manifest", {"faults": [{"keys": ["A=c3", 5]}]}, "fault 0: keys[1] must be a string, got 5"),
 ]
 
 
-@pytest.mark.parametrize(
-    "command, doc, message",
-    MALFORMED_FILES,
-    ids=["null-score", "no-request-count", "object-not-list", "report-entry-without-key"],
-)
-def test_malformed_rules_or_report_names_the_file_and_record(tmp_path, capsys, command, doc, message):
-    path = write_json(tmp_path / "in.json", doc)
+@pytest.mark.parametrize("file, doc, message", [c[1:] for c in MALFORMED_INPUTS], ids=[c[0] for c in MALFORMED_INPUTS])
+def test_malformed_json_input_is_one_error_line_naming_the_key(tmp_path, capsys, file, doc, message):
+    path = write_json(tmp_path / f"bad-{file}.json", doc)
     out = tmp_path / "out"
-    if command == "triage":
-        argv = ["triage", "--config", str(run_config(tmp_path)), "--rules", str(path),
-                "--history", str(tmp_path / "h.tsv"), "--out", str(out), "--date", RUN_DATE]
-    else:
-        argv = ["eval", "--report", str(path), "--manifest", str(tmp_path / "manifest.json")]
+    empty_report = write_json(tmp_path / "empty-report.json", {"rules": []})
+    empty_manifest = write_json(tmp_path / "empty-manifest.json", {"faults": []})
+    argv = {
+        "run": ["train", "--config", str(path), "--input", "x.csv", "--out", str(out)],
+        "gen": ["generate", "--config", str(path), "--out", str(out), "--date", RUN_DATE],
+        "rules": ["triage", "--config", str(run_config(tmp_path)), "--rules", str(path),
+                  "--history", str(tmp_path / "h.tsv"), "--out", str(out), "--date", RUN_DATE],
+        "report": ["eval", "--report", str(path), "--manifest", str(empty_manifest)],
+        "manifest": ["eval", "--report", str(empty_report), "--manifest", str(path)],
+    }[file]
     assert main(argv) == 1
-    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+    where = "" if file in ("run", "gen") else f"{path}: "
+    assert capsys.readouterr().err == f"error: {where}{message}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("suffix", ["csv", "jsonl"])
+def test_kpi_column_without_values_fails_before_training(tmp_path, capsys, suffix):
+    data = tmp_path / f"logs.{suffix}"
+    if suffix == "csv":
+        data.write_text("A,Lat\nx,\ny,\n", encoding="utf-8")
+    else:
+        data.write_text('{"A": "x"}\n{"A": "y", "Lat": null}\n', encoding="utf-8")
+    config = write_json(tmp_path / "run.json", dict(MINIMAL, input_format=suffix))
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(config), "--input", str(data), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: stage 'ingest' failed: KPI column 'Lat' has no values in {data}\n"
+    assert not out.exists()
+
+
+class TestExtract:
+    def test_model_of_the_other_kpi_kind_is_rejected(self, tmp_path, capsys):
+        fault = {"trigger": [{"attribute": "B", "op": "eq", "value": "c07"}], "failure_probability": 0.4}
+        data = generate_data(tmp_path, faults=[fault], kind="binary")
+        work = tmp_path / "work"
+        argv = ["--input", str(data / "logs.csv"), "--out", str(work)]
+        assert main(["train", "--config", str(run_config(tmp_path, kind="binary", trees=2)), *argv]) == 0
+        capsys.readouterr()
+        model = work / "model.txt"
+        assert main(["extract", "--config", str(run_config(tmp_path)), "--model", str(model), *argv]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {model}: Classification trees, but the config's KPI is continuous\n"
+        assert not (work / "rules.json").exists()
+
+    def test_runs_no_pruning_advisory(self, tmp_path, monkeypatch):
+        data = generate_data(tmp_path, faults=[FAULT])
+        config, work = str(run_config(tmp_path, trees=2)), tmp_path / "work"
+        argv = ["--config", config, "--input", str(data / "logs.csv"), "--out", str(work)]
+        assert main(["train", *argv]) == 0
+
+        def advisory(*args):
+            raise AssertionError("extract ran the pruning advisory")
+
+        monkeypatch.setattr(prep, "recommend_pruning", advisory)
+        assert main(["extract", *argv, "--model", str(work / "model.txt")]) == 0
 
 
 class TestDumpModel:
@@ -588,6 +686,12 @@ class TestDumpModel:
         assert main(["dump-model", "--model", str(staged / "model.txt")]) == 0
         printed = capsys.readouterr().out
         assert printed == (staged / "model.txt").read_text()
+
+    def test_malformed_dump_is_one_error_line(self, tmp_path, capsys):
+        model = tmp_path / "model.txt"
+        model.write_text("TREE 0 Foo\n", encoding="utf-8")
+        assert main(["dump-model", "--model", str(model)]) == 1
+        assert capsys.readouterr().err == "error: line 1: unknown tree kind 'Foo'\n"
 
 
 class TestMultiDayResolution:
