@@ -15,8 +15,9 @@ Example:
     }
 
 The file is the only source of run settings: `_SETTINGS` states each one's
-key, JSON type and valid values, and `RunConfig` its default. Every JSON
-file the tool reads is checked field by field through `_Setting` and `_get`.
+key, JSON type and valid values, and `RunConfig` its default. One reader,
+`_record`, builds every object of every JSON file the tool reads from a
+table of its keys.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 import datetime
 import json
 import sys
-from dataclasses import MISSING, dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from enum import EnumMeta
 
 from .errors import ConfigError
@@ -69,7 +70,7 @@ _JSON_TYPES = {bool: "true or false", list: "a JSON list", dict: "a JSON object"
 class _Setting:
     """A JSON value's type and valid values: numbers >= low, or in (low,
     high] when high is given; strings among choices, or any string; an
-    enum's values; or any boolean, list or object."""
+    enum's values, or those among choices; or any boolean, list or object."""
 
     type: type  # int, float, str, an Enum, or a key of _JSON_TYPES
     low: float | None = None
@@ -77,7 +78,7 @@ class _Setting:
     choices: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if isinstance(self.type, EnumMeta):
+        if isinstance(self.type, EnumMeta) and not self.choices:
             object.__setattr__(self, "choices", tuple(m.value for m in self.type))
 
     def valid(self) -> str:
@@ -91,7 +92,7 @@ class _Setting:
             return f"{text} in ({self.low:g}, {self.high:g}]"
         return text if self.low is None else f"{text} >= {self.low:g}"
 
-    def parse(self, key: str, raw):
+    def __call__(self, key: str, raw):
         """raw as this setting's type, or a ConfigError naming key."""
         if self.type in _JSON_TYPES:
             ok = type(raw) is self.type
@@ -117,26 +118,74 @@ _COUNT = _Setting(int, low=0)
 _LIST = _Setting(list)
 _OBJECT = _Setting(dict)
 _OP = _Setting(PredicateOp)
-_POLARITY = _Setting(bool)
+_KPI_KIND = _Setting(KpiKind)
 
 
-def _get(obj, parent: str, key: str, setting: _Setting, default=MISSING):
-    """obj[key] parsed by setting; errors name the key's path (parent is obj's). An
-    absent key, or a null where the default is None, takes the default if one is given."""
-    _OBJECT.parse(parent or "record", obj)
-    path = f"{parent}.{key}" if parent else key
+def _get(obj, parent: str, key: str, read, default=MISSING):
+    """read(path, obj[key]), read being a _Setting or a reader; errors name the key's
+    path (parent is obj's). An absent key, or a null where the default is None, takes
+    the default if one is given."""
+    _OBJECT(parent or "record", obj)
+    path = _path(parent, key)
     raw = obj.get(key, MISSING)
     if raw is MISSING or (raw is None and default is None):
         if default is MISSING:
             raise ConfigError(f"missing key {path!r}")
         return default
-    return setting.parse(path, raw)
+    return read(path, raw)
 
 
-def _each(obj, parent: str, key: str, parse, default=MISSING) -> tuple:
-    """parse(path, item) for each item of the list at obj[key]."""
-    path = f"{parent}.{key}" if parent else key
-    return tuple(parse(f"{path}[{i}]", x) for i, x in enumerate(_get(obj, parent, key, _LIST, default)))
+def _path(parent: str, key: str) -> str:
+    return f"{parent}.{key}" if parent and key else parent or key
+
+
+def _record(cls, table: dict, required: tuple[str, ...] = ()):
+    """A reader(path, obj) that builds cls from the JSON object obj.
+
+    table maps each key to a _Setting or a reader; a dotted key lies inside the
+    object its first part names, and its last part names the field it fills. An
+    absent key takes the field's default unless required. An unlisted key, or a
+    ConfigError from cls's own checks, is an error naming its path."""
+    heads = {key.partition(".")[0] for key in table}
+    nested = {key.partition(".")[0] for key in table if "." in key}
+    by_name = {f.name: f for f in fields(cls)}
+
+    def read(at: str, obj):
+        objects = {"": _OBJECT(at or "record", obj)} | {n: _get(obj, at, n, _OBJECT, {}) for n in nested}
+        unknown = [k for k in obj if k not in heads]
+        unknown += [f"{n}.{k}" for n in nested for k in objects[n] if f"{n}.{k}" not in table]
+        if unknown:
+            raise ConfigError(f"unknown config keys: {sorted(_path(at, k) for k in unknown)}")
+        values = {}
+        for key, setting in table.items():
+            parent, _, name = key.rpartition(".")
+            f = by_name[name]
+            default = f.default if f.default_factory is MISSING else f.default_factory()
+            default = MISSING if key in required else default
+            values[name] = _get(objects[parent], _path(at, parent), name, setting, default)
+        try:
+            return cls(**values)
+        except ConfigError as e:  # only nested records check themselves
+            raise ConfigError(f"{at}: {e}") from None
+
+    return read
+
+
+def _list(read):
+    """A reader of a JSON list whose items go through read."""
+    return lambda at, raw: tuple(read(f"{at}[{i}]", x) for i, x in enumerate(_LIST(at, raw)))
+
+
+def _by(key: str, setting: _Setting, readers: dict):
+    """A reader that reads obj with the reader of readers that its value at key picks."""
+    return lambda at, obj: readers[_get(obj, at, key, setting)](at, obj)
+
+
+def _date(at: str, raw) -> datetime.date:
+    try:
+        return datetime.date.fromisoformat(_STRING(at, raw))
+    except ValueError:
+        raise ConfigError(f"{at} must be an ISO date, got {json.dumps(raw)}") from None
 
 
 # Every run setting besides `kpi` and `columns`. A dotted key lies inside
@@ -155,39 +204,50 @@ _SETTINGS = {
     "hyperparams.min_rows_in_leaf_pct": _Setting(float, low=0, high=100),
 }
 
+# The SLO keys depend on the KPI's kind. The one each kind needs is required
+# although its KpiSpec field defaults to None.
+_kpi = _by("kind", _KPI_KIND, {
+    KpiKind.CONTINUOUS: _record(KpiSpec, {"column": _STRING, "kind": _KPI_KIND, "slo.threshold": _NUMBER,
+                                          "slo.direction": _Setting(SloDirection)}, required=("slo.threshold",)),
+    KpiKind.BINARY: _record(KpiSpec, {"column": _STRING, "kind": _KPI_KIND, "slo.positive_label": _STRING},
+                            required=("slo.positive_label",)),
+})
+# A predicate's value is a category for `eq` and a threshold for `gt`.
+_predicate = _by("op", _OP, {op: _record(Predicate, {
+    "attribute": _STRING, "op": _OP, "value": _NUMBER if op is PredicateOp.GREATER_THAN else _STRING,
+    "polarity": _Setting(bool)}) for op in PredicateOp})
 
-def parse_kpi(obj) -> KpiSpec:
-    column = _get(obj, "kpi", "column", _STRING)
-    kind = _get(obj, "kpi", "kind", _Setting(KpiKind))
-    slo = _get(obj, "kpi", "slo", _OBJECT)
-    if kind is KpiKind.CONTINUOUS:
-        threshold = _get(slo, "kpi.slo", "threshold", _NUMBER)
-        direction = _get(slo, "kpi.slo", "direction", _Setting(SloDirection), SloDirection.ABOVE)
-        return KpiSpec(column=column, kind=kind, threshold=threshold, direction=direction)
-    label = _get(slo, "kpi.slo", "positive_label", _STRING)
-    return KpiSpec(column=column, kind=kind, positive_label=label)
+
+_COLUMN = _record(ColumnDecl, {"kind": _Setting(ColumnKind),
+                               "role": _Setting(ColumnRole, choices=("feature", "excluded"))})
+
+
+def _columns(at: str, raw) -> dict[str, ColumnDecl]:
+    return {name: _COLUMN(f"{at}.{name}", decl) for name, decl in _OBJECT(at, raw).items()}
+
+
+_RUN_CONFIG = _record(RunConfig, {"kpi": _kpi, "columns": _columns, **_SETTINGS})
+_RULE = _record(Rule, {"correlated_predicate": _predicate, "scope_predicates": _list(_predicate),
+                       "correlation_score": _NUMBER, "request_count": _COUNT,
+                       "performance_impact": _NUMBER, "full_row_count": _COUNT})
+_GENERATOR = _record(GeneratorConfig, {
+    "attributes": _list(_record(AttributeSpec, {
+        "name": _STRING, "kind": _Setting(ColumnKind), "cardinality": _COUNT,
+        "weighting": _Setting(str, choices=("uniform", "zipf")),
+        "distribution": _Setting(str, choices=("lognormal", "normal", "uniform")),
+        "loc": _NUMBER, "scale": _NUMBER, "zipf_s": _NUMBER})),
+    "row_count": _COUNT,
+    "kpi": _record(KpiProfile, {"column": _STRING, "kind": _KPI_KIND, "mu": _NUMBER, "sigma": _NUMBER,
+                                "failure_rate": _NUMBER, "positive_label": _STRING, "negative_label": _STRING}),
+    "faults": _list(_record(FaultSpec, {"trigger": _list(_predicate), "shift": _NUMBER, "multiplier": _NUMBER,
+                                        "failure_probability": _NUMBER, "first_day": _date, "last_day": _date})),
+    "seed": _COUNT,
+})
 
 
 def parse_run_config(obj) -> RunConfig:
     """A RunConfig from a parsed config file; each rejection names the key."""
-    given = {k: v for k, v in _OBJECT.parse("config", obj).items() if k not in ("kpi", "columns", "hyperparams")}
-    unknown = {k for k in given if "." in k}
-    given.update((f"hyperparams.{k}", v) for k, v in _get(obj, "", "hyperparams", _OBJECT, {}).items())
-    unknown |= set(given) - set(_SETTINGS)
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    columns: dict[str, ColumnDecl] = {}
-    for name, decl in _get(obj, "", "columns", _OBJECT, {}).items():
-        at = f"columns.{name}"
-        unknown = set(_OBJECT.parse(at, decl)) - {"kind", "role"}
-        if unknown:
-            raise ConfigError(f"column {name!r}: unknown keys {sorted(unknown)}")
-        columns[name] = ColumnDecl(
-            kind=_get(decl, at, "kind", _Setting(ColumnKind), None),
-            role=_get(decl, at, "role", _Setting(ColumnRole), ColumnRole.FEATURE),
-        )
-    settings = {key.rpartition(".")[2]: _SETTINGS[key].parse(key, v) for key, v in given.items()}
-    config = RunConfig(kpi=parse_kpi(_get(obj, "", "kpi", _OBJECT)), columns=columns, **settings)
+    config = _RUN_CONFIG("", _OBJECT("config", obj))
     resolve_scoring(config.scoring)  # a bad expression fails here, before any input is read
     return config
 
@@ -204,9 +264,6 @@ def load_run_config(path) -> RunConfig:
     return parse_run_config(read_json(path))
 
 
-# -- predicate / rule / generator-config serialization ----------------------
-
-
 def predicate_to_json(p: Predicate) -> dict:
     return {
         "attribute": p.attribute,
@@ -214,12 +271,6 @@ def predicate_to_json(p: Predicate) -> dict:
         "value": p.value,
         "polarity": p.polarity,
     }
-
-
-def _predicate(at: str, d) -> Predicate:
-    op = _get(d, at, "op", _OP)
-    value = _get(d, at, "value", _NUMBER if op is PredicateOp.GREATER_THAN else _STRING)
-    return Predicate(_get(d, at, "attribute", _STRING), op, value, _get(d, at, "polarity", _POLARITY, True))
 
 
 def rule_to_json(rule: Rule) -> dict:
@@ -235,14 +286,7 @@ def rule_to_json(rule: Rule) -> dict:
 
 def rule_from_json(d) -> Rule:
     """A Rule from its rules.json record; a malformed record is a ConfigError."""
-    return Rule(
-        correlated_predicate=_predicate("correlated_predicate", _get(d, "", "correlated_predicate", _OBJECT)),
-        scope_predicates=_each(d, "", "scope_predicates", _predicate),
-        correlation_score=_get(d, "", "correlation_score", _NUMBER),
-        request_count=_get(d, "", "request_count", _COUNT),
-        performance_impact=_get(d, "", "performance_impact", _NUMBER, None),
-        full_row_count=_get(d, "", "full_row_count", _COUNT, None),
-    )
+    return _RULE("", d)
 
 
 def report_key(entry) -> str:
@@ -252,59 +296,12 @@ def report_key(entry) -> str:
 
 def fault_keys(fault) -> tuple[str, ...]:
     """The canonical keys of a manifest.json fault entry."""
-    return _each(fault, "", "keys", _STRING.parse)
-
-
-def _attribute(at: str, a) -> AttributeSpec:
-    return AttributeSpec(
-        name=_get(a, at, "name", _STRING),
-        kind=_get(a, at, "kind", _Setting(ColumnKind)),
-        cardinality=_get(a, at, "cardinality", _COUNT, 0),
-        weighting=_get(a, at, "weighting", _STRING, "uniform"),
-        distribution=_get(a, at, "distribution", _STRING, "lognormal"),
-        loc=_get(a, at, "loc", _NUMBER, 0.0),
-        scale=_get(a, at, "scale", _NUMBER, 1.0),
-        zipf_s=_get(a, at, "zipf_s", _NUMBER, 1.5),
-    )
-
-
-def _fault(at: str, f) -> FaultSpec:
-    return FaultSpec(
-        trigger=_each(f, at, "trigger", _predicate),
-        shift=_get(f, at, "shift", _NUMBER, None),
-        multiplier=_get(f, at, "multiplier", _NUMBER, None),
-        failure_probability=_get(f, at, "failure_probability", _NUMBER, None),
-        first_day=_date(f, at, "first_day"),
-        last_day=_date(f, at, "last_day"),
-    )
-
-
-def _date(obj, parent: str, key: str) -> datetime.date | None:
-    text = _get(obj, parent, key, _STRING, None)
-    try:
-        return None if text is None else datetime.date.fromisoformat(text)
-    except ValueError:
-        raise ConfigError(f"{parent}.{key} must be an ISO date, got {json.dumps(text)}") from None
+    return _get(fault, "", "keys", _list(_STRING))
 
 
 def parse_generator_config(obj) -> GeneratorConfig:
     """A GeneratorConfig from a parsed file; each rejection names the key."""
-    kpi = _get(_OBJECT.parse("config", obj), "", "kpi", _OBJECT)
-    return GeneratorConfig(
-        attributes=_each(obj, "", "attributes", _attribute),
-        row_count=_get(obj, "", "row_count", _COUNT),
-        kpi=KpiProfile(
-            column=_get(kpi, "kpi", "column", _STRING),
-            kind=_get(kpi, "kpi", "kind", _Setting(KpiKind)),
-            mu=_get(kpi, "kpi", "mu", _NUMBER, 0.0),
-            sigma=_get(kpi, "kpi", "sigma", _NUMBER, 1.0),
-            failure_rate=_get(kpi, "kpi", "failure_rate", _NUMBER, 0.001),
-            positive_label=_get(kpi, "kpi", "positive_label", _STRING, "fail"),
-            negative_label=_get(kpi, "kpi", "negative_label", _STRING, "success"),
-        ),
-        faults=_each(obj, "", "faults", _fault, ()),
-        seed=_get(obj, "", "seed", _COUNT, 0),
-    )
+    return _GENERATOR("", _OBJECT("config", obj))
 
 
 def load_generator_config(path) -> GeneratorConfig:

@@ -246,25 +246,26 @@ def _read_csv(path):
     row_lines = array("q")
     with open(path, newline="", encoding="utf-8") as f:
         reader = csv.reader(f)
+        end = 0
         try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError("empty CSV file: missing header row") from None
-        columns: list[list[str | None]] = [[] for _ in header]
-        block: list[list[str]] = []
-        end = reader.line_num
-        for row in reader:
-            # a quoted field may span lines: a row starts after the last one ended
-            line_no, end = end + 1, reader.line_num
-            if len(row) != len(header):
-                raise SchemaError(
-                    f"row {line_no}: expected {len(header)} fields, got {len(row)}"
-                )
-            row_lines.append(line_no)
-            block.append(row)
-            if len(block) == _CSV_BLOCK_ROWS:
-                _append_rows(columns, block)
-                block = []
+            header = next(reader, None)
+            if header is None:
+                raise SchemaError("empty CSV file: missing header row")
+            columns: list[list[str | None]] = [[] for _ in header]
+            block: list[list[str]] = []
+            end = reader.line_num
+            for row in reader:
+                # a quoted field may span lines: a row starts after the last one ended
+                line_no, end = end + 1, reader.line_num
+                if len(row) != len(header):
+                    raise SchemaError(f"row {line_no}: expected {len(header)} fields, got {len(row)}")
+                row_lines.append(line_no)
+                block.append(row)
+                if len(block) == _CSV_BLOCK_ROWS:
+                    _append_rows(columns, block)
+                    block = []
+        except csv.Error as e:  # e.g. a field past csv.field_size_limit()
+            raise SchemaError(f"row {end + 1}: {e}") from None
         _append_rows(columns, block)
     return list(header), columns, row_lines
 

@@ -56,7 +56,7 @@ class _StageTimer:
         self.timings[self._stage] = self.timings.get(self._stage, 0.0) + (
             time.perf_counter() - self._start
         )
-        if exc is not None and not isinstance(exc, StageError):
+        if isinstance(exc, Exception) and not isinstance(exc, StageError):
             raise StageError(self._stage, exc) from exc
         return False
 
@@ -243,7 +243,7 @@ def read_records(path, noun: str, parse, key: str | None = None) -> list:
     doc = read_json(path)
     where = f"{path}: "
     try:
-        records = _LIST.parse(f"{noun}s", doc) if key is None else _get(doc, "", key, _LIST)
+        records = _LIST(f"{noun}s", doc) if key is None else _get(doc, "", key, _LIST)
         out = []
         for i, record in enumerate(records):
             where = f"{path}: {noun} {i}: "

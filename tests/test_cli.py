@@ -4,11 +4,12 @@ import re
 
 import pytest
 
-from kpidiag import prep
+from kpidiag import forest, prep
 from kpidiag.cli import main
 from kpidiag.config import _SETTINGS, parse_run_config
 from kpidiag.errors import ConfigError
-from kpidiag.model import KpiKind
+from kpidiag.ingest import load
+from kpidiag.model import ColumnRole, KpiKind
 
 RUN_DATE = "2026-08-10"
 
@@ -114,6 +115,14 @@ class TestConfigParsing:
         assert cfg.max_cardinality == 10_000
         hp = Hyperparams()
         assert (hp.num_trees, hp.feature_sample_ratio) == (50, 0.6)
+
+    def test_declared_feature_column_is_a_training_feature(self, tmp_path):
+        cfg = parse_run_config(dict(MINIMAL, columns={"A": {"role": "feature"}, "B": {"role": "excluded"}}))
+        assert cfg.columns["A"].role is ColumnRole.FEATURE
+        path = tmp_path / "logs.csv"
+        path.write_text("A,B,Lat\nx,y,1.5\n", encoding="utf-8")
+        table = load(path, cfg.input_format, cfg.schema_config())
+        assert [s.name for s in table.feature_columns()] == ["A"]
 
 
 MINIMAL = {"kpi": {"column": "Lat", "kind": "continuous", "slo": {"threshold": 5}}}
@@ -572,6 +581,25 @@ def _kpi_with(**kw):
     return {"kpi": dict(MINIMAL["kpi"], **kw)}
 
 
+def _main_on(tmp_path, file, doc):
+    """main's exit code with doc as the given file and every other input valid, and that file."""
+    path = write_json(tmp_path / f"bad-{file}.json", doc)
+    out = tmp_path / "out"
+    empty_report = write_json(tmp_path / "empty-report.json", {"rules": []})
+    empty_manifest = write_json(tmp_path / "empty-manifest.json", {"faults": []})
+    argv = {
+        "run": ["train", "--config", str(path), "--input", "x.csv", "--out", str(out)],
+        "gen": ["generate", "--config", str(path), "--out", str(out), "--date", RUN_DATE],
+        "rules": ["triage", "--config", str(run_config(tmp_path)), "--rules", str(path),
+                  "--history", str(tmp_path / "h.tsv"), "--out", str(out), "--date", RUN_DATE],
+        "report": ["eval", "--report", str(path), "--manifest", str(empty_manifest)],
+        "manifest": ["eval", "--report", str(empty_report), "--manifest", str(path)],
+    }[file]
+    code = main(argv)
+    assert not out.exists()
+    return code, path
+
+
 # (id, file, whole document, message after `error: ` and, for the last
 # three files, after `PATH: `); every message names the key
 MALFORMED_INPUTS = [
@@ -580,11 +608,22 @@ MALFORMED_INPUTS = [
     ("kpi-kind", "run", _kpi_with(kind="ratio"), 'kpi.kind must be "continuous" or "binary", got "ratio"'),
     ("slo-direction", "run", _kpi_with(slo={"threshold": 5, "direction": "sideways"}),
      'kpi.slo.direction must be "above" or "below", got "sideways"'),
+    ("binary-direction", "run", _kpi_with(kind="binary", slo={"positive_label": "fail", "direction": "above"}),
+     "unknown config keys: ['kpi.slo.direction']"),
+    ("column-role-kpi", "run", dict(MINIMAL, columns={"A": {"role": "kpi"}}),
+     'columns.A.role must be "feature" or "excluded", got "kpi"'),
+    ("dotted-top-level-key", "run", {**MINIMAL, "hyperparams.num_trees": 3}, "unknown config keys: ['hyperparams.num_trees']"),
     ("column-kind", "run", dict(MINIMAL, columns={"A": {"kind": "numeric"}}),
      'columns.A.kind must be "categorical" or "continuous", got "numeric"'),
     ("attributes-not-list", "gen", dict(GEN, attributes=5), "attributes must be a JSON list, got 5"),
     ("no-row-count", "gen", {k: v for k, v in GEN.items() if k != "row_count"}, "missing key 'row_count'"),
     ("attribute-name", "gen", _gen_with(attribute={"name": 5}), "attributes[0].name must be a string, got 5"),
+    ("weighting", "gen", _gen_with(attribute={"weighting": "zipfian"}),
+     'attributes[0].weighting must be "uniform" or "zipf", got "zipfian"'),
+    ("distribution", "gen", _gen_with(attribute={"distribution": "gamma"}),
+     'attributes[0].distribution must be "lognormal" or "normal" or "uniform", got "gamma"'),
+    ("no-cardinality", "gen", _gen_with(attribute={"cardinality": 0}), "attributes[0]: attribute 'A' needs cardinality >= 1"),
+    ("two-effects", "gen", _gen_with(fault={"multiplier": 2.0}), "faults[0]: a fault needs exactly one effect"),
     ("first-day-number", "gen", _gen_with(fault={"first_day": 5}), "faults[0].first_day must be a string, got 5"),
     ("last-day-month-13", "gen", _gen_with(fault={"last_day": "2026-13-01"}),
      'faults[0].last_day must be an ISO date, got "2026-13-01"'),
@@ -617,22 +656,39 @@ MALFORMED_INPUTS = [
 
 @pytest.mark.parametrize("file, doc, message", [c[1:] for c in MALFORMED_INPUTS], ids=[c[0] for c in MALFORMED_INPUTS])
 def test_malformed_json_input_is_one_error_line_naming_the_key(tmp_path, capsys, file, doc, message):
-    path = write_json(tmp_path / f"bad-{file}.json", doc)
-    out = tmp_path / "out"
-    empty_report = write_json(tmp_path / "empty-report.json", {"rules": []})
-    empty_manifest = write_json(tmp_path / "empty-manifest.json", {"faults": []})
-    argv = {
-        "run": ["train", "--config", str(path), "--input", "x.csv", "--out", str(out)],
-        "gen": ["generate", "--config", str(path), "--out", str(out), "--date", RUN_DATE],
-        "rules": ["triage", "--config", str(run_config(tmp_path)), "--rules", str(path),
-                  "--history", str(tmp_path / "h.tsv"), "--out", str(out), "--date", RUN_DATE],
-        "report": ["eval", "--report", str(path), "--manifest", str(empty_manifest)],
-        "manifest": ["eval", "--report", str(empty_report), "--manifest", str(path)],
-    }[file]
-    assert main(argv) == 1
+    code, path = _main_on(tmp_path, file, doc)
+    assert code == 1
     where = "" if file in ("run", "gen") else f"{path}: "
     assert capsys.readouterr().err == f"error: {where}{message}\n"
-    assert not out.exists()
+
+
+SCOPED_RULE = dict(RULE, scope_predicates=[{"attribute": "C", "op": "gt", "value": 1.0, "polarity": False}])
+
+# (file, a valid document, path of the object that gets the unknown key
+# "zz"; a rules.json path starts at its first record): every kind of object
+# the five JSON readers build
+UNKNOWN_KEY_AT = [
+    ("run", dict(MINIMAL, hyperparams={}, columns={"A": {"role": "feature"}}), at)
+    for at in ("", "kpi", "kpi.slo", "hyperparams", "columns.A")
+] + [
+    ("gen", _gen_with(), at) for at in ("", "attributes[0]", "kpi", "faults[0]", "faults[0].trigger[0]")
+] + [
+    ("rules", [SCOPED_RULE], at) for at in ("", "correlated_predicate", "scope_predicates[0]")
+]
+
+
+@pytest.mark.parametrize("file, doc, at", UNKNOWN_KEY_AT, ids=[f"{f}:{at or 'root'}" for f, _, at in UNKNOWN_KEY_AT])
+def test_unknown_key_is_an_error_naming_its_path(tmp_path, capsys, file, doc, at):
+    doc = json.loads(json.dumps(doc))
+    node = doc[0] if file == "rules" else doc
+    for part in re.findall(r"\w+", at):
+        node = node[int(part) if part.isdigit() else part]
+    node["zz"] = 1
+    code, path = _main_on(tmp_path, file, doc)
+    assert code == 1
+    where = f"{path}: rule 0: " if file == "rules" else ""
+    key = f"{at}.zz" if at else "zz"
+    assert capsys.readouterr().err == f"error: {where}unknown config keys: [{key!r}]\n"
 
 
 @pytest.mark.parametrize("suffix", ["csv", "jsonl"])
@@ -648,6 +704,18 @@ def test_kpi_column_without_values_fails_before_training(tmp_path, capsys, suffi
     err = capsys.readouterr().err
     assert err == f"error: stage 'ingest' failed: KPI column 'Lat' has no values in {data}\n"
     assert not out.exists()
+
+
+def test_keyboard_interrupt_in_a_stage_propagates(tmp_path, monkeypatch):
+    data = generate_data(tmp_path)
+
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(forest, "train", interrupted)
+    argv = ["--config", str(run_config(tmp_path)), "--input", str(data / "logs.csv"), "--out", str(tmp_path / "out")]
+    with pytest.raises(KeyboardInterrupt):
+        main(["train", *argv])
 
 
 class TestExtract:

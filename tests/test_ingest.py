@@ -58,6 +58,12 @@ class TestCsvLoad:
         with pytest.raises(SchemaError, match="row 3"):
             load(path, "csv", SchemaConfig(kpi=LAT_KPI))
 
+    def test_field_past_the_csv_limit_reports_line(self, tmp_path):
+        big = "x" * (csv.field_size_limit() + 1)
+        path = write(tmp_path, "a.csv", f'Region,AuthLatency\nNA,1\n"North\nAmerica",2\n{big},3\n')
+        with pytest.raises(SchemaError, match=r"^row 5: field larger than field limit \(131072\)$"):
+            load(path, "csv", SchemaConfig(kpi=LAT_KPI))
+
     def test_declared_kind_beats_inference(self, tmp_path):
         path = write(tmp_path, "a.csv", "Code,AuthLatency\n1234,1\n5678,2\n")
         config = SchemaConfig(
