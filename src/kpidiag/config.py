@@ -248,6 +248,8 @@ _GENERATOR = _record(GeneratorConfig, {
 def parse_run_config(obj) -> RunConfig:
     """A RunConfig from a parsed config file; each rejection names the key."""
     config = _RUN_CONFIG("", _OBJECT("config", obj))
+    if config.kpi.column in config.columns:  # ingest would override the declaration
+        raise ConfigError(f"columns.{config.kpi.column}: the KPI column takes its kind and role from kpi")
     resolve_scoring(config.scoring)  # a bad expression fails here, before any input is read
     return config
 

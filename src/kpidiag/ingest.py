@@ -13,7 +13,6 @@ import bisect
 import csv
 import json
 import math
-from array import array
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -164,18 +163,13 @@ class LogTable:
         return f"LogTable({len(self.schema)} columns, {self.row_count} rows)"
 
 
-def _dictionary_encode(texts: Sequence[str | None]) -> tuple[np.ndarray, tuple[str, ...]]:
-    """int32 codes into the sorted distinct texts (None = missing = -1)."""
-    distinct = dict.fromkeys(texts)
-    distinct.pop(None, None)
-    cats = sorted(distinct)
-    lookup = dict(zip(cats, range(len(cats))))
-    lookup[None] = -1
-    codes = np.fromiter(map(lookup.__getitem__, texts), dtype=np.int32, count=len(texts))
-    return codes, tuple(cats)
-
-
 # -- file loading --------------------------------------------------------
+
+# Rows read and encoded at a time. A block's cells are the only per-cell
+# Python objects alive, so a load peaks at about the table plus one block.
+_BLOCK_ROWS = 4096
+# What an undeclared column has held so far besides missing cells; any other mix is categorical.
+_NUMBERS, _NUMERIC_TEXTS = "numbers", "numeric texts"
 
 
 def load(path, format: str, schema_config: SchemaConfig) -> LogTable:
@@ -188,62 +182,158 @@ def load(path, format: str, schema_config: SchemaConfig) -> LogTable:
     not a finite number (`inf`, `nan`, JSON `NaN`/`Infinity`), or a JSON
     `NaN`/`Infinity` in a categorical column, is a SchemaError; errors name
     the file line ("row N") and the column.
+
+    The file is encoded _BLOCK_ROWS rows at a time. A bad row fails at its
+    line; a bad cell fails once the whole file is read, in the first column
+    that has one. An undeclared column that turns categorical after a block
+    of numbers has lost those cells, so the file is read once more.
     """
-    if format == "csv":
-        names, columns, row_lines = _read_csv(path)
-    elif format == "jsonl":
-        names, columns, row_lines = _read_jsonl(path, schema_config)
-    else:
+    if format not in ("csv", "jsonl"):
         raise ConfigError(f"unknown input format: {format!r}")
-
-    kpi = schema_config.kpi
-    if kpi.column not in names:
-        raise ConfigError(f"KPI column {kpi.column!r} absent from input")
-
-    schema: list[ColumnSpec] = []
-    codes: dict[str, np.ndarray] = {}
-    categories: dict[str, tuple[str, ...]] = {}
-    values: dict[str, np.ndarray] = {}
-
-    for name, col in zip(names, columns):
-        decl = schema_config.decl(name)
-        kind = decl.kind
-        role = decl.role
-        if name == kpi.column:
-            role = ColumnRole.KPI
-            kind = ColumnKind.CONTINUOUS if kpi.kind is KpiKind.CONTINUOUS else ColumnKind.CATEGORICAL
-        cell_types = set(map(type, col)) - {type(None)}
-        if bool in cell_types:
-            col = ["true" if v is True else "false" if v is False else v for v in col]
-            cell_types = cell_types - {bool} | {str}
-        floats = None
-        if kind is None:
-            kind = ColumnKind.CATEGORICAL
-            if cell_types and cell_types <= {int, float}:
-                kind = ColumnKind.CONTINUOUS
-            elif cell_types == {str}:
-                try:
-                    floats = np.array(col, dtype=np.float64)
-                    kind = ColumnKind.CONTINUOUS
-                except ValueError:
-                    pass
+    columns, row_count = _encode(path, format, schema_config, frozenset())
+    if flipped := frozenset(c.name for c in columns if c.flipped):
+        del columns  # not held while the file is read again
+        columns, row_count = _encode(path, format, schema_config, flipped)
+    if schema_config.kpi.column not in [c.name for c in columns]:
+        raise ConfigError(f"KPI column {schema_config.kpi.column!r} absent from input")
+    errors = [c.parse_error or c.finite_error for c in columns]
+    if any(errors):
+        raise SchemaError(next(filter(None, errors)))
+    schema, codes, categories, values = [], {}, {}, {}
+    for c in columns:
+        kind, col, cats = c.finish()
         if kind is ColumnKind.CONTINUOUS:
-            values[name] = _parse_continuous(name, col, row_lines, floats)
+            values[c.name] = col
         else:
-            texts = col if cell_types <= {str} else _category_texts(name, col, row_lines)
-            codes[name], categories[name] = _dictionary_encode(texts)
-        schema.append(ColumnSpec(name=name, kind=kind, role=role))
-    return LogTable(schema, codes, categories, values, len(row_lines))
+            codes[c.name], categories[c.name] = col, cats
+        schema.append(ColumnSpec(name=c.name, kind=kind, role=c.role))
+    return LogTable(schema, codes, categories, values, row_count)
 
 
-# Rows transposed into columns at a time; transposing the whole file at once
-# holds every row and every column in memory together.
-_CSV_BLOCK_ROWS = 4096
+def _encode(path, format: str, schema_config: SchemaConfig, categorical: frozenset):
+    """(a _Column per column in file order, row count); `categorical` names columns taken as categorical."""
+    kpi = schema_config.kpi
+    blocks = _read_csv(path) if format == "csv" else _read_jsonl(path, schema_config)
+    columns: list[_Column] = []
+    rows = 0
+    for names, lines, cells in blocks:
+        for name in names[len(columns):]:
+            decl = schema_config.decl(name)
+            kind = ColumnKind.CATEGORICAL if name in categorical else decl.kind
+            role = decl.role
+            if name == kpi.column:
+                role = ColumnRole.KPI
+                kind = ColumnKind.CONTINUOUS if kpi.kind is KpiKind.CONTINUOUS else ColumnKind.CATEGORICAL
+            columns.append(_Column(name, kind, role, rows))
+        for column, block in zip(columns, cells):
+            column.add(block, lines)
+        rows += len(lines)
+    return columns, rows
+
+
+class _Column:
+    """One column's encoder, fed a block of cells at a time: float64 chunks,
+    or int32 codes into one insertion-order dict (0 = missing) that finish()
+    remaps to codes into the sorted categories. The first cell float()
+    rejects (parse_error) wins over the first that is not finite."""
+
+    def __init__(self, name: str, kind: ColumnKind | None, role: ColumnRole, missing: int):
+        self.name, self.kind, self.role = name, kind, role
+        self.state = None  # while undeclared and not categorical: None, _NUMBERS or _NUMERIC_TEXTS
+        self.missing = missing  # leading rows, all missing, not yet in chunks
+        self.chunks: list[np.ndarray] = []
+        self.index: dict[str | None, int] = {None: 0}
+        self.flipped = False  # turned categorical after a block of numbers
+        self.parse_error = self.finite_error = None
+
+    def add(self, cells: Sequence, lines: Sequence[int]) -> None:
+        types = set(map(type, cells)) - {type(None)}
+        if bool in types:
+            cells = ["true" if v is True else "false" if v is False else v for v in cells]
+            types = types - {bool} | {str}
+        floats = None
+        if self.kind is None and types:
+            state = _NUMBERS if types <= {int, float} else _NUMERIC_TEXTS if types == {str} else None
+            if state is _NUMERIC_TEXTS:
+                try:
+                    floats = np.array(cells, dtype=np.float64)
+                except ValueError:
+                    state = None
+            if state is None or self.state not in (None, state):
+                self.flipped = self.state is not None
+                self.kind = ColumnKind.CATEGORICAL
+            else:
+                self.state = state
+        kind = self.kind or (ColumnKind.CONTINUOUS if self.state else None)
+        if self.flipped or kind is None:
+            self.missing += len(cells)
+            return
+        continuous = kind is ColumnKind.CONTINUOUS
+        if self.missing:
+            self.chunks.append(np.full(self.missing, np.nan) if continuous else np.zeros(self.missing, np.int32))
+            self.missing = 0
+        if continuous:
+            self.chunks.append(self._floats(cells, lines, floats))
+        else:
+            self._codes(cells if types <= {str} else self._texts(cells, lines))
+
+    def _floats(self, cells: Sequence, lines: Sequence[int], floats: np.ndarray | None) -> np.ndarray:
+        """float64 values (None -> NaN) of a block, parsed unless `floats` already holds them."""
+        if floats is None:
+            try:
+                floats = np.array(cells, dtype=np.float64)
+            except (ValueError, OverflowError):
+                floats = np.array([self._float(v, line) for v, line in zip(cells, lines)])
+        if self.finite_error is None:
+            for i in np.flatnonzero(~np.isfinite(floats)).tolist():
+                if cells[i] is not None:
+                    self.finite_error = self._not_finite(lines[i], cells[i])
+                    break
+        return floats
+
+    def _float(self, v, line: int) -> float:
+        try:
+            return math.nan if v is None else float(v)
+        except OverflowError:
+            self.parse_error = self.parse_error or self._not_finite(line, v)
+        except ValueError:
+            problem = f"row {line}: column {self.name!r} declared continuous but value {v!r} is not numeric"
+            self.parse_error = self.parse_error or problem
+        return math.nan
+
+    def _texts(self, cells: Sequence, lines: Sequence[int]) -> list[str | None]:
+        """Each cell's category text; numbers take their shortest exact form."""
+        try:
+            return [format_number(v) if type(v) is float else v if v is None else str(v) for v in cells]
+        except (ValueError, OverflowError):  # format_number cannot take a NaN or an infinity
+            i = next(i for i, v in enumerate(cells) if type(v) is float and not math.isfinite(v))
+            self.finite_error = self.finite_error or self._not_finite(lines[i], cells[i])
+            return [None] * len(cells)
+
+    def _codes(self, texts: Sequence[str | None]) -> None:
+        index = self.index
+        new = [t for t in dict.fromkeys(texts) if t not in index]
+        index.update(zip(new, range(len(index), len(index) + len(new))))
+        self.chunks.append(np.fromiter(map(index.__getitem__, texts), dtype=np.int32, count=len(texts)))
+
+    def finish(self) -> tuple[ColumnKind, np.ndarray, tuple[str, ...]]:
+        """(kind, values or codes into the sorted categories, those categories)."""
+        self.kind = self.kind or (ColumnKind.CONTINUOUS if self.state else ColumnKind.CATEGORICAL)
+        self.add([], [])  # appends the leading missing rows if no block did
+        col, self.chunks = np.concatenate(self.chunks), []
+        if self.kind is ColumnKind.CONTINUOUS:
+            return self.kind, col, ()
+        cats = sorted(t for t in self.index if t is not None)
+        rank = {None: -1} | dict(zip(cats, range(len(cats))))
+        remap = np.fromiter(map(rank.__getitem__, self.index), dtype=np.int32, count=len(self.index))
+        return self.kind, remap[col], tuple(cats)
+
+    def _not_finite(self, line: int, v) -> str:
+        return f"row {line}: column {self.name!r} value {v!r} is not finite"
 
 
 def _read_csv(path):
-    """(names, cells per column with None for an empty cell, file line of each row)."""
-    row_lines = array("q")
+    """Per block: (column names, file line of each row, cells per column with None for an empty cell)."""
     with open(path, newline="", encoding="utf-8") as f:
         reader = csv.reader(f)
         end = 0
@@ -251,39 +341,30 @@ def _read_csv(path):
             header = next(reader, None)
             if header is None:
                 raise SchemaError("empty CSV file: missing header row")
-            columns: list[list[str | None]] = [[] for _ in header]
-            block: list[list[str]] = []
-            end = reader.line_num
+            lines, rows, end = [], [], reader.line_num
             for row in reader:
                 # a quoted field may span lines: a row starts after the last one ended
                 line_no, end = end + 1, reader.line_num
                 if len(row) != len(header):
                     raise SchemaError(f"row {line_no}: expected {len(header)} fields, got {len(row)}")
-                row_lines.append(line_no)
-                block.append(row)
-                if len(block) == _CSV_BLOCK_ROWS:
-                    _append_rows(columns, block)
-                    block = []
+                lines.append(line_no)
+                rows.append(row)
+                if len(rows) == _BLOCK_ROWS:
+                    yield header, lines, [[cell or None for cell in col] for col in zip(*rows)]
+                    lines, rows = [], []
         except csv.Error as e:  # e.g. a field past csv.field_size_limit()
             raise SchemaError(f"row {end + 1}: {e}") from None
-        _append_rows(columns, block)
-    return list(header), columns, row_lines
-
-
-def _append_rows(columns: list[list[str | None]], rows: list[list[str]]) -> None:
-    for acc, cells in zip(columns, zip(*rows)):
-        acc += [cell or None for cell in cells]
+    yield header, lines, [[cell or None for cell in col] for col in zip(*rows)]
 
 
 _NESTED = frozenset((dict, list))
 
 
 def _read_jsonl(path, schema_config: SchemaConfig):
-    """(names, cells per column with None for an absent or null field, file line of each row)."""
-    records = []
-    row_lines = array("q")
+    """Per block: (keys so far, file line of each row, cells per key with None for absent or null)."""
     keys = list(dict.fromkeys([*schema_config.columns, schema_config.kpi.column]))
     seen = set(keys)
+    lines, records = [], []
     with open(path, encoding="utf-8") as f:
         for line_no, line in enumerate(f, start=1):
             if not line.strip():
@@ -301,50 +382,12 @@ def _read_jsonl(path, schema_config: SchemaConfig):
                 new = [k for k in obj if k not in seen]
                 seen.update(new)
                 keys += new
+            lines.append(line_no)
             records.append(obj)
-            row_lines.append(line_no)
-    return keys, [[obj.get(k) for obj in records] for k in keys], row_lines
-
-
-def _parse_continuous(name: str, col: list, row_lines, floats: np.ndarray | None) -> np.ndarray:
-    """float64 values (None -> NaN) of a column, parsed unless `floats` already holds them."""
-    if floats is None:
-        try:
-            floats = np.array(col, dtype=np.float64)
-        except (ValueError, TypeError, OverflowError):
-            for i, v in enumerate(col):
-                if v is None:
-                    continue
-                try:
-                    float(v)
-                except OverflowError:
-                    raise SchemaError(
-                        f"row {row_lines[i]}: column {name!r} value {v!r} is not finite"
-                    ) from None
-                except (ValueError, TypeError):
-                    raise SchemaError(
-                        f"row {row_lines[i]}: column {name!r} declared continuous but "
-                        f"value {v!r} is not numeric"
-                    ) from None
-            raise
-    for i in np.flatnonzero(~np.isfinite(floats)).tolist():
-        if col[i] is not None:
-            raise SchemaError(f"row {row_lines[i]}: column {name!r} value {col[i]!r} is not finite")
-    return floats
-
-
-def _category_texts(name: str, col: list, row_lines) -> list[str | None]:
-    """Each cell's category text; numbers take their shortest exact form."""
-    try:
-        return [format_number(v) if type(v) is float else v if v is None else str(v) for v in col]
-    except (ValueError, OverflowError):
-        # format_number cannot take a NaN or an infinity
-        for i, v in enumerate(col):
-            if type(v) is float and not math.isfinite(v):
-                raise SchemaError(
-                    f"row {row_lines[i]}: column {name!r} value {v!r} is not finite"
-                ) from None
-        raise
+            if len(records) == _BLOCK_ROWS:
+                yield keys, lines, [[obj.get(k) for obj in records] for k in keys]
+                lines, records = [], []
+    yield keys, lines, [[obj.get(k) for obj in records] for k in keys]
 
 
 def write_csv(table: LogTable, path) -> None:

@@ -23,7 +23,7 @@ import numpy as np
 
 from kpidiag.errors import SchemaError
 from kpidiag.forest import ForestModel, TreeNode, _TrainingData
-from kpidiag.ingest import LogTable, SchemaConfig, _dictionary_encode
+from kpidiag.ingest import LogTable, SchemaConfig
 from kpidiag.model import (
     ColumnKind,
     ColumnRole,
@@ -203,12 +203,7 @@ def load_reference(path, format: str, schema_config: SchemaConfig) -> LogTable:
                 if isinstance(v, float):
                     v = format_number(v)
                 texts.append(None if v is None else str(v))
-            cats = sorted({t for t in texts if t is not None})
-            position = {c: i for i, c in enumerate(cats)}
-            codes[name] = np.array(
-                [-1 if t is None else position[t] for t in texts], dtype=np.int32
-            )
-            categories[name] = tuple(cats)
+            codes[name], categories[name] = _dictionary_encode(texts)
         schema.append(ColumnSpec(name, kind, role))
     return LogTable(schema, codes, categories, values, len(rows))
 
@@ -225,6 +220,13 @@ def _reference_kind(present: list) -> ColumnKind:
             return ColumnKind.CATEGORICAL
         return ColumnKind.CONTINUOUS
     return ColumnKind.CATEGORICAL
+
+
+def _dictionary_encode(texts: Sequence[str | None]) -> tuple[np.ndarray, tuple[str, ...]]:
+    """int32 codes into the sorted distinct texts (None = missing = -1)."""
+    cats = sorted({t for t in texts if t is not None})
+    position = {c: i for i, c in enumerate(cats)}
+    return np.array([-1 if t is None else position[t] for t in texts], dtype=np.int32), tuple(cats)
 
 
 def table_from_columns(

@@ -339,6 +339,20 @@ class TestDiagnose:
         assert capsys.readouterr().err.startswith("error: bad scoring expression 'row_count +'")
         assert not out.exists()
 
+    @pytest.mark.parametrize("decl", [{"role": "excluded"}, {"kind": "categorical"}, {}])
+    def test_declared_kpi_column_fails_before_ingest(self, tmp_path, capsys, decl):
+        cfg_path = run_config(tmp_path)
+        obj = json.loads(cfg_path.read_text())
+        obj["columns"] = {"Lat": decl}
+        write_json(cfg_path, obj)
+        code = main(["train", "--config", str(cfg_path), "--input", str(tmp_path / "absent.csv"),
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: columns.Lat: the KPI column takes its kind and role from kpi\n"
+        )
+        assert not (tmp_path / "out").exists()
+
     def test_config_integer_past_digit_limit_names_the_file(self, tmp_path, capsys):
         cfg = tmp_path / "big.json"
         cfg.write_text('{"seed": ' + "9" * 5000 + "}", encoding="utf-8")
