@@ -3,16 +3,21 @@
 Classification trees (binary labels) maximize information gain; regression
 trees (continuous targets) maximize MSE reduction. Categorical attributes
 split on one-vs-rest equality tests, continuous attributes on strict
-greater-than thresholds taken at midpoints between consecutive distinct
-values (equi-frequency quantile cuts once a node holds more than
-QUANTILE_SPLIT_LIMIT distinct values). Per-tree randomness comes from
-feature subsampling only; the trained model is never used for prediction,
-only mined for rules.
+greater-than thresholds. Per-tree randomness comes from feature subsampling
+only; the trained model is never used for prediction, only mined for rules.
 
-Split search is exact and sorts nothing per node (SLIQ/SPRINT presorted
-attribute lists): each continuous column is argsorted once per run, a node
-keeps its rows in that order, and a split partitions them stably; each cut
-is scored from running sums over the node's sorted rows.
+Split search runs on histograms (LightGBM; XGBoost's `hist`). Once per run
+each feature becomes small integer bins. A continuous column gets one bin
+per distinct value while it has at most QUANTILE_BINS of them, which keeps
+the search exact, and else QUANTILE_BINS global equal-frequency bins. A
+categorical column gets one bin per category that passes the min_rows test
+on the whole table, and one rest bin, never a candidate, for the others: a
+category that fails on all rows fails in every node. A node is its row ids;
+per feature it counts rows and sums targets per bin. A cut after a bin the
+node holds is thresholded at the midpoint of that bin's highest value and
+the lowest value of the node's next bin, so the threshold selects exactly
+the rows the tree counts. Trees grow in forked workers, one per CPU the
+process may run on; the output does not depend on the worker count.
 
 Models serialize to a line-oriented text dump that parses back losslessly:
 
@@ -26,6 +31,7 @@ true) then right order.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -36,7 +42,6 @@ from .errors import DumpParseError, SchemaError
 from .ingest import LogTable
 from .model import ColumnKind, Predicate, PredicateOp
 
-QUANTILE_SPLIT_LIMIT = 10_000
 QUANTILE_BINS = 256
 
 
@@ -120,14 +125,25 @@ def _require_finite(values: np.ndarray, what: str) -> None:
         raise SchemaError(f"{what} has infinite values")
 
 
+def _bin_continuous(vals: np.ndarray):
+    """(bin of each row, lowest value of each bin, highest value of each bin)."""
+    uniq, inverse, counts = np.unique(vals, return_inverse=True, return_counts=True)
+    if uniq.size <= QUANTILE_BINS:
+        return inverse, uniq, uniq
+    # a value's bin is the quantile of the rows below it, renumbered densely
+    # where one heavily repeated value spans several quantiles
+    quantile = (counts.cumsum() - counts) * QUANTILE_BINS // vals.size
+    last = np.append(quantile[1:] != quantile[:-1], True)  # its bin's highest value
+    return (last.cumsum() - last)[inverse], uniq[np.append(True, last[:-1])], uniq[last]
+
+
 class _TrainingData:
-    """Pre-encoded feature columns shared by every tree of one training run.
+    """Feature columns as bins (see the module docstring), shared by every
+    tree of one training run; a node is its row ids, ascending."""
 
-    A node is its row ids, ascending, plus per continuous feature the same
-    rows in value order (ties by row id)."""
-
-    def __init__(self, table: LogTable, features: Sequence[str], y: np.ndarray):
+    def __init__(self, table: LogTable, features: Sequence[str], y: np.ndarray, min_rows: int):
         self.n = table.row_count
+        self.min_rows = min_rows
         if y.dtype == bool:
             self.kind = TargetKind.CLASSIFICATION
             self.y = y.astype(np.float64)
@@ -139,67 +155,74 @@ class _TrainingData:
             bound = float(np.abs(self.y).max(initial=0.0)) * self.y.size
             if not math.isfinite(bound * bound):
                 raise SchemaError("regression target is too large: split sums overflow")
-        self.cat_codes: dict[str, np.ndarray] = {}
-        self.cat_values: dict[str, tuple[str, ...]] = {}
-        self.cont_raw: dict[str, np.ndarray] = {}
-        self.cont_order: dict[str, np.ndarray] = {}
+        self.bins: dict[str, np.ndarray] = {}
+        self.categories: dict[str, tuple[str, ...]] = {}  # of each bin but the rest bin
+        self.bounds: dict[str, tuple[np.ndarray, np.ndarray]] = {}  # lowest, highest value per bin
         for name in features:
             if table.spec(name).kind is ColumnKind.CATEGORICAL:
                 codes = table.codes(name)
                 if (codes < 0).any():
                     raise SchemaError(f"feature {name!r} has missing values; impute first")
-                self.cat_codes[name] = codes
-                self.cat_values[name] = table.categories(name)
+                cnt = np.bincount(codes)
+                ok = (cnt >= min_rows) & (self.n - cnt >= min_rows)
+                self.categories[name] = tuple(table.categories(name)[c] for c in ok.nonzero()[0])
+                bins, width = np.where(ok, ok.cumsum() - 1, ok.sum())[codes], ok.sum() + 1
             else:
                 vals = table.values(name)
                 _require_finite(vals, f"feature {name!r}")
-                self.cont_raw[name] = vals
-                self.cont_order[name] = np.argsort(vals, kind="stable").astype(np.int32)
-        # in_left marks the splitting node's left rows (entries of other rows
-        # are stale and never read); scratch rows hold candidate gain terms.
-        self._in_left = np.zeros(self.n, dtype=bool)
-        self._scratch = np.empty((3, self.n))
+                bins, *self.bounds[name] = _bin_continuous(vals)
+                width = self.bounds[name][0].size
+            self.bins[name] = bins.astype(np.uint8 if width <= 256 else np.int32)
+        self._scratch = np.empty((3, self.n))  # candidate gain terms
 
-    def node(self, features: Sequence[str]):
-        """The root: (all row ids, {continuous feature: the rows in value order})."""
-        cont = [f for f in features if f in self.cont_raw]
-        return np.arange(self.n, dtype=np.int32), {f: self.cont_order[f] for f in cont}
-
-    def best_split(self, idx, orders, features: Sequence[str], min_rows: int):
-        """Max-gain (gain, predicate, category index or None) over all features,
-        or None if no gain is > 0. Children under min_rows are rejected; ties
-        break toward the smallest attribute name, then category/threshold."""
+    def best_split(self, idx, features: Sequence[str]):
+        """Max-gain (gain, predicate, bin) over all features, or None if no
+        gain is > 0; the left child is the bin (categorical) or the bins above
+        it (continuous). Children under min_rows are rejected; ties break
+        toward the smallest attribute name, then category/threshold."""
         if idx.size == 0:
             raise ValueError("best_split on an empty node")
+        n, min_rows = idx.size, self.min_rows
         y_node = self.y.take(idx)
         y_sum = float(y_node.sum())
         best = None
         for name in sorted(features):
-            if name in self.cat_codes:
-                found = self._best_categorical(idx, y_node, name, min_rows, y_sum)
-            else:
-                found = self._best_continuous(orders[name], name, min_rows, y_sum)
-            if found is not None and found[0] > (0.0 if best is None else best[0]):
-                best = found
+            cats = self.categories.get(name)
+            if cats == ():
+                continue
+            node_bins = self.bins[name].take(idx)
+            cnt = np.bincount(node_bins)
+            wsum = np.bincount(node_bins, weights=y_node)
+            if cats is not None:
+                cnt, wsum = cnt[: len(cats)], wsum[: len(cats)]
+                cand = ((cnt >= min_rows) & (n - cnt >= min_rows)).nonzero()[0]
+                nl, wl = cnt[cand], wsum[cand]
+            else:  # a cut after a bin the node holds sends the bins above it left
+                held = cnt.nonzero()[0]
+                below = cnt[held].cumsum()[:-1]
+                lo = int(below.searchsorted(min_rows, side="left"))
+                hi = int(below.searchsorted(n - min_rows, side="right"))
+                cand = held[lo:hi]
+                nl, wl = n - below[lo:hi], y_sum - wsum[held].cumsum()[lo:hi]
+            found = self._best_gain(n, nl.astype(np.float64), wl, y_sum) if nl.size else None
+            if found is None or found[0] <= (0.0 if best is None else best[0]):
+                continue
+            b = int(cand[found[1]])
+            if cats is not None:
+                best = found[0], Predicate.equals(name, cats[b]), b
+                continue
+            lo_v, hi_v = self.bounds[name][1][b], self.bounds[name][0][held[lo + found[1] + 1]]
+            threshold = lo_v + (hi_v - lo_v) / 2.0
+            # Adjacent representable floats can round the midpoint up to hi,
+            # which would misplace hi on the wrong side; fall back to lo.
+            best = found[0], Predicate.greater_than(name, float(threshold if threshold < hi_v else lo_v)), b
         return best
 
-    def partition(self, idx, orders, predicate: Predicate, code, min_rows: int):
-        """Stable split into the left (predicate true) and right child's (idx,
-        orders); a child too small to split again gets no orders."""
-        if code is not None:
-            mask = self.cat_codes[predicate.attribute].take(idx) == code
-        else:
-            mask = self.cont_raw[predicate.attribute].take(idx) > predicate.value
-        self._in_left[idx] = mask
-        left, right = np.compress(mask, idx), np.compress(~mask, idx)
-        left_orders, right_orders = {}, {}
-        for name, order in orders.items():
-            sel = self._in_left.take(order)
-            if left.size >= 2 * min_rows:
-                left_orders[name] = np.compress(sel, order)
-            if right.size >= 2 * min_rows:
-                right_orders[name] = np.compress(~sel, order)
-        return (left, left_orders), (right, right_orders)
+    def partition(self, idx, predicate: Predicate, b: int):
+        """The left (predicate true) and right child's rows."""
+        bins = self.bins[predicate.attribute].take(idx)
+        mask = bins == b if predicate.op is PredicateOp.EQUALS else bins > b
+        return np.compress(mask, idx), np.compress(~mask, idx)
 
     def _best_gain(self, n: int, nl: np.ndarray, wl: np.ndarray, y_sum: float):
         """(gain, index) of the best candidate, from left row counts nl (in
@@ -227,77 +250,46 @@ class _TrainingData:
         i = int(gains.argmax())
         return (float(gains[i]), i) if np.isfinite(gains[i]) else None
 
-    def _best_categorical(self, idx, y_node, name, min_rows, y_sum):
-        codes = self.cat_codes[name].take(idx)
-        n = idx.size
-        cnt = np.bincount(codes)
-        ok = ((cnt >= min_rows) & (n - cnt >= min_rows)).nonzero()[0]
-        if ok.size == 0:
-            return None
-        wsum = np.bincount(codes, weights=y_node)
-        best = self._best_gain(n, cnt[ok].astype(np.float64), wsum[ok], y_sum)
-        if best is None:
-            return None
-        code = int(ok[best[1]])
-        return best[0], Predicate.equals(name, self.cat_values[name][code]), code
 
-    def _best_continuous(self, order, name, min_rows, y_sum):
-        n = order.size
-        vals = self.cont_raw[name].take(order)
-        change = vals[1:] != vals[:-1]
-        # A cut after sorted position ends[j] sends n_right[j] rows right.
-        ends = change.nonzero()[0]
-        n_right = ends + 1
-        lo = int(n_right.searchsorted(min_rows, side="left"))
-        hi = int(n_right.searchsorted(n - min_rows, side="right"))
-        if ends.size >= QUANTILE_SPLIT_LIMIT:  # more distinct values than the limit
-            targets = n * (np.arange(1, QUANTILE_BINS + 1) / (QUANTILE_BINS + 1))
-            cuts = np.unique(np.clip(n_right.searchsorted(targets), 0, ends.size - 1))
-            cuts = cuts[(cuts >= lo) & (cuts < hi)]
-        else:
-            cuts = slice(lo, max(lo, hi))
-        cut_ends = ends[cuts]
-        if cut_ends.size == 0:
-            return None
-        # Running target sum over the distinct values, each value's rows summed
-        # first; when every value is distinct those sums are the rows.
-        sums = self.y.take(order)
-        if ends.size < n - 1:
-            group = np.concatenate(([0], change.cumsum(dtype=np.int32)))
-            sums = np.bincount(group, weights=sums)
-        n_left = (n - n_right[cuts]).astype(np.float64)
-        best = self._best_gain(n, n_left, y_sum - sums.cumsum()[cuts], y_sum)
-        if best is None:
-            return None
-        lo_v, hi_v = vals[cut_ends[best[1]]], vals[cut_ends[best[1]] + 1]
-        threshold = lo_v + (hi_v - lo_v) / 2.0
-        # Adjacent representable floats can round the midpoint up to hi,
-        # which would misplace hi on the wrong side; fall back to lo.
-        if threshold >= hi_v:
-            threshold = lo_v
-        return best[0], Predicate.greater_than(name, float(threshold)), None
-
-
-def _grow_tree(td: _TrainingData, features: Sequence[str], min_rows: int) -> TreeNode:
-    idx, orders = td.node(features)
-    root = TreeNode(row_count=td.n, metric=float(td.y.mean()))
-    stack = [(root, idx, orders)]
+def _grow_tree(td: _TrainingData, features: Sequence[str]) -> list:
+    """The tree's nodes as (row_count, metric, split) in preorder: unlike
+    nested TreeNodes, a flat list pickles at any depth."""
+    nodes = []
+    stack = [np.arange(td.n)]
     while stack:
-        node, idx, orders = stack.pop()
-        if idx.size < 2 * min_rows:
-            continue
-        found = td.best_split(idx, orders, features, min_rows)
+        idx = stack.pop()
+        found = td.best_split(idx, features) if idx.size >= 2 * td.min_rows else None
+        nodes.append((idx.size, float(td.y.take(idx).mean()), None if found is None else found[1]))
         if found is None:
             continue
-        _, node.split, code = found
-        (left, l_orders), (right, r_orders) = td.partition(idx, orders, node.split, code, min_rows)
-        if min(left.size, right.size) < min_rows:  # would regrow its parent forever
-            raise RuntimeError(f"split {node.split} leaves a child under {min_rows} rows")
-        node.left = TreeNode(row_count=left.size, metric=float(td.y.take(left).mean()))
-        node.right = TreeNode(row_count=right.size, metric=float(td.y.take(right).mean()))
-        stack.append((node.left, left, l_orders))
-        stack.append((node.right, right, r_orders))
+        left, right = td.partition(idx, found[1], found[2])
+        if min(left.size, right.size) < td.min_rows:  # would regrow its parent forever
+            raise RuntimeError(f"split {found[1]} leaves a child under {td.min_rows} rows")
+        stack += (right, left)
+    return nodes
+
+
+def _assemble(preorder: list) -> TreeNode:
+    """The tree whose nodes _grow_tree listed."""
+    root, *rest = (TreeNode(count, metric, split) for count, metric, split in preorder)
+    waiting = [root] if root.split is not None else []  # split nodes short of a child
+    for node in rest:
+        parent = waiting[-1]
+        if parent.left is None:
+            parent.left = node
+        else:
+            parent.right = node
+            waiting.pop()
+        if node.split is not None:
+            waiting.append(node)
     return root
+
+
+_worker_data: list[_TrainingData] = []  # the run's data, appended only in train's pool workers
+
+
+def _grow_in_worker(features: Sequence[str]) -> list:
+    return _grow_tree(_worker_data[0], features)
 
 
 def train(
@@ -308,8 +300,9 @@ def train(
     A bool array trains classification trees, a float array regression
     trees. Each tree draws an independent feature subset of
     ceil(ratio * feature count) columns, then grows greedily until no split
-    clears min_rows_in_leaf with positive gain. Deterministic under
-    hyperparams.rng_seed.
+    clears min_rows_in_leaf with positive gain. The subsets are drawn before
+    any tree grows, so the output is deterministic under hyperparams.rng_seed
+    whatever the number of worker processes.
     """
     y = np.asarray(labels_or_target)
     if table.row_count < 2:
@@ -319,18 +312,24 @@ def train(
     if y.dtype == bool and (y.all() or not y.any()):
         raise SchemaError("nothing to diagnose: all rows fall in one class")
     features = [s.name for s in table.feature_columns()]
-    td = _TrainingData(table, features, y)
+    td = _TrainingData(table, features, y, hyperparams.min_rows_in_leaf)
     rng = np.random.default_rng(hyperparams.rng_seed)
     subset_size = max(1, math.ceil(hyperparams.feature_sample_ratio * len(features))) if features else 0
-    trees = []
-    for _ in range(hyperparams.num_trees):
-        if subset_size:
-            picked = rng.choice(len(features), size=subset_size, replace=False)
-            subset = sorted(features[i] for i in picked)
-        else:
-            subset = []
-        trees.append(_grow_tree(td, subset, hyperparams.min_rows_in_leaf))
-    return ForestModel(trees, td.kind)
+    subsets = [
+        sorted(features[i] for i in rng.choice(len(features), size=subset_size, replace=False))
+        if subset_size else []
+        for _ in range(hyperparams.num_trees)
+    ]
+    # one worker per CPU this process may run on; in-process where the OS cannot say (not Linux)
+    workers = min(len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1, len(subsets))
+    if workers == 1:
+        grown = [_grow_tree(td, subset) for subset in subsets]
+    else:
+        import multiprocessing  # here, not at module level: most commands never train
+
+        with multiprocessing.get_context("fork").Pool(workers, _worker_data.append, (td,)) as pool:
+            grown = pool.map(_grow_in_worker, subsets, chunksize=1)
+    return ForestModel([_assemble(nodes) for nodes in grown], td.kind)
 
 
 # -- text dump / parse -----------------------------------------------------

@@ -177,8 +177,9 @@ def load(path, format: str, schema_config: SchemaConfig) -> LogTable:
 
     Declared kinds from the config are authoritative; undeclared columns are
     inferred (all-numeric -> continuous, else categorical). Empty CSV cells
-    and absent/null JSONL fields become missing. The KPI column must be
-    present and takes its kind from the KPI spec. A continuous cell that is
+    and absent/null JSONL fields become missing. The KPI column and every
+    declared column must be in the input (else a ConfigError); the KPI takes
+    its kind from the KPI spec. A continuous cell that is
     not a finite number (`inf`, `nan`, JSON `NaN`/`Infinity`), or a JSON
     `NaN`/`Infinity` in a categorical column, is a SchemaError; errors name
     the file line ("row N") and the column.
@@ -194,11 +195,8 @@ def load(path, format: str, schema_config: SchemaConfig) -> LogTable:
     if flipped := frozenset(c.name for c in columns if c.flipped):
         del columns  # not held while the file is read again
         columns, row_count = _encode(path, format, schema_config, flipped)
-    if schema_config.kpi.column not in [c.name for c in columns]:
-        raise ConfigError(f"KPI column {schema_config.kpi.column!r} absent from input")
-    errors = [c.parse_error or c.finite_error for c in columns]
-    if any(errors):
-        raise SchemaError(next(filter(None, errors)))
+    if error := next(filter(None, (c.parse_error or c.finite_error for c in columns)), None):
+        raise SchemaError(error)
     schema, codes, categories, values = [], {}, {}, {}
     for c in columns:
         kind, col, cats = c.finish()
@@ -213,7 +211,7 @@ def load(path, format: str, schema_config: SchemaConfig) -> LogTable:
 def _encode(path, format: str, schema_config: SchemaConfig, categorical: frozenset):
     """(a _Column per column in file order, row count); `categorical` names columns taken as categorical."""
     kpi = schema_config.kpi
-    blocks = _read_csv(path) if format == "csv" else _read_jsonl(path, schema_config)
+    blocks = _read_csv(path, schema_config) if format == "csv" else _read_jsonl(path, schema_config)
     columns: list[_Column] = []
     rows = 0
     for names, lines, cells in blocks:
@@ -332,7 +330,7 @@ class _Column:
         return f"row {line}: column {self.name!r} value {v!r} is not finite"
 
 
-def _read_csv(path):
+def _read_csv(path, schema_config: SchemaConfig):
     """Per block: (column names, file line of each row, cells per column with None for an empty cell)."""
     with open(path, newline="", encoding="utf-8") as f:
         reader = csv.reader(f)
@@ -341,6 +339,10 @@ def _read_csv(path):
             header = next(reader, None)
             if header is None:
                 raise SchemaError("empty CSV file: missing header row")
+            if schema_config.kpi.column not in header:
+                raise ConfigError(f"KPI column {schema_config.kpi.column!r} absent from input")
+            if absent := [name for name in schema_config.columns if name not in header]:
+                raise ConfigError(f"columns.{absent[0]}: the input has no column {absent[0]!r}")
             lines, rows, end = [], [], reader.line_num
             for row in reader:
                 # a quoted field may span lines: a row starts after the last one ended
@@ -363,7 +365,7 @@ _NESTED = frozenset((dict, list))
 def _read_jsonl(path, schema_config: SchemaConfig):
     """Per block: (keys so far, file line of each row, cells per key with None for absent or null)."""
     keys = list(dict.fromkeys([*schema_config.columns, schema_config.kpi.column]))
-    seen = set(keys)
+    seen = {schema_config.kpi.column}  # and every key some line carries
     lines, records = [], []
     with open(path, encoding="utf-8") as f:
         for line_no, line in enumerate(f, start=1):
@@ -379,14 +381,15 @@ def _read_jsonl(path, schema_config: SchemaConfig):
                 k = next(k for k, v in obj.items() if type(v) in _NESTED)
                 raise SchemaError(f"row {line_no}: field {k!r} is nested; flatten upstream")
             if not seen.issuperset(obj):
-                new = [k for k in obj if k not in seen]
-                seen.update(new)
-                keys += new
+                seen.update(obj)
+                keys += [k for k in obj if k not in keys]
             lines.append(line_no)
             records.append(obj)
             if len(records) == _BLOCK_ROWS:
                 yield keys, lines, [[obj.get(k) for obj in records] for k in keys]
                 lines, records = [], []
+    if absent := [name for name in schema_config.columns if name not in seen]:
+        raise ConfigError(f"columns.{absent[0]}: no line of the input has the key {absent[0]!r}")
     yield keys, lines, [[obj.get(k) for obj in records] for k in keys]
 
 
@@ -399,11 +402,8 @@ def write_csv(table: LogTable, path) -> None:
         for spec in table.schema:
             if spec.kind is ColumnKind.CATEGORICAL:
                 cats = table.categories(spec.name)
-                codes = table.codes(spec.name)
-                cols.append([("" if c < 0 else cats[c]) for c in codes])
+                cols.append(["" if c < 0 else cats[c] for c in table.codes(spec.name)])
             else:
-                cols.append(
-                    ["" if np.isnan(v) else format_number(float(v)) for v in table.values(spec.name)]
-                )
+                cols.append(["" if np.isnan(v) else format_number(float(v)) for v in table.values(spec.name)])
         for row in zip(*cols):
             writer.writerow(row)

@@ -21,7 +21,7 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from kpidiag.errors import SchemaError
+from kpidiag.errors import ConfigError, SchemaError
 from kpidiag.forest import ForestModel, TreeNode, _TrainingData
 from kpidiag.ingest import LogTable, SchemaConfig
 from kpidiag.model import (
@@ -135,12 +135,15 @@ def load_reference(path, format: str, schema_config: SchemaConfig) -> LogTable:
     'X' ..."): per column in order, the first cell of a continuous column
     that is not a number (or is too large for a float), then the first
     that is not finite, and the first JSON NaN/infinity of a categorical one.
+    Before those, a declared column that the CSV header or every JSON line
+    lacks is the ConfigError `ingest.load` must raise.
     """
     rows, lines = [], []
     if format == "csv":
         with open(path, newline="", encoding="utf-8") as f:
             reader = csv.reader(f)
             names = next(reader)
+            carried = set(names)
             end = reader.line_num
             for cells in reader:
                 lines.append(end + 1)
@@ -150,6 +153,7 @@ def load_reference(path, format: str, schema_config: SchemaConfig) -> LogTable:
         names = list(schema_config.columns)
         if schema_config.kpi.column not in names:
             names.append(schema_config.kpi.column)
+        carried = set()
         with open(path, encoding="utf-8") as f:
             for line_no, line in enumerate(f, start=1):
                 if not line.strip():
@@ -157,6 +161,7 @@ def load_reference(path, format: str, schema_config: SchemaConfig) -> LogTable:
                 obj = json.loads(line)
                 row = {}
                 for k, v in obj.items():
+                    carried.add(k)
                     if k not in names:
                         names.append(k)
                     if isinstance(v, bool):
@@ -165,6 +170,10 @@ def load_reference(path, format: str, schema_config: SchemaConfig) -> LogTable:
                 rows.append(row)
                 lines.append(line_no)
 
+    for name in schema_config.columns:
+        if name not in carried:
+            where = f"the input has no column {name!r}" if format == "csv" else f"no line of the input has the key {name!r}"
+            raise ConfigError(f"columns.{name}: {where}")
     schema, codes, categories, values = [], {}, {}, {}
     kpi = schema_config.kpi
     for name in names:
@@ -281,8 +290,8 @@ def best_split(
         rows = np.sort(idx)
         table, y = table.take(rows), y[rows]
     features = [s.name for s in table.feature_columns()]
-    td = _TrainingData(table, features, y)
-    found = td.best_split(*td.node(features), features, min_rows_in_leaf)
+    td = _TrainingData(table, features, y, min_rows_in_leaf)
+    found = td.best_split(np.arange(table.row_count), features)
     return None if found is None else SplitCandidate(found[1], found[0])
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import re
 
 import pytest
@@ -288,6 +289,20 @@ class TestDiagnose:
         )
         assert code == 0
         assert json.loads((out / "report.json").read_text())["rules"] == []
+
+    def test_tree_error_in_a_worker_is_a_train_stage_error(self, tmp_path, capsys, monkeypatch):
+        def fail(td, features):
+            raise RuntimeError("split A=c3 leaves a child under 30 rows")
+
+        data = generate_data(tmp_path, faults=[FAULT])
+        capsys.readouterr()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(forest, "_grow_tree", fail)
+        code = main(["diagnose", "--config", str(run_config(tmp_path)), "--input", str(data / "logs.csv"),
+                     "--history", str(tmp_path / "history.tsv"), "--out", str(tmp_path / "out"),
+                     "--date", RUN_DATE])
+        assert code == 1
+        assert capsys.readouterr().err == "error: stage 'train' failed: split A=c3 leaves a child under 30 rows\n"
 
     def test_missing_kpi_column_exits_one(self, tmp_path, capsys):
         data = generate_data(tmp_path)
@@ -703,6 +718,24 @@ def test_unknown_key_is_an_error_naming_its_path(tmp_path, capsys, file, doc, at
     where = f"{path}: rule 0: " if file == "rules" else ""
     key = f"{at}.zz" if at else "zz"
     assert capsys.readouterr().err == f"error: {where}unknown config keys: [{key!r}]\n"
+
+
+@pytest.mark.parametrize("suffix", ["csv", "jsonl"])
+def test_misspelled_column_declaration_fails_at_ingest(tmp_path, capsys, suffix):
+    # "x" names no column; ignored, it would leave the input's "X" a feature
+    data = tmp_path / f"logs.{suffix}"
+    if suffix == "csv":
+        data.write_text("X,Lat\na,1\nb,9\n", encoding="utf-8")
+        missing = "the input has no column 'x'"
+    else:
+        data.write_text('{"X": "a", "Lat": 1}\n{"X": "b", "Lat": 9}\n', encoding="utf-8")
+        missing = "no line of the input has the key 'x'"
+    doc = dict(MINIMAL, input_format=suffix, columns={"x": {"role": "excluded"}})
+    config = write_json(tmp_path / "run.json", doc)
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(config), "--input", str(data), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: stage 'ingest' failed: columns.x: {missing}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("suffix", ["csv", "jsonl"])

@@ -1,11 +1,14 @@
 import datetime
 import hashlib
+import os
 
 import numpy as np
 import pytest
 
+from kpidiag import forest
 from kpidiag.errors import DumpParseError, SchemaError
 from kpidiag.forest import (
+    QUANTILE_BINS,
     ForestModel,
     Hyperparams,
     TargetKind,
@@ -514,18 +517,18 @@ class TestDumpAndParse:
         assert parsed.trees[0].split == Predicate.equals("A", "x=y>z")
 
 
-# sha256 of dump_text for the forests below, as trained before the presorted
-# split search replaced per-node sorting; a change to either digest is a
-# change of model output and needs its reason stated.
+# sha256 of dump_text for the forests below; a change to either digest is a
+# change of model output and needs its reason stated. Both changed when the
+# histogram split search came in: X0 and X1 hold more than QUANTILE_BINS
+# distinct values, so every node now cuts them at global quantile bins, not
+# between its own distinct values or at its own quantiles.
 PINNED_DIGESTS = {
-    KpiKind.CONTINUOUS: "5c3dff0f5a1dd6b91bc6bf1824a1ed07b18a9c3863900f8c0bf86c4445bb7a50",
-    KpiKind.BINARY: "3265e8ef780b1aa4b8c7845ab73c9e30e7742728a0637bf30226e98e66c70f44",
+    KpiKind.CONTINUOUS: "4ff50dc7a4c2f926f82dd411219e160dd204e01ac844321f55573bc3146e4b29",
+    KpiKind.BINARY: "e5ddcd1c2e2ebd4c84e120f2d6ef3a5924e547eafc724def3cfb45781657eaa9",
 }
 
 
-@pytest.mark.parametrize("kind", [KpiKind.CONTINUOUS, KpiKind.BINARY])
-def test_pinned_forest_digest(kind):
-    # 12k rows: root nodes hold more than QUANTILE_SPLIT_LIMIT distinct values
+def _pinned_table(kind):
     attrs = (
         AttributeSpec("C0", ColumnKind.CATEGORICAL, cardinality=20),
         AttributeSpec("C1", ColumnKind.CATEGORICAL, cardinality=500, weighting="zipf"),
@@ -541,10 +544,136 @@ def test_pinned_forest_digest(kind):
         fault = FaultSpec(trigger=trigger, failure_probability=0.3)
     config = GeneratorConfig(attrs, 12_000, kpi, (fault,), seed=5)
     table, _ = generate(config, datetime.date(2026, 8, 10))
+    return table, _kpi_target(table, kind)
+
+
+def _kpi_target(table, kind):
     if kind is KpiKind.CONTINUOUS:
-        y = table.values("Lat")
-    else:
-        y = table.codes("Status") == table.categories("Status").index("fail")
+        return table.values("Lat")
+    return table.codes("Status") == table.categories("Status").index("fail")
+
+
+def _digest(model):
+    return hashlib.sha256(dump_text(model).encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("kind", [KpiKind.CONTINUOUS, KpiKind.BINARY])
+def test_pinned_forest_digest(kind):
+    table, y = _pinned_table(kind)
     model = train(table, y, Hyperparams(min_rows_in_leaf=12, num_trees=2, rng_seed=3))
-    digest = hashlib.sha256(dump_text(model).encode("utf-8")).hexdigest()
-    assert digest == PINNED_DIGESTS[kind]
+    assert _digest(model) == PINNED_DIGESTS[kind]
+
+
+def _few_values_table(kind):
+    """12k rows whose continuous columns hold at most QUANTILE_BINS distinct
+    values: integers, and a normal variable to one decimal."""
+    rng = np.random.default_rng(19)
+    n = 12_000
+    c0 = rng.integers(0, 20, n)
+    c1 = np.minimum(rng.zipf(1.5, n), 800)
+    ints = rng.integers(0, 200, n).astype(float)
+    tenths = np.round(rng.normal(0.0, 2.0, n), 1)
+    assert np.unique(tenths).size <= QUANTILE_BINS
+    hit = (c0 == 7) | (ints > 180)
+    if kind is KpiKind.CONTINUOUS:
+        y = rng.lognormal(0.0, 1.0, n) + 5.0 * hit + 0.5 * tenths
+    else:
+        y = rng.random(n) < np.where(hit, 0.3, 0.02)
+    table = make_table({
+        "C0": ("cat", [f"c{v:02d}" for v in c0]),
+        "C1": ("cat", [f"z{v:03d}" for v in c1]),
+        "N": ("cont", list(ints)),
+        "T": ("cont", list(tenths)),
+    })
+    return table, y
+
+
+def _categorical_table(kind):
+    """50k rows of categorical features as in acceptance criteria 2 and 3."""
+    cards = [10, 20, 50, 100, 500, 1000, 5000, 10000]
+    attrs = tuple(AttributeSpec(f"F{i}", ColumnKind.CATEGORICAL, cardinality=c) for i, c in enumerate(cards))
+    trigger = (Predicate.equals("F1", attrs[1].value(3)),)
+    if kind is KpiKind.CONTINUOUS:
+        kpi = KpiProfile(column="Lat", kind=kind)
+        fault = FaultSpec(trigger=trigger, shift=20.0)
+    else:
+        kpi = KpiProfile(column="Status", kind=kind, failure_rate=0.001)
+        fault = FaultSpec(trigger=trigger, failure_probability=0.3)
+    table, _ = generate(GeneratorConfig(attrs, 50_000, kpi, (fault,), seed=4), datetime.date(2026, 8, 10))
+    return table, _kpi_target(table, kind)
+
+
+# sha256 of dump_text as the presorted split search (SLIQ/SPRINT orders for
+# continuous columns, a full bincount for categorical ones) trained these
+# forests: with at most QUANTILE_BINS distinct values per continuous column,
+# the histogram search must give the same bytes.
+EXACT_DIGESTS = {
+    ("few values", KpiKind.CONTINUOUS): "577a3c401edb4787af97f5d911056687c981d6445bfdc51bd5314ab8054b858b",
+    ("few values", KpiKind.BINARY): "51685efbc49cbe35cb3cb97bb43197ebb2e58846c1ad8e4e6b27c5175b2021c9",
+    ("categorical", KpiKind.CONTINUOUS): "3b72bb437f318f64756776baabc1660b967b96e0d7623413a018f12078851a06",
+    ("categorical", KpiKind.BINARY): "66d78c4e5c81062bf5095e048e87c8ff841189c4e1a8f3cc58fdd4047ad4871f",
+}
+
+
+@pytest.mark.parametrize("name, kind", list(EXACT_DIGESTS))
+def test_histogram_search_is_exact_below_the_bin_cap(name, kind):
+    # the categorical table's F5..F7 put most of their categories in the rest bin
+    table, y = (_few_values_table if name == "few values" else _categorical_table)(kind)
+    min_rows = 12 if name == "few values" else 50
+    model = train(table, y, Hyperparams(min_rows_in_leaf=min_rows, num_trees=4, rng_seed=6))
+    assert _digest(model) == EXACT_DIGESTS[name, kind]
+
+
+@pytest.mark.parametrize("classification", [True, False])
+def test_binned_thresholds_select_the_rows_the_tree_counted(classification):
+    # lognormal values are all distinct, far past QUANTILE_BINS
+    rng = np.random.default_rng(23)
+    values = rng.lognormal(size=5_000)
+    table = make_table({"X": ("cont", list(values)), "C": ("cat", [str(v) for v in rng.integers(0, 4, 5_000)])})
+    y = rng.random(5_000) < 0.1 + 0.3 * (values > 2.0) if classification else rng.lognormal(size=5_000) + values
+    tree = train(table, y, Hyperparams(min_rows_in_leaf=10, feature_sample_ratio=1.0, num_trees=1)).trees[0]
+    distinct = np.unique(values)
+    checked = 0
+    for node, rows in _split_nodes_with_rows(tree, table):
+        assert node.row_count == rows.size
+        if node.split.op is PredicateOp.GREATER_THAN:
+            t = node.split.value
+            at = int(distinct.searchsorted(t))
+            assert 0 < at < distinct.size and distinct[at - 1] < t < distinct[at]
+            checked += 1
+    assert checked >= 20
+
+
+def _deep_chain():
+    """Each split isolates the largest target: one tree 599 levels deep, past
+    what pickle's recursion carries as nested TreeNodes."""
+    table = make_table({"C": ("cat", [f"k{i:03d}" for i in range(600)])})
+    return table, 2.0 ** (np.arange(600) / 4), Hyperparams(min_rows_in_leaf=1, feature_sample_ratio=1.0, num_trees=2)
+
+
+class TestWorkers:
+    @pytest.mark.parametrize("problem", ["continuous", "binary", "deep"])
+    def test_output_does_not_depend_on_the_worker_count(self, monkeypatch, problem):
+        if problem == "deep":
+            table, y, hp = _deep_chain()
+        else:
+            table, y = _pinned_table(KpiKind(problem))
+            hp = Hyperparams(min_rows_in_leaf=12, num_trees=4, rng_seed=8)
+        dumps = []
+        for cpus in ({0}, {0, 1}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+            dumps.append(dump_text(train(table, y, hp)))
+        assert dumps[0] == dumps[1]
+        if problem == "deep":
+            assert max(len(line) - len(line.lstrip(" ")) for line in dumps[0].splitlines()) == 2 * 599
+
+    def test_worker_error_reaches_the_caller(self, monkeypatch):
+        table, y = _pinned_table(KpiKind.CONTINUOUS)
+
+        def fail(td, features):
+            raise RuntimeError("split X0 > 1.5 leaves a child under 12 rows")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(forest, "_grow_tree", fail)
+        with pytest.raises(RuntimeError, match=r"^split X0 > 1\.5 leaves a child under 12 rows$"):
+            train(table, y, Hyperparams(min_rows_in_leaf=12, num_trees=2))

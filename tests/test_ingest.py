@@ -80,6 +80,15 @@ class TestCsvLoad:
         with pytest.raises(ConfigError, match="AuthLatency"):
             load(path, "csv", SchemaConfig(kpi=LAT_KPI))
 
+    @pytest.mark.parametrize("format", ["csv", "jsonl"])
+    def test_declared_column_absent_from_input_is_a_config_error(self, tmp_path, format):
+        # a JSON key that only some lines carry is a column with missing cells
+        text = "X,AuthLatency\na,1\n" if format == "csv" else '{"AuthLatency": 1}\n{"X": "a"}\n'
+        path = write(tmp_path, f"a.{format}", text)
+        assert load(path, format, SchemaConfig(kpi=LAT_KPI, columns={"X": ColumnDecl()})).row_count
+        with pytest.raises(ConfigError, match=r"^columns\.x: "):
+            load(path, format, SchemaConfig(kpi=LAT_KPI, columns={"x": ColumnDecl()}))
+
     def test_load_is_deterministic(self, tmp_path):
         path = write(
             tmp_path, "a.csv", "Region,AuthLatency\nNA,1\nEU,\n,3.5\nAP,4\n"
@@ -248,9 +257,12 @@ def write_both(dir: Path, columns: dict, omit_missing: bool) -> tuple[Path, Path
 
 
 def outcome(loader, path, format, config):
-    """The loaded table, or the (row, column, problem) a SchemaError names."""
+    """The loaded table, the (row, column, problem) a SchemaError names, or a
+    ConfigError's message."""
     try:
         return loader(path, format, config)
+    except ConfigError as e:
+        return str(e)
     except SchemaError as e:
         named = re.fullmatch(r"row (\d+): column '(.*?)' .*(not numeric|not finite)", str(e))
         assert named, f"error names no row and column: {e}"
