@@ -17,7 +17,8 @@ per feature it counts rows and sums targets per bin. A cut after a bin the
 node holds is thresholded at the midpoint of that bin's highest value and
 the lowest value of the node's next bin, so the threshold selects exactly
 the rows the tree counts. Trees grow in forked workers, one per CPU the
-process may run on; the output does not depend on the worker count.
+process may run on, unless the forest is too small to repay their start;
+the output does not depend on the worker count.
 
 Models serialize to a line-oriented text dump that parses back losslessly:
 
@@ -31,7 +32,6 @@ true) then right order.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -39,10 +39,14 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DumpParseError, SchemaError
-from .ingest import LogTable
+from .ingest import LogTable, worker_count
 from .model import ColumnKind, Predicate, PredicateOp
 
 QUANTILE_BINS = 256
+# Below this many split searches (see train) the trees grow in-process: a
+# pool's start and per-tree transfers cost more than a second CPU saves.
+# Measured crossover on 2 CPUs: 2,400-3,200, on 20- to 3,000-row tables.
+_POOL_SEARCHES = 3000
 
 
 class TargetKind(Enum):
@@ -320,8 +324,9 @@ def train(
         if subset_size else []
         for _ in range(hyperparams.num_trees)
     ]
-    # one worker per CPU this process may run on; in-process where the OS cannot say (not Linux)
-    workers = min(len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1, len(subsets))
+    # most split searches the forest can run: trees x features x leaves a tree can hold
+    searches = len(subsets) * subset_size * (td.n // td.min_rows)
+    workers = worker_count(len(subsets) if searches >= _POOL_SEARCHES else 1)
     if workers == 1:
         grown = [_grow_tree(td, subset) for subset in subsets]
     else:

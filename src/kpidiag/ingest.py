@@ -11,8 +11,12 @@ from __future__ import annotations
 
 import bisect
 import csv
+import functools
+import io
 import json
 import math
+import os
+import stat
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -170,6 +174,19 @@ class LogTable:
 _BLOCK_ROWS = 4096
 # What an undeclared column has held so far besides missing cells; any other mix is categorical.
 _NUMBERS, _NUMERIC_TEXTS = "numbers", "numeric texts"
+# Bytes of input per worker below which a load stays in one process: a
+# worker's fork, start and result transfer cost about what encoding this
+# many bytes saves (see README).
+_RANGE_BYTES = 1 << 20
+
+
+def worker_count(units: int) -> int:
+    """Processes to spread `units` independent pieces of work over: one per
+    CPU this process may run on, at most one per unit, and one (in-process)
+    where the OS cannot say which CPUs those are. Callers count as units
+    only pieces large enough to repay a worker's start."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    return max(1, min(cpus, units))
 
 
 def load(path, format: str, schema_config: SchemaConfig) -> LogTable:
@@ -182,12 +199,16 @@ def load(path, format: str, schema_config: SchemaConfig) -> LogTable:
     its kind from the KPI spec. A continuous cell that is
     not a finite number (`inf`, `nan`, JSON `NaN`/`Infinity`), or a JSON
     `NaN`/`Infinity` in a categorical column, is a SchemaError; errors name
-    the file line ("row N") and the column.
+    the file line ("row N") and the column. So is a CSV header that repeats
+    a name, before any row is read.
 
-    The file is encoded _BLOCK_ROWS rows at a time. A bad row fails at its
-    line; a bad cell fails once the whole file is read, in the first column
-    that has one. An undeclared column that turns categorical after a block
-    of numbers has lost those cells, so the file is read once more.
+    The file is split at line ends into byte ranges, one per worker process,
+    and each range is encoded _BLOCK_ROWS rows at a time; the table and any
+    error are those of one reader going through the file in order. A bad row
+    fails at its line; a bad cell fails once the whole file is read, in the
+    first column that has one. An undeclared column that turns categorical
+    after a block or range of numbers has lost those cells, so the file is
+    read once more.
     """
     if format not in ("csv", "jsonl"):
         raise ConfigError(f"unknown input format: {format!r}")
@@ -196,7 +217,7 @@ def load(path, format: str, schema_config: SchemaConfig) -> LogTable:
         del columns  # not held while the file is read again
         columns, row_count = _encode(path, format, schema_config, flipped)
     if error := next(filter(None, (c.parse_error or c.finite_error for c in columns)), None):
-        raise SchemaError(error)
+        raise SchemaError("row %d: %s" % error)
     schema, codes, categories, values = [], {}, {}, {}
     for c in columns:
         kind, col, cats = c.finish()
@@ -209,36 +230,112 @@ def load(path, format: str, schema_config: SchemaConfig) -> LogTable:
 
 
 def _encode(path, format: str, schema_config: SchemaConfig, categorical: frozenset):
-    """(a _Column per column in file order, row count); `categorical` names columns taken as categorical."""
+    """(a _Column per column in file order, row count) from one pass over the
+    file; `categorical` names columns taken as categorical."""
+    encode = functools.partial(_encode_range, path, format, schema_config, categorical)
+    ranges = _ranges(path, format)
+    if len(ranges) == 1:
+        return _merge(map(encode, ranges), schema_config, categorical)
+    import multiprocessing  # here, not at module level: most loads are one range
+
+    # fork, as forest.train does: a spawned worker would import the package again
+    with multiprocessing.get_context("fork").Pool(len(ranges)) as pool:
+        return _merge(pool.imap(encode, ranges), schema_config, categorical)
+
+
+def _ranges(path, format: str) -> list[tuple[int, int | None]]:
+    """The file's byte ranges, one per worker, each ending at a line end. A
+    CSV file that holds a quote is one range: a quoted field may span lines.
+    So is a pipe, read as it comes: (0, None)."""
+    status = os.stat(path)
+    if not stat.S_ISREG(status.st_mode):
+        return [(0, None)]
+    size = status.st_size
+    workers = worker_count(size // _RANGE_BYTES)
+    cuts = [0]
+    with open(path, "rb") as f:
+        if workers > 1 and format == "csv" and any(b'"' in chunk for chunk in iter(lambda: f.read(1 << 20), b"")):
+            workers = 1
+        for i in range(1, workers):
+            f.seek(max(size * i // workers, cuts[-1]))
+            f.readline()
+            if f.tell() < size:
+                cuts.append(f.tell())
+    return list(zip(cuts, cuts[1:] + [size]))
+
+
+class _RowError(Exception):
+    """A bad row: (its line counted from the start of its byte range, the problem)."""
+
+
+@dataclass
+class _Part:
+    """One byte range's encoding: its columns in order of appearance, its row
+    and line counts, and the column names its lines carry."""
+
+    columns: list = field(default_factory=list)
+    rows: int = 0
+    lines: int = 0
+    seen: set = field(default_factory=set)
+
+
+def _column(name: str, schema_config: SchemaConfig, categorical: frozenset, missing: int):
+    decl = schema_config.decl(name)
+    kind = ColumnKind.CATEGORICAL if name in categorical else decl.kind
+    role = decl.role
     kpi = schema_config.kpi
-    blocks = _read_csv(path, schema_config) if format == "csv" else _read_jsonl(path, schema_config)
-    columns: list[_Column] = []
-    rows = 0
-    for names, lines, cells in blocks:
-        for name in names[len(columns):]:
-            decl = schema_config.decl(name)
-            kind = ColumnKind.CATEGORICAL if name in categorical else decl.kind
-            role = decl.role
-            if name == kpi.column:
-                role = ColumnRole.KPI
-                kind = ColumnKind.CONTINUOUS if kpi.kind is KpiKind.CONTINUOUS else ColumnKind.CATEGORICAL
-            columns.append(_Column(name, kind, role, rows))
-        for column, block in zip(columns, cells):
+    if name == kpi.column:
+        role = ColumnRole.KPI
+        kind = ColumnKind.CONTINUOUS if kpi.kind is KpiKind.CONTINUOUS else ColumnKind.CATEGORICAL
+    return _Column(name, kind, role, missing)
+
+
+def _encode_range(path, format: str, schema_config: SchemaConfig, categorical: frozenset, span) -> _Part:
+    part = _Part()
+    read = _read_csv if format == "csv" else _read_jsonl
+    for names, lines, cells in read(path, span, schema_config, part):
+        for name in names[len(part.columns):]:
+            part.columns.append(_column(name, schema_config, categorical, part.rows))
+        for column, block in zip(part.columns, cells):
             column.add(block, lines)
-        rows += len(lines)
-    return columns, rows
+        part.rows += len(lines)
+    return part
+
+
+def _merge(parts, schema_config: SchemaConfig, categorical: frozenset):
+    """(the file's columns, row count) from its ranges' parts in file order;
+    raises the first bad row, then a declared column no line carries."""
+    columns: dict[str, _Column] = {}
+    rows = lines = 0
+    seen = set()
+    try:
+        for part in parts:
+            for c in part.columns:
+                if c.name not in columns:
+                    columns[c.name] = _column(c.name, schema_config, categorical, rows)
+            own = {c.name: c for c in part.columns}
+            for name, column in columns.items():
+                column.extend(own.get(name), part.rows, lines)
+            rows, lines, seen = rows + part.rows, lines + part.lines, seen | part.seen
+    except _RowError as e:
+        raise SchemaError("row %d: %s" % (e.args[0] + lines, e.args[1])) from None
+    if absent := [name for name in schema_config.columns if name not in seen]:
+        # a CSV header without a declared column has failed already
+        raise ConfigError(f"columns.{absent[0]}: no line of the input has the key {absent[0]!r}")
+    return list(columns.values()), rows
 
 
 class _Column:
     """One column's encoder, fed a block of cells at a time: float64 chunks,
     or int32 codes into one insertion-order dict (0 = missing) that finish()
     remaps to codes into the sorted categories. The first cell float()
-    rejects (parse_error) wins over the first that is not finite."""
+    rejects (parse_error) wins over the first that is not finite; each
+    error is (file line, problem)."""
 
     def __init__(self, name: str, kind: ColumnKind | None, role: ColumnRole, missing: int):
         self.name, self.kind, self.role = name, kind, role
         self.state = None  # while undeclared and not categorical: None, _NUMBERS or _NUMERIC_TEXTS
-        self.missing = missing  # leading rows, all missing, not yet in chunks
+        self.missing = missing  # missing rows not yet in chunks, all after the chunks
         self.chunks: list[np.ndarray] = []
         self.index: dict[str | None, int] = {None: 0}
         self.flipped = False  # turned categorical after a block of numbers
@@ -267,13 +364,40 @@ class _Column:
             self.missing += len(cells)
             return
         continuous = kind is ColumnKind.CONTINUOUS
-        if self.missing:
-            self.chunks.append(np.full(self.missing, np.nan) if continuous else np.zeros(self.missing, np.int32))
-            self.missing = 0
+        self._pad(continuous)
         if continuous:
             self.chunks.append(self._floats(cells, lines, floats))
         else:
-            self._codes(cells if types <= {str} else self._texts(cells, lines))
+            self.chunks.append(self._intern(cells if types <= {str} else self._texts(cells, lines)))
+
+    def extend(self, other: "_Column | None", rows: int, lines: int) -> None:
+        """Append the next byte range, whose `rows` rows `other` encoded (None:
+        no line of the range has this column) after `lines` file lines."""
+        if other is None or not (other.chunks or other.flipped):
+            self.missing += rows
+            return
+        for attr in ("parse_error", "finite_error"):
+            if getattr(self, attr) is None and (error := getattr(other, attr)):
+                setattr(self, attr, (error[0] + lines, error[1]))
+        if other.flipped or self.chunks and (self.kind, self.state) != (other.kind, other.state):
+            self.kind, self.flipped = ColumnKind.CATEGORICAL, True
+        if self.flipped:
+            return
+        continuous = (other.kind or ColumnKind.CONTINUOUS) is ColumnKind.CONTINUOUS
+        if not self.chunks:
+            self.kind, self.state, self.index = other.kind, other.state, other.index
+        self._pad(continuous)
+        if continuous or other.index is self.index:
+            self.chunks += other.chunks
+            return
+        remap = self._intern(other.index)
+        self.chunks += [remap[codes] for codes in other.chunks]
+
+    def _pad(self, continuous: bool) -> None:
+        """Move the pending missing rows into chunks."""
+        if self.missing:
+            self.chunks.append(np.full(self.missing, np.nan) if continuous else np.zeros(self.missing, np.int32))
+            self.missing = 0
 
     def _floats(self, cells: Sequence, lines: Sequence[int], floats: np.ndarray | None) -> np.ndarray:
         """float64 values (None -> NaN) of a block, parsed unless `floats` already holds them."""
@@ -295,8 +419,8 @@ class _Column:
         except OverflowError:
             self.parse_error = self.parse_error or self._not_finite(line, v)
         except ValueError:
-            problem = f"row {line}: column {self.name!r} declared continuous but value {v!r} is not numeric"
-            self.parse_error = self.parse_error or problem
+            problem = f"column {self.name!r} declared continuous but value {v!r} is not numeric"
+            self.parse_error = self.parse_error or (line, problem)
         return math.nan
 
     def _texts(self, cells: Sequence, lines: Sequence[int]) -> list[str | None]:
@@ -308,16 +432,17 @@ class _Column:
             self.finite_error = self.finite_error or self._not_finite(lines[i], cells[i])
             return [None] * len(cells)
 
-    def _codes(self, texts: Sequence[str | None]) -> None:
+    def _intern(self, texts: Sequence[str | None]) -> np.ndarray:
+        """The codes of `texts`, adding the texts not yet in the dict."""
         index = self.index
         new = [t for t in dict.fromkeys(texts) if t not in index]
         index.update(zip(new, range(len(index), len(index) + len(new))))
-        self.chunks.append(np.fromiter(map(index.__getitem__, texts), dtype=np.int32, count=len(texts)))
+        return np.fromiter(map(index.__getitem__, texts), dtype=np.int32, count=len(texts))
 
     def finish(self) -> tuple[ColumnKind, np.ndarray, tuple[str, ...]]:
         """(kind, values or codes into the sorted categories, those categories)."""
         self.kind = self.kind or (ColumnKind.CONTINUOUS if self.state else ColumnKind.CATEGORICAL)
-        self.add([], [])  # appends the leading missing rows if no block did
+        self.add([], [])  # appends the pending missing rows
         col, self.chunks = np.concatenate(self.chunks), []
         if self.kind is ColumnKind.CONTINUOUS:
             return self.kind, col, ()
@@ -326,60 +451,100 @@ class _Column:
         remap = np.fromiter(map(rank.__getitem__, self.index), dtype=np.int32, count=len(self.index))
         return self.kind, remap[col], tuple(cats)
 
-    def _not_finite(self, line: int, v) -> str:
-        return f"row {line}: column {self.name!r} value {v!r} is not finite"
+    def _not_finite(self, line: int, v) -> tuple[int, str]:
+        return line, f"column {self.name!r} value {v!r} is not finite"
 
 
-def _read_csv(path, schema_config: SchemaConfig):
-    """Per block: (column names, file line of each row, cells per column with None for an empty cell)."""
-    with open(path, newline="", encoding="utf-8") as f:
+class _ByteRange(io.RawIOBase):
+    """Bytes [start, end) of a file, for a text stream to decode."""
+
+    def __init__(self, path, span: tuple[int, int]):
+        self._file = open(path, "rb", buffering=0)
+        self._file.seek(span[0])
+        self._left = span[1] - span[0]
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        n = self._file.readinto(memoryview(buffer)[: self._left])
+        self._left -= n
+        return n
+
+    def close(self) -> None:
+        self._file.close()
+        super().close()
+
+
+def _text(path, span: tuple[int, int | None], newline: str | None) -> io.TextIOWrapper:
+    if span[1] is None:
+        return open(path, encoding="utf-8", newline=newline)
+    return io.TextIOWrapper(io.BufferedReader(_ByteRange(path, span)), encoding="utf-8", newline=newline)
+
+
+def _read_csv(path, span: tuple[int, int | None], schema_config: SchemaConfig, part: _Part):
+    """Per block: (column names, line of each row counted from the range's
+    start, cells per column with None for an empty cell). The first range
+    reads and checks the header; a later one, of a file without quotes, takes
+    it from the file's first line."""
+    with _text(path, span, newline="") as f:
         reader = csv.reader(f)
         end = 0
         try:
-            header = next(reader, None)
-            if header is None:
-                raise SchemaError("empty CSV file: missing header row")
-            if schema_config.kpi.column not in header:
-                raise ConfigError(f"KPI column {schema_config.kpi.column!r} absent from input")
-            if absent := [name for name in schema_config.columns if name not in header]:
-                raise ConfigError(f"columns.{absent[0]}: the input has no column {absent[0]!r}")
+            if span[0]:
+                with _text(path, (0, span[0]), newline="") as head:
+                    header = next(csv.reader(head))
+            else:
+                header = next(reader, None)
+                if header is None:
+                    raise SchemaError("empty CSV file: missing header row")
+                if schema_config.kpi.column not in header:
+                    raise ConfigError(f"KPI column {schema_config.kpi.column!r} absent from input")
+                if absent := [name for name in schema_config.columns if name not in header]:
+                    raise ConfigError(f"columns.{absent[0]}: the input has no column {absent[0]!r}")
+                if len(set(header)) != len(header):
+                    raise SchemaError("duplicate column names")
+            part.seen = set(header)
             lines, rows, end = [], [], reader.line_num
             for row in reader:
                 # a quoted field may span lines: a row starts after the last one ended
                 line_no, end = end + 1, reader.line_num
                 if len(row) != len(header):
-                    raise SchemaError(f"row {line_no}: expected {len(header)} fields, got {len(row)}")
+                    raise _RowError(line_no, f"expected {len(header)} fields, got {len(row)}")
                 lines.append(line_no)
                 rows.append(row)
                 if len(rows) == _BLOCK_ROWS:
                     yield header, lines, [[cell or None for cell in col] for col in zip(*rows)]
                     lines, rows = [], []
         except csv.Error as e:  # e.g. a field past csv.field_size_limit()
-            raise SchemaError(f"row {end + 1}: {e}") from None
+            raise _RowError(end + 1, str(e)) from None
+        part.lines = reader.line_num
     yield header, lines, [[cell or None for cell in col] for col in zip(*rows)]
 
 
 _NESTED = frozenset((dict, list))
 
 
-def _read_jsonl(path, schema_config: SchemaConfig):
-    """Per block: (keys so far, file line of each row, cells per key with None for absent or null)."""
+def _read_jsonl(path, span: tuple[int, int | None], schema_config: SchemaConfig, part: _Part):
+    """Per block: (keys so far, line of each row counted from the range's
+    start, cells per key with None for absent or null)."""
     keys = list(dict.fromkeys([*schema_config.columns, schema_config.kpi.column]))
-    seen = {schema_config.kpi.column}  # and every key some line carries
+    seen = part.seen = {schema_config.kpi.column}  # and every key some line carries
     lines, records = [], []
-    with open(path, encoding="utf-8") as f:
+    line_no = 0
+    with _text(path, span, newline=None) as f:
         for line_no, line in enumerate(f, start=1):
             if not line.strip():
                 continue
             try:
                 obj = json.loads(line)
             except ValueError as e:  # JSONDecodeError, or an integer too long to convert
-                raise SchemaError(f"row {line_no}: invalid JSON ({getattr(e, 'msg', e)})") from None
+                raise _RowError(line_no, f"invalid JSON ({getattr(e, 'msg', e)})") from None
             if not isinstance(obj, dict):
-                raise SchemaError(f"row {line_no}: expected a flat JSON object")
+                raise _RowError(line_no, "expected a flat JSON object")
             if not _NESTED.isdisjoint(map(type, obj.values())):
                 k = next(k for k, v in obj.items() if type(v) in _NESTED)
-                raise SchemaError(f"row {line_no}: field {k!r} is nested; flatten upstream")
+                raise _RowError(line_no, f"field {k!r} is nested; flatten upstream")
             if not seen.issuperset(obj):
                 seen.update(obj)
                 keys += [k for k in obj if k not in keys]
@@ -388,8 +553,7 @@ def _read_jsonl(path, schema_config: SchemaConfig):
             if len(records) == _BLOCK_ROWS:
                 yield keys, lines, [[obj.get(k) for obj in records] for k in keys]
                 lines, records = [], []
-    if absent := [name for name in schema_config.columns if name not in seen]:
-        raise ConfigError(f"columns.{absent[0]}: no line of the input has the key {absent[0]!r}")
+    part.lines = line_no
     yield keys, lines, [[obj.get(k) for obj in records] for k in keys]
 
 

@@ -11,21 +11,28 @@ The store is a newline-delimited UTF-8 file, one record per line:
 
     run_date<TAB>predicate_key<TAB>score<TAB>count
 
-Loading rejects a line whose fields do not parse, or whose score is not a
-finite number, with a ValueError naming the file, the line and the field.
+The store is read as columns: one read, one split into fields, and one
+parse per field column. Loading rejects a line whose fields do not parse,
+whose score is not a finite number, or that repeats a stored (date, key),
+with a ValueError naming the file, the first such line and its field.
 """
 
 from __future__ import annotations
 
 import datetime
+import itertools
 import math
 import os
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+
+import numpy as np
 
 from .model import Rule, TriageCategory, TriagedRule
 
 WINDOW_RUNS = 14
+# Bytes of the store parsed at a time.
+_CHUNK_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -37,69 +44,81 @@ class HistoryRecord:
 
 
 class HistoryStore:
-    """Append-only, file-backed store of per-day rule scores."""
+    """Append-only, file-backed store of per-day rule scores, held as columns."""
 
     def __init__(self, path):
         self.path = os.fspath(path)
-        self.records: list[HistoryRecord] = []
-        # the same records by key (in file order) and the keys on each run-date
-        self._by_key: dict[str, list[HistoryRecord]] = {}
-        self._by_date: dict[datetime.date, set[str]] = {}
+        # one entry per stored record, in file order
+        self._days: list[datetime.date] = []
+        self._keys: list[str] = []
+        self._scores: list[float] = []
+        self._counts: list[int] = []
+        self._index: _Index | None = None  # built on the first query after a load or an append
         if os.path.exists(self.path):
             self._load()
 
+    @property
+    def records(self) -> Sequence[HistoryRecord]:
+        """Every stored record, in file order; each is built when it is read."""
+        return _Records(self)
+
     def _load(self):
-        dates: dict[str, datetime.date] = {}
+        days, keys, scores, counts = [], [], [], []
+        day_of: dict[str, datetime.date] = {}
+        try:
+            with open(self.path, encoding="utf-8") as f:
+                # a chunk of lines at a time, so that only its fields are held as texts
+                while lines := f.readlines(_CHUNK_BYTES):
+                    if any(map(str.isspace, lines)):
+                        lines = [line for line in lines if not line.isspace()]
+                    if len(lines) != list(map(str.count, lines, itertools.repeat("\t"))).count(3):
+                        raise ValueError("a line without 4 fields")
+                    # the last field keeps its line end, which int() ignores
+                    fields = "\t".join(lines).split("\t")
+                    for text in set(fields[0::4]) - day_of.keys():
+                        day_of[text] = datetime.date.fromisoformat(text)
+                    days += map(day_of.__getitem__, fields[0::4])
+                    keys += fields[1::4]
+                    scores += map(float, fields[2::4])
+                    counts += map(int, fields[3::4])
+            if not all(map(math.isfinite, scores)):
+                raise ValueError("a score that is not finite")
+            index = _Index(days, keys)
+            if index.repeats:
+                raise ValueError("a record stored twice")
+        except ValueError:
+            raise self._first_fault() from None
+        self._days, self._keys, self._scores, self._counts = days, keys, scores, counts
+        self._index = index
+
+    def _first_fault(self) -> ValueError:
+        """The error naming the first line with a fault, and its first field,
+        from a second, line-by-line read."""
+        stored = set()
         with open(self.path, encoding="utf-8") as f:
             for line_no, line in enumerate(f, start=1):
                 if not line.strip():
                     continue
                 parts = line.rstrip("\n").split("\t")
                 if len(parts) != 4:
-                    raise ValueError(
-                        f"{self.path}:{line_no}: expected 4 tab-separated fields"
-                    )
-                date_text, key, score_text, count_text = parts
-                try:
-                    day = dates.get(date_text)
-                    if day is None:
-                        day = dates[date_text] = datetime.date.fromisoformat(date_text)
-                    score = _finite_float(score_text)
-                    count = int(count_text)
-                except ValueError:
-                    raise self._field_error(line_no, parts) from None
-                self._remember(HistoryRecord(day, key, score, count), line_no)
-
-    def _field_error(self, line_no: int, parts: list[str]) -> ValueError:
-        """The error naming the first field of a line that does not parse."""
-        for name, text, parse, expected in (
-            ("run_date", parts[0], datetime.date.fromisoformat, "an ISO date"),
-            ("score", parts[2], _finite_float, "a finite number"),
-            ("count", parts[3], int, "an integer"),
-        ):
-            try:
-                parse(text)
-            except ValueError:
-                return ValueError(f"{self.path}:{line_no}: {name} field {text!r} is not {expected}")
-        raise AssertionError("every field parses")
-
-    def _remember(self, rec: HistoryRecord, line_no=None):
-        keys = self._by_date.setdefault(rec.run_date, set())
-        if rec.predicate_key in keys:
-            where = f"{self.path}:{line_no}: " if line_no else ""
-            raise ValueError(
-                f"{where}duplicate record for {rec.predicate_key!r} on {rec.run_date}"
-            )
-        keys.add(rec.predicate_key)
-        self._by_key.setdefault(rec.predicate_key, []).append(rec)
-        self.records.append(rec)
+                    return ValueError(f"{self.path}:{line_no}: expected 4 tab-separated fields")
+                for name, i, parse, expected in _FIELDS:
+                    try:
+                        parse(parts[i])
+                    except ValueError:
+                        return ValueError(f"{self.path}:{line_no}: {name} field {parts[i]!r} is not {expected}")
+                day, key = datetime.date.fromisoformat(parts[0]), parts[1]
+                if (day, key) in stored:
+                    return ValueError(f"{self.path}:{line_no}: duplicate record for {key!r} on {day}")
+                stored.add((day, key))
+        raise AssertionError("some line has a fault")
 
     def check(self, new_records: Sequence[HistoryRecord]) -> None:
         """ValueError if a record repeats a (date, key) stored or earlier in the batch."""
         staged = set()
         for rec in new_records:
             pair = (rec.run_date, rec.predicate_key)
-            if rec.predicate_key in self._by_date.get(rec.run_date, ()) or pair in staged:
+            if pair in staged or rec.predicate_key in self.keys_on(rec.run_date):
                 raise ValueError(
                     f"duplicate record for {rec.predicate_key!r} on {rec.run_date}"
                 )
@@ -117,26 +136,72 @@ class HistoryStore:
             f.flush()
             os.fsync(f.fileno())
         for rec in new_records:
-            self._remember(rec)
+            self._days.append(rec.run_date)
+            self._keys.append(rec.predicate_key)
+            self._scores.append(rec.correlation_score)
+            self._counts.append(rec.request_count)
+        self._index = None
+
+    def _indexed(self) -> _Index:
+        if self._index is None:
+            self._index = _Index(self._days, self._keys)
+        return self._index
 
     def run_dates(self, before: datetime.date | None = None) -> list[datetime.date]:
         """Distinct run-dates in the store, ascending, optionally before a date."""
-        dates = self._by_date.keys()
+        dates = self._indexed().rows_on.keys()
         if before is not None:
             dates = [d for d in dates if d < before]
         return sorted(dates)
 
     def keys_on(self, day: datetime.date) -> set[str]:
-        return set(self._by_date.get(day, ()))
+        rows = self._indexed().rows_on.get(day)
+        return set() if rows is None else set(map(self._keys.__getitem__, rows.tolist()))
 
     def scores_in_window(
         self, key: str, window_dates: Iterable[datetime.date]
     ) -> list[float]:
         """The key's scores on the window's dates, in file order."""
-        window = set(window_dates)
-        return [
-            r.correlation_score for r in self._by_key.get(key, ()) if r.run_date in window
-        ]
+        index = self._indexed()
+        rows = index.rows_of.get(key)
+        if rows is None:
+            return []
+        in_window = np.zeros(len(index.rows_on), dtype=bool)
+        in_window[[index.day_ids[d] for d in set(window_dates) if d in index.day_ids]] = True
+        return list(map(self._scores.__getitem__, rows[in_window[index.day_codes[rows]]].tolist()))
+
+
+class _Records(Sequence):
+    def __init__(self, store: HistoryStore):
+        self._store = store
+
+    def __len__(self) -> int:
+        return len(self._store._keys)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        s = self._store
+        return HistoryRecord(s._days[i], s._keys[i], s._scores[i], s._counts[i])
+
+
+class _Index:
+    """The store's rows by run-date and by key, each in file order."""
+
+    def __init__(self, days: list, keys: list):
+        self.day_ids, self.day_codes, self.rows_on = _group(days)
+        key_ids, key_codes, self.rows_of = _group(keys)
+        pairs = np.sort(self.day_codes * len(key_ids) + key_codes)
+        self.repeats = bool((pairs[1:] == pairs[:-1]).any())  # some (run-date, key) is on two rows
+
+
+def _group(values: list):
+    """(an id per distinct value, each row's id, each distinct value's rows)."""
+    ids = dict(zip(dict.fromkeys(values), itertools.count()))
+    codes = np.fromiter(map(ids.__getitem__, values), dtype=np.intp, count=len(values))
+    order = np.argsort(codes, kind="stable")
+    ends = np.bincount(codes, minlength=len(ids)).cumsum()
+    return ids, codes, dict(zip(ids, np.split(order, ends[:-1])))
 
 
 def _finite_float(text: str) -> float:
@@ -144,6 +209,14 @@ def _finite_float(text: str) -> float:
     if not math.isfinite(value):
         raise ValueError(f"{text!r} is not finite")
     return value
+
+
+# (name, position, parser, what a valid field is) of each field a line's reader checks, in order
+_FIELDS = (
+    ("run_date", 0, datetime.date.fromisoformat, "an ISO date"),
+    ("score", 2, _finite_float, "a finite number"),
+    ("count", 3, int, "an integer"),
+)
 
 
 def triage(

@@ -677,3 +677,25 @@ class TestWorkers:
         monkeypatch.setattr(forest, "_grow_tree", fail)
         with pytest.raises(RuntimeError, match=r"^split X0 > 1\.5 leaves a child under 12 rows$"):
             train(table, y, Hyperparams(min_rows_in_leaf=12, num_trees=2))
+
+    def test_deep_tree_crosses_the_pool_below_the_floor(self, monkeypatch):
+        # the chain's 2 trees on one 600-row feature are under the floor, so
+        # only a lowered floor sends the 599-level tree through a worker
+        table, y, hp = _deep_chain()
+        in_process = dump_text(train(table, y, hp))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(forest, "_POOL_SEARCHES", 0)
+        assert dump_text(train(table, y, hp)) == in_process
+
+    def test_small_forest_grows_without_a_pool(self, monkeypatch):
+        # 50 trees x 2 features x 20 leaves is under the floor
+        rng = np.random.default_rng(0)
+        table = make_table({f"F{i}": ("cont", list(rng.normal(size=20))) for i in range(3)})
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
+        monkeypatch.setattr("multiprocessing.pool.Pool", _no_pool)
+        model = train(table, rng.normal(size=20), Hyperparams(min_rows_in_leaf=1, num_trees=50))
+        assert len(model.trees) == 50
+
+
+def _no_pool(*args, **kwargs):
+    raise AssertionError("a pool was started")

@@ -1,15 +1,19 @@
+import contextlib
 import csv
 import datetime
 import json
+import os
 import re
+import signal
 import tempfile
+import threading
 import tracemalloc
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from kpidiag import ingest, synth
@@ -74,6 +78,15 @@ class TestCsvLoad:
         table = load(path, "csv", config)
         assert table.spec("Code").kind is ColumnKind.CATEGORICAL
         assert cell(table, "Code", 0) == "1234"
+
+    @pytest.mark.parametrize("workers", [1, 2, 3], ids=["1 range", "2 ranges", "3 ranges"])
+    @pytest.mark.parametrize("first_x", ["1", "inf"], ids=["clean", "bad cell in the first X"])
+    def test_repeated_header_name_is_a_schema_error(self, tmp_path, workers, first_x):
+        # the header fails before any cell: a repeated name cannot be a column
+        path = write(tmp_path, "a.csv", f"AuthLatency,X,X\n1,{first_x},a\n" + "2,3,b\n" * 3000)
+        for loader in (load, load_reference):
+            with split_into_ranges(workers), pytest.raises(SchemaError, match=r"^duplicate column names$"):
+                loader(path, "csv", SchemaConfig(kpi=LAT_KPI))
 
     def test_kpi_column_absent_is_a_config_error(self, tmp_path):
         path = write(tmp_path, "a.csv", "Region\nNA\n")
@@ -362,26 +375,192 @@ class TestAcrossBlocks:
         # The table is 40,000 x (3 int32 + 4 float64) = 1.8 MB, about ten
         # blocks. Holding every cell until the file ends, as a whole-file
         # reader does, peaked at 21 MiB for the CSV and 37 MiB for the JSONL
-        # under tracemalloc; streamed blocks stay under 10 MiB in both.
-        attrs = tuple(
-            synth.AttributeSpec(name=f"C{c}", kind=ColumnKind.CATEGORICAL, cardinality=c)
-            for c in (3, 40, 3000)
-        ) + tuple(synth.AttributeSpec(name=f"X{i}", kind=ColumnKind.CONTINUOUS) for i in range(3))
-        kpi = synth.KpiProfile(column="Lat", kind=KpiKind.CONTINUOUS)
-        table, _ = synth.generate(
-            synth.GeneratorConfig(attrs, 40_000, kpi, (), seed=7), datetime.date(2026, 8, 10)
-        )
-        columns = {n: [cell(table, n, i) for i in range(table.row_count)] for n in table.column_names}
+        # under tracemalloc; streamed blocks stay under 10 MiB in both. One
+        # CPU keeps the whole file in this process, where tracemalloc sees it.
         config = SchemaConfig(kpi=KpiSpec(column="Lat", kind=KpiKind.CONTINUOUS, threshold=1.0))
-        for path, format in zip(write_both(tmp_path, columns, True), ("csv", "jsonl")):
-            tracemalloc.start()
-            try:
-                loaded = load(path, format, config)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+        for path, format in zip(write_both(tmp_path, forty_k_row_day(), True), ("csv", "jsonl")):
+            with mock.patch.object(os, "sched_getaffinity", lambda pid: {0}, create=True):
+                loaded, peak = traced_load(path, format, config)
             assert loaded == load_reference(path, format, config), format
             assert peak < 10 * 2**20, f"{format}: traced peak {peak / 2**20:.1f} MiB"
+
+
+def forty_k_row_day() -> dict:
+    """Columns of a generated 40,000-row day: three categorical, four continuous."""
+    attrs = tuple(
+        synth.AttributeSpec(name=f"C{c}", kind=ColumnKind.CATEGORICAL, cardinality=c)
+        for c in (3, 40, 3000)
+    ) + tuple(synth.AttributeSpec(name=f"X{i}", kind=ColumnKind.CONTINUOUS) for i in range(3))
+    kpi = synth.KpiProfile(column="Lat", kind=KpiKind.CONTINUOUS)
+    table, _ = synth.generate(
+        synth.GeneratorConfig(attrs, 40_000, kpi, (), seed=7), datetime.date(2026, 8, 10)
+    )
+    return {n: [cell(table, n, i) for i in range(table.row_count)] for n in table.column_names}
+
+
+def traced_load(path, format, config) -> tuple:
+    """(the loaded table, the peak bytes tracemalloc saw in this process while loading)."""
+    tracemalloc.start()
+    try:
+        loaded = load(path, format, config)
+        return loaded, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@contextlib.contextmanager
+def split_into_ranges(workers: int):
+    """Every load below splits its file into `workers` byte ranges, however small the file."""
+    with mock.patch.object(ingest, "_RANGE_BYTES", 1), \
+            mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(workers)), create=True):
+        yield
+
+
+@contextlib.contextmanager
+def no_longer_than(seconds: int):
+    """Fails the block once `seconds` have passed, even while it waits in a
+    system call: a reader that opens a pipe a second time waits for a writer
+    that never comes."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+# the patches of a function-scoped fixture are the same for every example
+IN_RANGES = settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+class TestAgainstReferenceInRanges(TestAgainstReference):
+    """TestAgainstReference with each file read as 2 or 3 byte ranges, in worker processes."""
+
+    @pytest.fixture(autouse=True, params=[2, 3], ids=["2 ranges", "3 ranges"])
+    def ranges(self, request):
+        with split_into_ranges(request.param):
+            yield
+
+    @IN_RANGES
+    @given(tables())
+    def test_load_equals_reference_or_both_name_the_same_cell(self, drawn):
+        columns, config, omit_missing = drawn
+        with tempfile.TemporaryDirectory() as dir:
+            for path, format in zip(write_both(Path(dir), columns, omit_missing), ("csv", "jsonl")):
+                assert outcome(load, path, format, config) == outcome(load_reference, path, format, config), format
+
+
+class TestAcrossRanges(TestAcrossBlocks):
+    """TestAcrossBlocks with each file read as 2 or 3 byte ranges, in worker
+    processes; the ranges' columns, dictionaries, inference states and
+    errors must merge to what one reader going through the file gives."""
+
+    @pytest.fixture(autouse=True, params=[2, 3], ids=["2 ranges", "3 ranges"])
+    def ranges(self, request):
+        with split_into_ranges(request.param):
+            yield
+
+    @pytest.mark.parametrize("block_rows", [1, 2, 3])
+    @IN_RANGES
+    @given(drawn=tables())
+    def test_load_equals_reference_with_tiny_blocks(self, block_rows, drawn):
+        columns, config, omit_missing = drawn
+        with tempfile.TemporaryDirectory() as dir, mock.patch.object(ingest, "_BLOCK_ROWS", block_rows):
+            for path, format in zip(write_both(Path(dir), columns, omit_missing), ("csv", "jsonl")):
+                assert outcome(load, path, format, config) == outcome(load_reference, path, format, config), format
+
+    def test_row_error_in_a_later_range_beats_a_cell_error_in_an_earlier_one(self, tmp_path):
+        csv_path = write(tmp_path, "a.csv", "K,X\n1,inf\n" + "1,2\n" * 3000 + "1\n")
+        with pytest.raises(SchemaError, match=r"^row 3003: expected 2 fields, got 1$"):
+            load(csv_path, "csv", self.CONFIG)
+        jsonl_path = write(tmp_path, "a.jsonl", '{"K": 1, "X": NaN}\n' + '{"K": 1, "X": 2}\n' * 3000 + "[1]\n")
+        with pytest.raises(SchemaError, match=r"^row 3002: expected a flat JSON object$"):
+            load(jsonl_path, "jsonl", self.CONFIG)
+
+    @pytest.mark.parametrize("numbers_first", [True, False], ids=["numbers, then texts", "texts, then numbers"])
+    def test_column_categorical_in_one_range_and_numeric_in_another_is_read_again(self, tmp_path, numbers_first):
+        numbers, texts = [i / 4 for i in range(3000)], [f"t{i % 7}" for i in range(3000)]
+        x = numbers + texts if numbers_first else texts + numbers
+        for table in self.load_both(tmp_path, x, reads=2):
+            assert table.spec("X").kind is ColumnKind.CATEGORICAL
+            assert cell(table, "X", 1) == ("0.25" if numbers_first else "t1")
+
+    def test_jsonl_key_first_seen_in_the_last_range(self, tmp_path):
+        lines = [{"K": i, "A": f"a{i % 3}"} for i in range(3000)]
+        lines += [{"K": i, "Late": f"z{i % 5}", "A": "b"} for i in range(1000)]
+        path = write(tmp_path, "a.jsonl", "".join(json.dumps(obj) + "\n" for obj in lines))
+        table = load(path, "jsonl", self.CONFIG)
+        assert table == load_reference(path, "jsonl", self.CONFIG)
+        assert table.column_names == ("K", "A", "Late")
+        assert cell(table, "Late", 2999) is None and cell(table, "Late", 3000) == "z0"
+
+    def test_csv_with_a_quoted_line_end_near_a_boundary_is_one_range(self, tmp_path):
+        rows = [f"{i},x{i % 4}\n" for i in range(1000)]
+        rows[500] = '500,"two\nlines"\n'
+        path = write(tmp_path, "a.csv", "K,X\n" + "".join(rows))
+        with mock.patch("multiprocessing.pool.Pool", side_effect=AssertionError("no pool for a quoted CSV")):
+            table = load(path, "csv", self.CONFIG)
+        assert table == load_reference(path, "csv", self.CONFIG)
+        assert cell(table, "X", 500) == "two\nlines" and table.row_count == 1000
+
+
+class TestRanges:
+    def test_traced_peak_of_the_parent_merging_a_40k_row_day_stays_near_one_block(self, tmp_path):
+        # Workers encode the ranges; the parent holds the table so far and
+        # one range's columns as they arrive: 3.5 to 4.1 MiB traced with 2
+        # or 3 ranges, where one process encoding every block peaks at 7 MiB.
+        config = SchemaConfig(kpi=KpiSpec(column="Lat", kind=KpiKind.CONTINUOUS, threshold=1.0))
+        for path, format in zip(write_both(tmp_path, forty_k_row_day(), True), ("csv", "jsonl")):
+            with mock.patch.object(os, "sched_getaffinity", lambda pid: {0, 1}, create=True):
+                assert len(ingest._ranges(path, format)) == 2, format
+                loaded, peak = traced_load(path, format, config)
+            assert loaded == load_reference(path, format, config), format
+            assert peak < 6 * 2**20, f"{format}: traced peak {peak / 2**20:.1f} MiB"
+
+    @pytest.mark.parametrize("format", ["csv", "jsonl"])
+    def test_a_pipe_is_read_as_it_comes(self, tmp_path, format):
+        rows = [{"K": i, "X": f"x{i % 4}"} for i in range(3000)]
+        if format == "csv":
+            text = "K,X\n" + "".join(f"{r['K']},{r['X']}\n" for r in rows)
+        else:
+            text = "".join(json.dumps(r) + "\n" for r in rows)
+        pipe = tmp_path / "pipe"
+        os.mkfifo(pipe)
+        # the writer's open waits for the reader's; a daemon thread cannot hang the suite
+        threading.Thread(target=pipe.write_text, args=(text,), kwargs={"encoding": "utf-8"}, daemon=True).start()
+        with split_into_ranges(2), no_longer_than(30), \
+                mock.patch("multiprocessing.pool.Pool", side_effect=AssertionError("a pool for a pipe")):
+            table = load(pipe, format, TestAcrossBlocks.CONFIG)
+        assert table == load(write(tmp_path, f"a.{format}", text), format, TestAcrossBlocks.CONFIG)
+        assert table.row_count == 3000
+
+    def test_ranges_cover_the_file_and_end_at_line_ends(self, tmp_path):
+        path = write(tmp_path, "a.jsonl", "".join(f'{{"K": {i}}}\n' for i in range(5000)))
+        data = path.read_bytes()
+        for workers in (2, 3, 7):
+            with split_into_ranges(workers):
+                ranges = ingest._ranges(path, "jsonl")
+            assert len(ranges) == workers
+            assert [a for a, _ in ranges[1:]] == [b for _, b in ranges[:-1]]
+            assert ranges[0][0] == 0 and ranges[-1][1] == len(data)
+            assert all(data[a - 1:a] == b"\n" for a, _ in ranges[1:])
+
+    def test_a_range_is_at_least_the_floor(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+        path = write(tmp_path, "a.csv", "K\n" + "1\n" * (ingest._RANGE_BYTES // 2 * 3))
+        assert len(ingest._ranges(path, "csv")) == 3
+        path.write_text('"K"\n' + "1\n" * (ingest._RANGE_BYTES // 2 * 3))
+        assert len(ingest._ranges(path, "csv")) == 1
+
+    def test_a_small_file_is_loaded_without_a_pool(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+        path = write(tmp_path, "a.csv", "K,X\n" + "1,a\n" * 10_000)
+        with mock.patch("multiprocessing.pool.Pool", side_effect=AssertionError("a pool for a small file")):
+            assert load(path, "csv", TestAcrossBlocks.CONFIG).row_count == 10_000
 
 
 class TestCardinality:

@@ -5,6 +5,7 @@ import importlib.util
 from pathlib import Path
 
 from kpidiag import ingest
+from kpidiag.triage import HistoryStore
 
 TRACED = Path(__file__).resolve().parent.parent / "bench" / "traced.py"
 
@@ -19,3 +20,16 @@ def test_every_patched_function_exists_and_is_restored():
     with traced.instrumented(traced.Tracer("test"), {}):
         assert all(getattr(owner, attr) is not fn for (owner, attr), fn in zip(targets, before))
     assert [getattr(owner, attr) for owner, attr in targets] == before
+
+
+def test_history_hook_counts_every_stored_record(tmp_path):
+    spec = importlib.util.spec_from_file_location("traced", TRACED)
+    traced = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(traced)
+    [hook] = [hook for owner, attr, _, hook in traced._TRACED if attr == "HistoryStore"]
+    path = tmp_path / "history.tsv"
+    lines = [f"2026-08-{d:02d}\tk{k}\t0.5\t3\n" for d in range(1, 29) for k in range(150)]
+    path.write_text("".join(lines[:2000]) + "\n" + "".join(lines[2000:]), encoding="utf-8")
+    counts = {}
+    hook((path,), HistoryStore(path), counts)
+    assert counts == {"triage.history_records": len(lines)}

@@ -1,4 +1,5 @@
 import datetime
+import importlib
 import statistics
 
 import pytest
@@ -13,6 +14,8 @@ from kpidiag.triage import (
 )
 
 D = datetime.date
+# the package's attribute `triage` is the function of that name
+triage_module = importlib.import_module("kpidiag.triage")
 
 
 def rule_for(key_value: str, score: float, count: int = 10) -> Rule:
@@ -287,3 +290,73 @@ class TestHistoryStore:
         assert store.keys_on(D(2026, 1, 3)) == set()
         assert store.run_dates() == [D(2026, 1, d) for d in (2, 5, 7, 9)]
         assert store.run_dates(before=D(2026, 1, 7)) == [D(2026, 1, 2), D(2026, 1, 5)]
+
+
+GOOD = [f"2026-08-0{d}\tk{k}\t0.5\t3" for d in range(1, 4) for k in range(3)]  # 9 lines
+FAULTS = {
+    "field-count": ("2026-08-09\tk\t0.5", "expected 4 tab-separated fields"),
+    "date": ("2026-02-30\tk\t0.5\t3", "run_date field '2026-02-30' is not an ISO date"),
+    "score": ("2026-08-09\tk\thigh\t3", "score field 'high' is not a finite number"),
+    "nan-score": ("2026-08-09\tk\tnan\t3", "score field 'nan' is not a finite number"),
+    "inf-score": ("2026-08-09\tk\t-inf\t3", "score field '-inf' is not a finite number"),
+    "count": ("2026-08-09\tk\t0.5\t3.0", "count field '3.0' is not an integer"),
+    # the same run-date and key as GOOD[0], written another way
+    "duplicate": ("20260801\tk0\t0.7\t3", "duplicate record for 'k0' on 2026-08-01"),
+}
+
+
+class TestHistoryLoadErrors:
+    """The columnar load names the line and field a line-by-line read names."""
+
+    @pytest.mark.parametrize("at", [0, 4, 9], ids=["first", "middle", "last"])
+    @pytest.mark.parametrize("fault", FAULTS)
+    def test_fault_names_its_line_and_field(self, tmp_path, fault, at):
+        bad, named = FAULTS[fault]
+        if fault == "duplicate":
+            at = max(at, 1)  # a record repeats one on an earlier line
+        lines = GOOD[:at] + [bad] + GOOD[at:]
+        path = tmp_path / "history.tsv"
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        with pytest.raises(ValueError) as err:
+            HistoryStore(path)
+        assert str(err.value) == f"{path}:{at + 1}: {named}"
+
+    def test_the_first_faulty_line_wins_over_a_later_one_of_another_kind(self, tmp_path):
+        path = tmp_path / "history.tsv"
+        path.write_text("\n".join([GOOD[0], FAULTS["count"][0], FAULTS["field-count"][0]]) + "\n")
+        with pytest.raises(ValueError, match=r":2: count field"):
+            HistoryStore(path)
+
+    @pytest.mark.parametrize("chunk", [16, 64, 1 << 18])
+    def test_blank_lines_crlf_and_no_final_newline(self, tmp_path, monkeypatch, chunk):
+        monkeypatch.setattr(triage_module, "_CHUNK_BYTES", chunk)
+        path = tmp_path / "history.tsv"
+        text = "\r\n".join([GOOD[0], "", GOOD[1], "  \t ", GOOD[4], "\r", GOOD[8]])
+        path.write_bytes(text.encode("utf-8"))
+        store = HistoryStore(path)
+        assert [(r.run_date, r.predicate_key, r.correlation_score, r.request_count) for r in store.records] == [
+            (D(2026, 8, 1), "k0", 0.5, 3), (D(2026, 8, 1), "k1", 0.5, 3),
+            (D(2026, 8, 2), "k1", 0.5, 3), (D(2026, 8, 3), "k2", 0.5, 3),
+        ]
+        assert store.run_dates() == [D(2026, 8, 1), D(2026, 8, 2), D(2026, 8, 3)]
+        assert store.keys_on(D(2026, 8, 1)) == {"k0", "k1"}
+        # the blank lines still count: the bad line after them is file line 9
+        path.write_bytes((text + "\r\n" + FAULTS["score"][0]).encode("utf-8"))
+        with pytest.raises(ValueError) as err:
+            HistoryStore(path)
+        assert str(err.value) == f"{path}:9: {FAULTS['score'][1]}"
+
+    @pytest.mark.parametrize("chunk", [16, 1 << 18])
+    def test_duplicate_across_chunks(self, tmp_path, monkeypatch, chunk):
+        monkeypatch.setattr(triage_module, "_CHUNK_BYTES", chunk)
+        path = tmp_path / "history.tsv"
+        path.write_text("".join(line + "\n" for line in GOOD + ["2026-08-01\tk2\t9.0\t1"]))
+        with pytest.raises(ValueError) as err:
+            HistoryStore(path)
+        assert str(err.value) == f"{path}:10: duplicate record for 'k2' on 2026-08-01"
+
+    def test_scores_and_counts_parse_as_float_and_int_do(self, tmp_path):
+        path = tmp_path / "history.tsv"
+        path.write_text("2026-08-01\tk\t 1_5.25 \t +7 \n", encoding="utf-8")
+        [rec] = HistoryStore(path).records
+        assert (rec.correlation_score, rec.request_count) == (15.25, 7)
