@@ -12,13 +12,24 @@ per distinct value while it has at most QUANTILE_BINS of them, which keeps
 the search exact, and else QUANTILE_BINS global equal-frequency bins. A
 categorical column gets one bin per category that passes the min_rows test
 on the whole table, and one rest bin, never a candidate, for the others: a
-category that fails on all rows fails in every node. A node is its row ids;
-per feature it counts rows and sums targets per bin. A cut after a bin the
+category that fails on all rows fails in every node. A cut after a bin the
 node holds is thresholded at the midpoint of that bin's highest value and
 the lowest value of the node's next bin, so the threshold selects exactly
-the rows the tree counts. Trees grow in forked workers, one per CPU the
-process may run on, unless the forest is too small to repay their start;
-the output does not depend on the worker count.
+the rows the tree counts.
+
+A node is its row ids. Each tree stacks its drawn features' bins as keys
+of one array; a node gathers its rows' keys and targets into buffers that
+every node of the tree reuses, counts rows and sums targets per key for
+all features with one pair of bincounts, and scores every cut at once.
+After a split only the smaller child is counted: the larger child's
+histogram is its parent's minus the smaller one's (LightGBM's
+subtraction). Counts and 0/1 targets subtract exactly; regression sums
+round differently from a direct count, so a node whose best gain lies
+within a derived rounding bound of the runner-up's, or of zero, is counted
+again, and every split is the one a direct count gives. Trees grow in
+forked workers, one per CPU the process may run on, unless the forest is
+too small to repay their start; the output does not depend on the worker
+count.
 
 Models serialize to a line-oriented text dump that parses back losslessly:
 
@@ -45,8 +56,16 @@ from .model import ColumnKind, Predicate, PredicateOp
 QUANTILE_BINS = 256
 # Below this many split searches (see train) the trees grow in-process: a
 # pool's start and per-tree transfers cost more than a second CPU saves.
-# Measured crossover on 2 CPUs: 2,400-3,200, on 20- to 3,000-row tables.
-_POOL_SEARCHES = 3000
+# Measured crossover on 2 CPUs: 1,300-1,600, on 20- to 3,000-row tables.
+_POOL_SEARCHES = 1500
+_U = 2.0**-53  # unit roundoff of float64
+# Most cells (features x rows) one pair of bincounts takes; a larger node
+# goes through its features in groups. At this size the gather buffers and
+# bincount's own intp copy of the keys stay in reused heap pages: one
+# training on latency-train's table takes about 1,000 minor page faults in
+# one process, and 2,200 at 1 << 21.
+_GATHER_CELLS = 1 << 16
+_UNSURE = object()  # _TreeSearch.split: the rounding bound covers another winner
 
 
 class TargetKind(Enum):
@@ -160,6 +179,7 @@ class _TrainingData:
             if not math.isfinite(bound * bound):
                 raise SchemaError("regression target is too large: split sums overflow")
         self.bins: dict[str, np.ndarray] = {}
+        self.widths: dict[str, int] = {}
         self.categories: dict[str, tuple[str, ...]] = {}  # of each bin but the rest bin
         self.bounds: dict[str, tuple[np.ndarray, np.ndarray]] = {}  # lowest, highest value per bin
         for name in features:
@@ -170,57 +190,32 @@ class _TrainingData:
                 cnt = np.bincount(codes)
                 ok = (cnt >= min_rows) & (self.n - cnt >= min_rows)
                 self.categories[name] = tuple(table.categories(name)[c] for c in ok.nonzero()[0])
-                bins, width = np.where(ok, ok.cumsum() - 1, ok.sum())[codes], ok.sum() + 1
+                bins, width = np.where(ok, ok.cumsum() - 1, ok.sum())[codes], int(ok.sum()) + 1
             else:
                 vals = table.values(name)
                 _require_finite(vals, f"feature {name!r}")
                 bins, *self.bounds[name] = _bin_continuous(vals)
                 width = self.bounds[name][0].size
             self.bins[name] = bins.astype(np.uint8 if width <= 256 else np.int32)
-        self._scratch = np.empty((3, self.n))  # candidate gain terms
+            self.widths[name] = width
+        self.recounts = 0  # subtracted histograms that _grow_tree's guard counted again
+        self._buffers: dict[str, np.ndarray] = {}
+
+    def buffer(self, name: str, shape, dtype) -> np.ndarray:
+        """An uninitialized array that every tree this process grows, one at a
+        time, reuses: a new allocation per tree would fault its pages in again."""
+        nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+        if name not in self._buffers or self._buffers[name].size < nbytes:
+            self._buffers[name] = np.empty(nbytes, np.uint8)
+        return self._buffers[name][:nbytes].view(dtype).reshape(shape)
 
     def best_split(self, idx, features: Sequence[str]):
-        """Max-gain (gain, predicate, bin) over all features, or None if no
-        gain is > 0; the left child is the bin (categorical) or the bins above
-        it (continuous). Children under min_rows are rejected; ties break
-        toward the smallest attribute name, then category/threshold."""
+        """One node's best split from a direct count: see _TreeSearch.split."""
         if idx.size == 0:
             raise ValueError("best_split on an empty node")
-        n, min_rows = idx.size, self.min_rows
+        search = _TreeSearch(self, features)
         y_node = self.y.take(idx)
-        y_sum = float(y_node.sum())
-        best = None
-        for name in sorted(features):
-            cats = self.categories.get(name)
-            if cats == ():
-                continue
-            node_bins = self.bins[name].take(idx)
-            cnt = np.bincount(node_bins)
-            wsum = np.bincount(node_bins, weights=y_node)
-            if cats is not None:
-                cnt, wsum = cnt[: len(cats)], wsum[: len(cats)]
-                cand = ((cnt >= min_rows) & (n - cnt >= min_rows)).nonzero()[0]
-                nl, wl = cnt[cand], wsum[cand]
-            else:  # a cut after a bin the node holds sends the bins above it left
-                held = cnt.nonzero()[0]
-                below = cnt[held].cumsum()[:-1]
-                lo = int(below.searchsorted(min_rows, side="left"))
-                hi = int(below.searchsorted(n - min_rows, side="right"))
-                cand = held[lo:hi]
-                nl, wl = n - below[lo:hi], y_sum - wsum[held].cumsum()[lo:hi]
-            found = self._best_gain(n, nl.astype(np.float64), wl, y_sum) if nl.size else None
-            if found is None or found[0] <= (0.0 if best is None else best[0]):
-                continue
-            b = int(cand[found[1]])
-            if cats is not None:
-                best = found[0], Predicate.equals(name, cats[b]), b
-                continue
-            lo_v, hi_v = self.bounds[name][1][b], self.bounds[name][0][held[lo + found[1] + 1]]
-            threshold = lo_v + (hi_v - lo_v) / 2.0
-            # Adjacent representable floats can round the midpoint up to hi,
-            # which would misplace hi on the wrong side; fall back to lo.
-            best = found[0], Predicate.greater_than(name, float(threshold if threshold < hi_v else lo_v)), b
-        return best
+        return search.split(search.count(idx, y_node), idx.size, float(y_node.sum()))
 
     def partition(self, idx, predicate: Predicate, b: int):
         """The left (predicate true) and right child's rows."""
@@ -228,11 +223,109 @@ class _TrainingData:
         mask = bins == b if predicate.op is PredicateOp.EQUALS else bins > b
         return np.compress(mask, idx), np.compress(~mask, idx)
 
-    def _best_gain(self, n: int, nl: np.ndarray, wl: np.ndarray, y_sum: float):
-        """(gain, index) of the best candidate, from left row counts nl (in
-        [1, n - 1]) and left target sums wl; overwrites both."""
+
+class _TreeSearch:
+    """One tree's split search: histograms over all its drawn features.
+
+    Each feature's bins become keys in one [features, rows] array: the
+    continuous features first, each padded to the widest one's bin count so
+    that their histograms reshape to one row per feature, then the
+    categorical ones end to end. A histogram holds each key's row count and
+    target sum over a node's rows, as a [2, keys] array.
+    """
+
+    def __init__(self, td: _TrainingData, features: Sequence[str]):
+        self.td = td
+        names = sorted(f for f in features if td.categories.get(f) != ())
+        self.cont = [f for f in names if f in td.bounds]
+        self.cat = [f for f in names if f not in td.bounds]
+        self.width = max((td.widths[f] for f in self.cont), default=0)
+        widths = [self.width] * len(self.cont) + [td.widths[f] for f in self.cat]
+        self.starts = np.cumsum([0] + widths)  # each feature's first key, then the key count
+        self.cont_size, self.size = len(self.cont) * self.width, int(self.starts[-1])
+        self.keys = td.buffer("keys", (len(names), td.n), np.uint16 if self.size <= 1 << 16 else np.int32)
+        self.order = np.empty(self.size, np.intp)  # rank in (attribute name, bin) order
+        self.named = np.ones(self.size - self.cont_size, bool)  # categorical keys but rest bins
+        for row, name, start, width in zip(self.keys, self.cont + self.cat, self.starts, widths):
+            row[:] = td.bins[name]
+            row += int(start)
+            self.order[start : start + width] = names.index(name) * self.size + np.arange(width)
+            if name in td.categories:
+                self.named[start + width - 1 - self.cont_size] = False
+        # a node's keys and targets, gathered for its bincounts
+        cells = max(1, min(len(names), _GATHER_CELLS // td.n)) * td.n
+        self._keys = td.buffer("gathered keys", (cells,), self.keys.dtype)
+        self._weights = td.buffer("gathered targets", (cells,), np.float64)
+        self._scratch = np.empty((3, self.size))  # candidate gain terms
+
+    def count(self, idx, y_node) -> np.ndarray:
+        """The histogram of the rows idx, whose targets are y_node."""
+        m, hist = idx.size, np.empty((2, self.size))
+        group = max(1, min(len(self.keys), self._keys.size // m))
+        weights = self._weights[: group * m]
+        weights.reshape(group, m)[:] = y_node
+        for f in range(0, len(self.keys), group):
+            g = min(group, len(self.keys) - f)
+            keys, lo, hi = self._keys[: g * m], self.starts[f], self.starts[f + g]
+            np.take(self.keys[f : f + g], idx, axis=1, out=keys.reshape(g, m), mode="clip")
+            hist[0, lo:hi] = np.bincount(keys, minlength=hi)[lo:]
+            hist[1, lo:hi] = np.bincount(keys, weights[: g * m], minlength=hi)[lo:]
+        return hist
+
+    def split(self, hist, n: int, y_sum: float, tol: float = 0.0):
+        """The best split of the node of n rows, target sum y_sum, whose
+        histogram this is: (gain, predicate, bin), or None if no gain is > 0.
+
+        The left child is the bin (categorical) or the bins above it
+        (continuous). Children under min_rows are rejected; ties break toward
+        the smallest attribute name, then category/threshold. With tol > 0,
+        the histogram's gains may each be off by tol, and _UNSURE comes back
+        when that could change the winner or the sign of its gain.
+        """
+        min_rows = self.td.min_rows
+        cont = hist[:, : self.cont_size].reshape(2, len(self.cont), self.width)
+        below = cont.cumsum(axis=2)  # in each bin and the bins under it
+        cuts = (cont[0] > 0) & (below[0] >= min_rows) & (below[0] <= n - min_rows)
+        cnt, wsum = hist[:, self.cont_size :]
+        picks = self.named & (cnt >= min_rows) & (cnt <= n - min_rows)
+        keys = np.concatenate((cuts.ravel().nonzero()[0], self.cont_size + picks.nonzero()[0]))
+        if keys.size == 0:
+            return None
+        gains = self._gains(
+            n,
+            np.concatenate((n - below[0][cuts], cnt[picks])),
+            np.concatenate((y_sum - below[1][cuts], wsum[picks])),
+            y_sum,
+        )
+        top = gains.max()
+        ties = (gains == top).nonzero()[0]
+        i = int(ties[self.order.take(keys.take(ties)).argmin()])
+        if tol:
+            gains[i] = -np.inf
+            if abs(top) <= tol or top - gains.max(initial=-np.inf) <= 2 * tol:
+                return _UNSURE
+        if top <= 0.0:
+            return None
+        key, gain = int(keys[i]), float(top)
+        if key >= self.cont_size:
+            f = int(self.starts.searchsorted(key, side="right")) - 1
+            b = key - int(self.starts[f])
+            name = self.cat[f - len(self.cont)]
+            return gain, Predicate.equals(name, self.td.categories[name][b]), b
+        f, b = divmod(key, self.width)
+        name = self.cont[f]
+        lo_v = self.td.bounds[name][1][b]
+        hi_v = self.td.bounds[name][0][b + 1 + int(cont[0, f, b + 1 :].nonzero()[0][0])]
+        threshold = lo_v + (hi_v - lo_v) / 2.0
+        # Adjacent representable floats can round the midpoint up to hi,
+        # which would misplace hi on the wrong side; fall back to lo.
+        return gain, Predicate.greater_than(name, float(threshold if threshold < hi_v else lo_v)), b
+
+    def _gains(self, n: int, nl: np.ndarray, wl: np.ndarray, y_sum: float) -> np.ndarray:
+        """Each candidate's gain, from left row counts nl (in [1, n - 1]) and
+        left target sums wl; overwrites both."""
         s2, s3, s4 = (row[: nl.size] for row in self._scratch)
-        if self.kind is TargetKind.CLASSIFICATION:
+        if self.td.kind is TargetKind.CLASSIFICATION:
             parent = _weighted_entropy(np.array([y_sum]), np.array([float(n)]), *np.empty((2, 1)))[0]
             np.subtract(y_sum, wl, out=s4)  # right-side positives
             gains = _weighted_entropy(wl, nl, s2, s3)
@@ -251,25 +344,70 @@ class _TrainingData:
             gains += right
             gains /= n
             gains -= (y_sum / n) ** 2
-        i = int(gains.argmax())
-        return (float(gains[i]), i) if np.isfinite(gains[i]) else None
+        return gains
 
 
 def _grow_tree(td: _TrainingData, features: Sequence[str]) -> list:
     """The tree's nodes as (row_count, metric, split) in preorder: unlike
-    nested TreeNodes, a flat list pickles at any depth."""
+    nested TreeNodes, a flat list pickles at any depth.
+
+    A node that can split carries its histogram. After a split only the
+    smaller child is counted; the larger child's histogram is its parent's
+    minus the smaller one's. Counts and 0/1 target sums subtract exactly.
+    Regression target sums do not, so a subtracted histogram carries err, a
+    bound on how far its target sums are off the exact ones (summed over
+    each feature's keys), and its node is counted again when that could
+    change the split.
+    """
+    search = _TreeSearch(td, features)
     nodes = []
-    stack = [np.arange(td.n)]
+    rows = np.arange(td.n)
+    stack = [(rows, search.count(rows, td.y) if td.n >= 2 * td.min_rows else None, None)]
     while stack:
-        idx = stack.pop()
-        found = td.best_split(idx, features) if idx.size >= 2 * td.min_rows else None
-        nodes.append((idx.size, float(td.y.take(idx).mean()), None if found is None else found[1]))
+        idx, hist, err = stack.pop()
+        m, y_node = idx.size, td.y.take(idx)
+        y_sum = float(y_node.sum())
+        found = s = None
+        if hist is not None:
+            tol = 0.0
+            if td.kind is TargetKind.REGRESSION:
+                magnitudes = np.abs(y_node)
+                s, y_max = float(magnitudes.sum()), float(magnitudes.max())
+            if err is not None:
+                # How far each gain can lie from a direct count's, with u the
+                # unit roundoff, s the node's sum of |y| and y_max its largest
+                # |y|. Per feature, a direct count's target sums are off by at
+                # most 2*m*u*s in all and this histogram's by err. Reading a
+                # left or right sum through the cumsum over at most `width`
+                # bins and the subtractions from y_sum adds (4*width + 4)*u*s,
+                # so the two read each sum at most delta apart. A gain term
+                # sum**2 / (rows * m), with |sum| <= rows * y_max, then moves by
+                # at most 2*(y_max + delta)*delta/m, and either side rounds the
+                # gain by at most 8u*(y_max + delta)*(s + delta)/m: the gains
+                # differ by at most (y_max + delta)*(4*delta + 16u*(s + delta))/m,
+                # doubled here for second-order terms.
+                delta = err + (2 * m + 4 * search.width + 4) * _U * s
+                tol = 2 * (y_max + delta) * (4 * delta + 16 * _U * (s + delta)) / m
+            found = search.split(hist, m, y_sum, tol)
+            if found is _UNSURE:
+                td.recounts += 1
+                hist, err = search.count(idx, y_node), None
+                found = search.split(hist, m, y_sum)
+        nodes.append((m, y_sum / m, None if found is None else found[1]))
         if found is None:
             continue
         left, right = td.partition(idx, found[1], found[2])
         if min(left.size, right.size) < td.min_rows:  # would regrow its parent forever
             raise RuntimeError(f"split {found[1]} leaves a child under {td.min_rows} rows")
-        stack += (right, left)
+        small, large = (left, right) if left.size <= right.size else (right, left)
+        h_small = h_large = None
+        if large.size >= 2 * td.min_rows:
+            h_small = search.count(small, td.y.take(small))
+            h_large = np.subtract(hist, h_small, out=hist)
+            if s is not None:  # a subtraction's rounding, plus both operands' error
+                err = (2 * m * _U * s if err is None else err) + (2 * small.size + 1) * _U * s
+        children = [(small, h_small if small.size >= 2 * td.min_rows else None, None), (large, h_large, err)]
+        stack += children[::-1] if small is left else children
     return nodes
 
 

@@ -10,6 +10,7 @@ names the KPI column; undeclared columns get inferred kinds.
 from __future__ import annotations
 
 import bisect
+import contextlib
 import csv
 import functools
 import io
@@ -208,12 +209,20 @@ def load(path, format: str, schema_config: SchemaConfig) -> LogTable:
     fails at its line; a bad cell fails once the whole file is read, in the
     first column that has one. An undeclared column that turns categorical
     after a block or range of numbers has lost those cells, so the file is
-    read once more.
+    read once more; a pipe cannot be, so there that is a SchemaError naming
+    the column and the line where it turned. Bytes that are not UTF-8 are a
+    SchemaError naming their line and offset in the file.
     """
     if format not in ("csv", "jsonl"):
         raise ConfigError(f"unknown input format: {format!r}")
     columns, row_count = _encode(path, format, schema_config, frozenset())
     if flipped := frozenset(c.name for c in columns if c.flipped):
+        if not stat.S_ISREG(os.stat(path).st_mode):
+            turned = min((c for c in columns if c.flipped), key=lambda c: c.flipped)
+            raise SchemaError(
+                f"row {turned.flipped}: column {turned.name!r} turns categorical after numbers, and "
+                f"a pipe cannot be read again; declare the column's kind in the config"
+            )
         del columns  # not held while the file is read again
         columns, row_count = _encode(path, format, schema_config, flipped)
     if error := next(filter(None, (c.parse_error or c.finite_error for c in columns)), None):
@@ -338,7 +347,7 @@ class _Column:
         self.missing = missing  # missing rows not yet in chunks, all after the chunks
         self.chunks: list[np.ndarray] = []
         self.index: dict[str | None, int] = {None: 0}
-        self.flipped = False  # turned categorical after a block of numbers
+        self.flipped = None  # the line where it turned categorical after numbers
         self.parse_error = self.finite_error = None
 
     def add(self, cells: Sequence, lines: Sequence[int]) -> None:
@@ -355,7 +364,8 @@ class _Column:
                 except ValueError:
                     state = None
             if state is None or self.state not in (None, state):
-                self.flipped = self.state is not None
+                if self.state is not None:
+                    self.flipped = next(line for v, line in zip(cells, lines) if not self._fits(v))
                 self.kind = ColumnKind.CATEGORICAL
             else:
                 self.state = state
@@ -380,7 +390,8 @@ class _Column:
             if getattr(self, attr) is None and (error := getattr(other, attr)):
                 setattr(self, attr, (error[0] + lines, error[1]))
         if other.flipped or self.chunks and (self.kind, self.state) != (other.kind, other.state):
-            self.kind, self.flipped = ColumnKind.CATEGORICAL, True
+            # where the other range turned, or else where it starts
+            self.kind, self.flipped = ColumnKind.CATEGORICAL, self.flipped or lines + (other.flipped or 1)
         if self.flipped:
             return
         continuous = (other.kind or ColumnKind.CONTINUOUS) is ColumnKind.CONTINUOUS
@@ -392,6 +403,20 @@ class _Column:
             return
         remap = self._intern(other.index)
         self.chunks += [remap[codes] for codes in other.chunks]
+
+    def _fits(self, v) -> bool:
+        """Whether a cell is missing or of the undeclared column's state so far."""
+        if v is None:
+            return True
+        if self.state is _NUMBERS:
+            return type(v) in (int, float)
+        if type(v) is not str:
+            return False
+        try:
+            float(v)
+        except ValueError:
+            return False
+        return True
 
     def _pad(self, continuous: bool) -> None:
         """Move the pending missing rows into chunks."""
@@ -476,10 +501,33 @@ class _ByteRange(io.RawIOBase):
         super().close()
 
 
+class _Counted(io.BufferedReader):
+    """A buffered stream that counts the bytes and line ends it hands out."""
+
+    handed = newlines = 0
+
+    def read1(self, size: int = -1) -> bytes:
+        data = super().read1(size)
+        self.handed += len(data)
+        self.newlines += data.count(b"\n")
+        return data
+
+
 def _text(path, span: tuple[int, int | None], newline: str | None) -> io.TextIOWrapper:
-    if span[1] is None:
-        return open(path, encoding="utf-8", newline=newline)
-    return io.TextIOWrapper(io.BufferedReader(_ByteRange(path, span)), encoding="utf-8", newline=newline)
+    raw = io.FileIO(path) if span[1] is None else _ByteRange(path, span)
+    return io.TextIOWrapper(_Counted(raw), encoding="utf-8", newline=newline)
+
+
+@contextlib.contextmanager
+def _utf8(f: io.TextIOWrapper, start: int):
+    """Reading f, a byte range's text from file offset `start`: bytes that are
+    not UTF-8 are a _RowError naming their line and file offset."""
+    try:
+        yield
+    except UnicodeDecodeError as e:  # e.object: the tail of the bytes f took in
+        line = f.buffer.newlines - e.object.count(b"\n", e.start) + 1
+        at = start + f.buffer.handed - len(e.object) + e.start
+        raise _RowError(line, f"byte 0x{e.object[e.start]:02x} at offset {at} of the file is not UTF-8") from None
 
 
 def _read_csv(path, span: tuple[int, int | None], schema_config: SchemaConfig, part: _Part):
@@ -487,7 +535,7 @@ def _read_csv(path, span: tuple[int, int | None], schema_config: SchemaConfig, p
     start, cells per column with None for an empty cell). The first range
     reads and checks the header; a later one, of a file without quotes, takes
     it from the file's first line."""
-    with _text(path, span, newline="") as f:
+    with _text(path, span, newline="") as f, _utf8(f, span[0]):
         reader = csv.reader(f)
         end = 0
         try:
@@ -532,7 +580,7 @@ def _read_jsonl(path, span: tuple[int, int | None], schema_config: SchemaConfig,
     seen = part.seen = {schema_config.kpi.column}  # and every key some line carries
     lines, records = [], []
     line_no = 0
-    with _text(path, span, newline=None) as f:
+    with _text(path, span, newline=None) as f, _utf8(f, span[0]):
         for line_no, line in enumerate(f, start=1):
             if not line.strip():
                 continue

@@ -260,6 +260,71 @@ def test_every_split_node_is_the_best_split_of_its_rows(classification):
     assert checked >= 60
 
 
+def _tie_table(features, targets):
+    """240 rows whose gains tie exactly below the root: two copies of each
+    column, or a category T that holds exactly the rows above a threshold of
+    X. G's larger effect splits the root, so the ties recur in its children.
+    Targets: 0/1 labels, two decimals, integers, or magnitudes spanning 12
+    decades."""
+    rng = np.random.default_rng(31)
+    n = 240
+    x = rng.integers(0, 12, n).astype(float)
+    g = rng.integers(0, 3, n)
+    columns = {"X": ("cont", list(x)), "G": ("cat", [f"g{v}" for v in g])}
+    if features == "duplicated columns":
+        columns |= {"H": columns["G"], "Y": columns["X"]}
+    else:
+        columns["T"] = ("cat", ["hi" if v > 8 else f"lo{rng.integers(0, 2)}" for v in x])
+    effect = 3.0 * (g == 1) + (x > 8)
+    if targets == "binary":
+        y = rng.random(n) < 0.1 + 0.2 * effect
+    elif targets == "decimals":
+        y = np.round(rng.lognormal(size=n) + effect, 2)
+    elif targets == "integers":
+        y = rng.integers(0, 4, n) + 2.0 * effect
+    else:
+        y = 10.0 ** rng.uniform(-6.0, 6.0, n) * (1.0 + effect)
+    return make_table(columns), y
+
+
+@pytest.mark.parametrize("targets", ["binary", "decimals", "integers", "wide range"])
+@pytest.mark.parametrize("features", ["duplicated columns", "category = threshold"])
+def test_subtracted_histograms_split_as_the_oracle_on_exact_ties(features, targets):
+    # Subtracted regression sums round unlike a direct count; where that could
+    # change a split, the guard counts the node again. 0/1 sums are exact.
+    table, y = _tie_table(features, targets)
+    names = [s.name for s in table.feature_columns()]
+    td = forest._TrainingData(table, names, y, 3)
+    tree = forest._assemble(forest._grow_tree(td, sorted(names)))
+    checked = 0
+    for node, rows in _split_nodes_with_rows(tree, table):
+        assert node.row_count == rows.size
+        assert node.split == best_split(table, y, min_rows_in_leaf=3, idx=rows).predicate
+        checked += 1
+    assert checked >= 15
+    assert (td.recounts > 0) == (targets != "binary")
+
+
+def test_guard_recounts_are_rare_on_a_latency_train_table():
+    # the benchmark's latency-train shape: 20k rows, 12 categorical and 8
+    # lognormal attributes, 20 trees of 12 features, min_rows 200
+    cards = (10, 10, 20, 50, 100, 200, 500, 1000, 2000, 5000, 10000, 10000)
+    attrs = tuple(AttributeSpec(f"C{i}", ColumnKind.CATEGORICAL, cardinality=c) for i, c in enumerate(cards))
+    attrs += tuple(AttributeSpec(f"X{i}", ColumnKind.CONTINUOUS, distribution="lognormal") for i in range(8))
+    kpi = KpiProfile(column="Latency", kind=KpiKind.CONTINUOUS, mu=0.0, sigma=1.0)
+    fault = FaultSpec(trigger=(Predicate.equals("C2", attrs[2].value(7)),), shift=50.0)
+    table, _ = generate(GeneratorConfig(attrs, 20_000, kpi, (fault,), seed=3), datetime.date(2026, 8, 10))
+    names = [s.name for s in table.feature_columns()]
+    td = forest._TrainingData(table, names, table.values("Latency"), 200)
+    rng = np.random.default_rng(0)
+    splits = 0
+    for _ in range(20):
+        subset = sorted(rng.choice(names, size=12, replace=False))
+        splits += sum(split is not None for _, _, split in forest._grow_tree(td, subset))
+    assert splits > 1000
+    assert td.recounts <= splits // 50
+
+
 def _walk(node):
     yield node
     if not node.is_leaf:
@@ -688,13 +753,13 @@ class TestWorkers:
         assert dump_text(train(table, y, hp)) == in_process
 
     def test_small_forest_grows_without_a_pool(self, monkeypatch):
-        # 50 trees x 2 features x 20 leaves is under the floor
+        # 30 trees x 2 features x 20 leaves is under the floor
         rng = np.random.default_rng(0)
         table = make_table({f"F{i}": ("cont", list(rng.normal(size=20))) for i in range(3)})
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
         monkeypatch.setattr("multiprocessing.pool.Pool", _no_pool)
-        model = train(table, rng.normal(size=20), Hyperparams(min_rows_in_leaf=1, num_trees=50))
-        assert len(model.trees) == 50
+        model = train(table, rng.normal(size=20), Hyperparams(min_rows_in_leaf=1, num_trees=30))
+        assert len(model.trees) == 30
 
 
 def _no_pool(*args, **kwargs):

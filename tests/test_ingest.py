@@ -538,6 +538,38 @@ class TestRanges:
         assert table == load(write(tmp_path, f"a.{format}", text), format, TestAcrossBlocks.CONFIG)
         assert table.row_count == 3000
 
+    @pytest.mark.parametrize("format", ["csv", "jsonl"])
+    def test_a_column_that_turns_categorical_in_a_pipe_is_an_error(self, tmp_path, format):
+        # a file is read again with X categorical; a pipe cannot be
+        if format == "csv":
+            text = "K,X\n" + "".join(f"{i},{i / 4}\n" for i in range(5000)) + "5000,abc\n5001,2\n"
+        else:
+            text = "".join(json.dumps({"K": i, "X": i / 4}) + "\n" for i in range(5000))
+            text += '{"K": 5000, "X": "abc"}\n{"K": 5001, "X": 2}\n'
+        line = text.count("\n") - 1
+        pipe = tmp_path / "pipe"
+        os.mkfifo(pipe)
+        threading.Thread(target=pipe.write_text, args=(text,), kwargs={"encoding": "utf-8"}, daemon=True).start()
+        message = rf"^row {line}: column 'X' turns categorical after numbers, .* declare the column's kind"
+        with no_longer_than(30), pytest.raises(SchemaError, match=message):
+            load(pipe, format, TestAcrossBlocks.CONFIG)
+
+    @pytest.mark.parametrize("ranges", [1, 2])
+    @pytest.mark.parametrize("format", ["csv", "jsonl"])
+    def test_bytes_that_are_not_utf8_name_their_line_and_file_offset(self, tmp_path, format, ranges):
+        # a long first line puts line 2 in the second of 2 ranges
+        if format == "csv":
+            data = b"K," + b"X" * 40 + b"\n1,a\xffb\n2,c\n"
+        else:
+            data = b'{"K": 1, "X": "' + b"a" * 40 + b'"}\n{"K": 2, "X": "b\xff"}\n{"K": 3, "X": "c"}\n'
+        path = tmp_path / f"a.{format}"
+        path.write_bytes(data)
+        offset = data.index(b"\xff")
+        with split_into_ranges(ranges):
+            assert [a for a, _ in ingest._ranges(path, format)] == [0, data.index(b"\n") + 1][:ranges]
+            with pytest.raises(SchemaError, match=rf"^row 2: byte 0xff at offset {offset} of the file is not UTF-8$"):
+                load(path, format, TestAcrossBlocks.CONFIG)
+
     def test_ranges_cover_the_file_and_end_at_line_ends(self, tmp_path):
         path = write(tmp_path, "a.jsonl", "".join(f'{{"K": {i}}}\n' for i in range(5000)))
         data = path.read_bytes()
