@@ -1,16 +1,17 @@
 """Command-line interface.
 
-    kpidiag diagnose --config run.json --input logs.csv --history hist.tsv --out outdir
-    kpidiag generate --config gen.json --out datadir --date 2026-08-10
+    kpidiag diagnose --config run.json --input logs.csv --history hist.tsv --out outdir [--date D]
+    kpidiag generate --config gen.json --out datadir [--date D]
     kpidiag train    --config run.json --input logs.csv --out outdir
-    kpidiag extract  --config run.json --input logs.csv --model outdir/model.txt --out outdir
-    kpidiag triage   --config run.json --rules outdir/rules.json --history hist.tsv --out outdir
+    kpidiag extract  --config run.json --input logs.csv --model outdir/model.txt --out outdir [--date D]
+    kpidiag triage   --config run.json --rules outdir/rules.json --history hist.tsv --out outdir [--date D]
     kpidiag eval     --report outdir/report.json --manifest datadir/manifest.json
     kpidiag dump-model --model outdir/model.txt
 
 diagnose exits 0 when nothing is new or regressed, 2 when something is,
 1 on error, a usage error included; it prints the JSON report to stdout.
-Run settings come only from the --config file.
+Run settings come only from the --config file. D is an ISO date, today by
+default.
 """
 
 from __future__ import annotations
@@ -27,60 +28,24 @@ from .errors import ConfigError, DumpParseError, StageError
 from .ingest import write_csv
 
 
-def _date_arg(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--date",
-        type=datetime.date.fromisoformat,
-        default=datetime.date.today(),
-        help="run date (default: today)",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kpidiag",
         description="Diagnose and triage KPI regressions from structured service logs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("diagnose", help="run the full pipeline")
-    p.add_argument("--config", required=True)
-    p.add_argument("--input", required=True)
-    p.add_argument("--history", required=True)
-    p.add_argument("--out", required=True)
-    _date_arg(p)
-
-    p = sub.add_parser("generate", help="generate synthetic logs plus a truth manifest")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", required=True)
-    _date_arg(p)
-
-    p = sub.add_parser("train", help="prepare data and train the forest")
-    p.add_argument("--config", required=True)
-    p.add_argument("--input", required=True)
-    p.add_argument("--out", required=True)
-
-    p = sub.add_parser("extract", help="mine rules from a trained model dump")
-    p.add_argument("--config", required=True)
-    p.add_argument("--input", required=True)
-    p.add_argument("--model", required=True)
-    p.add_argument("--out", required=True)
-    _date_arg(p)
-
-    p = sub.add_parser("triage", help="triage mined rules against history and report")
-    p.add_argument("--config", required=True)
-    p.add_argument("--rules", required=True)
-    p.add_argument("--history", required=True)
-    p.add_argument("--out", required=True)
-    _date_arg(p)
-
-    p = sub.add_parser("eval", help="precision of a report against a truth manifest")
-    p.add_argument("--report", required=True)
-    p.add_argument("--manifest", required=True)
-
-    p = sub.add_parser("dump-model", help="validate and print a model dump")
-    p.add_argument("--model", required=True)
-
+    for name, (summary, flags, _) in _COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        for flag in flags.split():
+            if flag == "date":
+                p.add_argument(
+                    "--date",
+                    type=datetime.date.fromisoformat,
+                    default=datetime.date.today(),
+                    help="run date (default: today)",
+                )
+            else:
+                p.add_argument(f"--{flag}", required=True)
     return parser
 
 
@@ -150,14 +115,15 @@ def _cmd_dump_model(args) -> int:
     return 0
 
 
+# each sub-command's help, its flags (all required but --date) and its handler
 _COMMANDS = {
-    "diagnose": _cmd_diagnose,
-    "generate": _cmd_generate,
-    "train": _cmd_train,
-    "extract": _cmd_extract,
-    "triage": _cmd_triage,
-    "eval": _cmd_eval,
-    "dump-model": _cmd_dump_model,
+    "diagnose": ("run the full pipeline", "config input history out date", _cmd_diagnose),
+    "generate": ("generate synthetic logs plus a truth manifest", "config out date", _cmd_generate),
+    "train": ("prepare data and train the forest", "config input out", _cmd_train),
+    "extract": ("mine rules from a trained model dump", "config input model out date", _cmd_extract),
+    "triage": ("triage mined rules against history and report", "config rules history out date", _cmd_triage),
+    "eval": ("precision of a report against a truth manifest", "report manifest", _cmd_eval),
+    "dump-model": ("validate and print a model dump", "model", _cmd_dump_model),
 }
 
 
@@ -167,7 +133,7 @@ def main(argv=None) -> int:
     except SystemExit as e:  # argparse exits 0 after --help and 2 on a usage error
         return 0 if e.code == 0 else 1
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][2](args)
     except (StageError, ConfigError, DumpParseError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

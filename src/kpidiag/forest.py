@@ -37,11 +37,12 @@ Models serialize to a line-oriented text dump that parses back losslessly:
     <indent><attr>=<value>|<attr>><threshold>|LEAF \t <row_count> \t <metric>
 
 with two spaces of indent per depth level and children in left (predicate
-true) then right order.
+true) then right order. A line ends at "\n" only.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -50,7 +51,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DumpParseError, SchemaError
-from .ingest import LogTable, worker_count
+from .ingest import LogTable, forked_map, worker_count
 from .model import ColumnKind, Predicate, PredicateOp
 
 QUANTILE_BINS = 256
@@ -208,14 +209,6 @@ class _TrainingData:
         if name not in self._buffers or self._buffers[name].size < nbytes:
             self._buffers[name] = np.empty(nbytes, np.uint8)
         return self._buffers[name][:nbytes].view(dtype).reshape(shape)
-
-    def best_split(self, idx, features: Sequence[str]):
-        """One node's best split from a direct count: see _TreeSearch.split."""
-        if idx.size == 0:
-            raise ValueError("best_split on an empty node")
-        search = _TreeSearch(self, features)
-        y_node = self.y.take(idx)
-        return search.split(search.count(idx, y_node), idx.size, float(y_node.sum()))
 
     def partition(self, idx, predicate: Predicate, b: int):
         """The left (predicate true) and right child's rows."""
@@ -427,13 +420,6 @@ def _assemble(preorder: list) -> TreeNode:
     return root
 
 
-_worker_data: list[_TrainingData] = []  # the run's data, appended only in train's pool workers
-
-
-def _grow_in_worker(features: Sequence[str]) -> list:
-    return _grow_tree(_worker_data[0], features)
-
-
 def train(
     table: LogTable, labels_or_target: np.ndarray, hyperparams: Hyperparams
 ) -> ForestModel:
@@ -465,14 +451,9 @@ def train(
     # most split searches the forest can run: trees x features x leaves a tree can hold
     searches = len(subsets) * subset_size * (td.n // td.min_rows)
     workers = worker_count(len(subsets) if searches >= _POOL_SEARCHES else 1)
-    if workers == 1:
-        grown = [_grow_tree(td, subset) for subset in subsets]
-    else:
-        import multiprocessing  # here, not at module level: most commands never train
-
-        with multiprocessing.get_context("fork").Pool(workers, _worker_data.append, (td,)) as pool:
-            grown = pool.map(_grow_in_worker, subsets, chunksize=1)
-    return ForestModel([_assemble(nodes) for nodes in grown], td.kind)
+    grow = functools.partial(_grow_tree, td)
+    trees = forked_map(grow, subsets, workers, lambda grown: list(map(_assemble, grown)))
+    return ForestModel(trees, td.kind)
 
 
 # -- text dump / parse -----------------------------------------------------
@@ -530,7 +511,7 @@ def parse_text(text: str) -> ForestModel:
         trees.append(root)
         root = None
 
-    lines = text.splitlines()
+    lines = text.split("\n")  # not splitlines: a category may hold "\r" or "\x85"
     for line_no, line in enumerate(lines, start=1):
         if not line.strip():
             continue

@@ -190,6 +190,31 @@ def worker_count(units: int) -> int:
     return max(1, min(cpus, units))
 
 
+_task = None  # forked_map's function while its pool runs; the workers inherit it
+
+
+def _run_task(item):
+    return _task(item)
+
+
+def forked_map(fn, items, workers: int, consume):
+    """consume(fn(item) for each item, in order): in this process for one
+    worker, else in a `fork` pool (a spawned worker would import the package
+    again) whose workers inherit fn and are sent only the items. The pool is
+    closed before this returns or raises."""
+    global _task
+    if workers == 1:
+        return consume(map(fn, items))
+    import multiprocessing  # here, not at module level: most runs start no pool
+
+    _task = fn
+    try:
+        with multiprocessing.get_context("fork").Pool(workers) as pool:
+            return consume(pool.imap(_run_task, items, chunksize=1))
+    finally:
+        _task = None
+
+
 def load(path, format: str, schema_config: SchemaConfig) -> LogTable:
     """Load a CSV or JSONL file into a LogTable.
 
@@ -241,15 +266,9 @@ def load(path, format: str, schema_config: SchemaConfig) -> LogTable:
 def _encode(path, format: str, schema_config: SchemaConfig, categorical: frozenset):
     """(a _Column per column in file order, row count) from one pass over the
     file; `categorical` names columns taken as categorical."""
-    encode = functools.partial(_encode_range, path, format, schema_config, categorical)
     ranges = _ranges(path, format)
-    if len(ranges) == 1:
-        return _merge(map(encode, ranges), schema_config, categorical)
-    import multiprocessing  # here, not at module level: most loads are one range
-
-    # fork, as forest.train does: a spawned worker would import the package again
-    with multiprocessing.get_context("fork").Pool(len(ranges)) as pool:
-        return _merge(pool.imap(encode, ranges), schema_config, categorical)
+    encode = functools.partial(_encode_range, path, format, schema_config, categorical)
+    return forked_map(encode, ranges, len(ranges), lambda parts: _merge(parts, schema_config, categorical))
 
 
 def _ranges(path, format: str) -> list[tuple[int, int | None]]:
@@ -480,42 +499,30 @@ class _Column:
         return line, f"column {self.name!r} value {v!r} is not finite"
 
 
-class _ByteRange(io.RawIOBase):
-    """Bytes [start, end) of a file, for a text stream to decode."""
-
-    def __init__(self, path, span: tuple[int, int]):
-        self._file = open(path, "rb", buffering=0)
-        self._file.seek(span[0])
-        self._left = span[1] - span[0]
-
-    def readable(self) -> bool:
-        return True
-
-    def readinto(self, buffer) -> int:
-        n = self._file.readinto(memoryview(buffer)[: self._left])
-        self._left -= n
-        return n
-
-    def close(self) -> None:
-        self._file.close()
-        super().close()
-
-
-class _Counted(io.BufferedReader):
-    """A buffered stream that counts the bytes and line ends it hands out."""
+class _Bytes(io.FileIO):
+    """Bytes [start, end) of a file, or all of a pipe (end None), for a text
+    stream to decode; counts the bytes and line ends it hands out."""
 
     handed = newlines = 0
 
-    def read1(self, size: int = -1) -> bytes:
-        data = super().read1(size)
+    def __init__(self, path, span: tuple[int, int | None]):
+        super().__init__(path)
+        if span[0]:
+            self.seek(span[0])
+        self._size = None if span[1] is None else span[1] - span[0]
+
+    def read(self, size: int = -1) -> bytes:
+        if self._size is not None:
+            left = self._size - self.handed
+            size = left if size < 0 else min(size, left)
+        data = super().read(size)
         self.handed += len(data)
         self.newlines += data.count(b"\n")
         return data
 
 
 def _text(path, span: tuple[int, int | None], newline: str | None) -> io.TextIOWrapper:
-    raw = io.FileIO(path) if span[1] is None else _ByteRange(path, span)
-    return io.TextIOWrapper(_Counted(raw), encoding="utf-8", newline=newline)
+    return io.TextIOWrapper(_Bytes(path, span), encoding="utf-8", newline=newline)
 
 
 @contextlib.contextmanager

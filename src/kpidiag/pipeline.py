@@ -12,6 +12,7 @@ monolithic `diagnose` run and produce byte-identical files.
 
 from __future__ import annotations
 
+import contextlib
 import datetime
 import json
 import os
@@ -39,26 +40,23 @@ class DiagnoseResult:
 
 
 class _StageTimer:
+    """Seconds per stage, summed over each time the stage runs."""
+
     def __init__(self):
         self.timings: dict[str, float] = {}
-        self._stage = None
-        self._start = 0.0
 
+    @contextlib.contextmanager
     def stage(self, name: str):
-        self._stage = name
-        self._start = time.perf_counter()
-        return self
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        self.timings[self._stage] = self.timings.get(self._stage, 0.0) + (
-            time.perf_counter() - self._start
-        )
-        if isinstance(exc, Exception) and not isinstance(exc, StageError):
-            raise StageError(self._stage, exc) from exc
-        return False
+        """Times a stage; its error, but not Ctrl-C, becomes a StageError."""
+        start = time.perf_counter()
+        try:
+            yield
+        except StageError:
+            raise
+        except Exception as e:
+            raise StageError(name, e) from e
+        finally:
+            self.timings[name] = self.timings.get(name, 0.0) + (time.perf_counter() - start)
 
 
 def _seeds(seed: int) -> tuple[int, int]:
@@ -94,10 +92,7 @@ def build_model(
     with timer.stage("sample"):
         sampled = prep.sample(stratified, config.kpi, config.sample_rows, sample_seed)
     with timer.stage("train"):
-        if config.kpi.kind is KpiKind.BINARY:
-            y = prep.stratify(sampled, config.kpi).labels
-        else:
-            y = sampled.values(config.kpi.column)
+        y = prep.kpi_values(sampled, config.kpi)
         min_rows = max(1, round(config.min_rows_in_leaf_pct / 100.0 * sampled.row_count))
         hp = forest.Hyperparams(
             min_rows_in_leaf=min_rows,
@@ -255,7 +250,7 @@ def read_records(path, noun: str, parse, key: str | None = None) -> list:
 
 def read_model(path, kpi: KpiKind | None = None) -> forest.ForestModel:
     """A model dump; given a KPI kind, its trees must be the kind that KPI trains."""
-    with open(path, encoding="utf-8") as f:
+    with open(path, encoding="utf-8", newline="") as f:
         model = forest.parse_text(f.read())
     if kpi is not None and (model.target_kind is forest.TargetKind.CLASSIFICATION) is not (kpi is KpiKind.BINARY):
         raise ConfigError(f"{path}: {model.target_kind.value} trees, but the config's KPI is {kpi.value}")

@@ -108,26 +108,25 @@ def recommend_pruning(
     return out
 
 
+def kpi_values(table: LogTable, kpi: KpiSpec) -> np.ndarray:
+    """The KPI of every row: a continuous KPI's values, or whether each row
+    holds a binary KPI's positive label."""
+    if kpi.kind is KpiKind.CONTINUOUS:
+        values = table.values(kpi.column)
+        missing = np.isnan(values)
+    else:
+        values = table.category_mask(kpi.column, kpi.positive_label)
+        missing = table.codes(kpi.column) < 0
+    if missing.any():
+        raise SchemaError(f"KPI column {kpi.column!r} has missing values; impute first")
+    return values
+
+
 def stratify(table: LogTable, kpi: KpiSpec) -> StratifiedTable:
     """Label every row positive (violating the objective) or negative."""
-    spec = table.spec(kpi.column)
+    labels = kpi_values(table, kpi)
     if kpi.kind is KpiKind.CONTINUOUS:
-        if spec.kind is not ColumnKind.CONTINUOUS:
-            raise SchemaError(f"KPI column {kpi.column!r} is not continuous")
-        vals = table.values(kpi.column)
-        if np.isnan(vals).any():
-            raise SchemaError(f"KPI column {kpi.column!r} has missing values; impute first")
-        if kpi.direction.value == "above":
-            labels = vals > kpi.threshold
-        else:
-            labels = vals < kpi.threshold
-    else:
-        if spec.kind is not ColumnKind.CATEGORICAL:
-            raise SchemaError(f"KPI column {kpi.column!r} is not categorical")
-        codes = table.codes(kpi.column)
-        if (codes < 0).any():
-            raise SchemaError(f"KPI column {kpi.column!r} has missing values; impute first")
-        labels = table.category_mask(kpi.column, kpi.positive_label)
+        labels = labels > kpi.threshold if kpi.direction.value == "above" else labels < kpi.threshold
     positive = int(labels.sum())
     return StratifiedTable(table, labels, positive, table.row_count - positive)
 

@@ -14,9 +14,10 @@ import ast
 from dataclasses import replace
 from typing import Callable, Sequence
 
+from . import prep
 from .errors import ConfigError
 from .ingest import LogTable
-from .model import KpiKind, KpiSpec, Predicate, PredicateOp, Rule
+from .model import KpiSpec, Predicate, PredicateOp, Rule
 from .forest import ForestModel, TreeNode
 
 # A scoring function maps (row_count, node_metric) -> score. Higher score
@@ -97,60 +98,39 @@ def extract_rules(model: ForestModel, f: ScoringFunction) -> list[Rule]:
             delta = f(node.left.row_count, node.left.metric) - f(
                 node.right.row_count, node.right.metric
             )
-            if delta > 0:
-                out.append(
-                    Rule(
-                        correlated_predicate=node.split,
-                        scope_predicates=path,
-                        correlation_score=delta,
-                        request_count=node.left.row_count,
-                    )
-                )
-            elif delta < 0:
-                out.append(
-                    Rule(
-                        correlated_predicate=node.split.flip(),
-                        scope_predicates=path,
-                        correlation_score=-delta,
-                        request_count=node.right.row_count,
-                    )
-                )
+            if abs(delta) > 0:  # not for a tie, nor a NaN
+                predicate, worse = (node.split, node.left) if delta > 0 else (node.split.flip(), node.right)
+                out.append(Rule(predicate, path, abs(delta), worse.row_count))
             stack.append((node.left, path + (node.split,)))
             stack.append((node.right, path + (node.split.flip(),)))
     return out
 
 
-def _scope_sort_key(rule: Rule) -> tuple:
-    return tuple(
-        (p.attribute, p.op.value, str(p.value), p.polarity) for p in rule.scope_predicates
-    )
+class _Scope:
+    """A rule's scope, ordered by each predicate's attribute, operator, value
+    text and polarity in turn; only a tie on score and count compares it."""
+
+    def __init__(self, rule: Rule):
+        self.predicates = rule.scope_predicates
+
+    def __lt__(self, other: "_Scope") -> bool:
+        def texts(predicates):
+            return [(p.attribute, p.op.value, str(p.value), p.polarity) for p in predicates]
+
+        return texts(self.predicates) < texts(other.predicates)
 
 
 def deduplicate(rules: Sequence[Rule]) -> list[Rule]:
     """Keep one rule per canonical predicate key: the max-score representative.
 
     Ties break toward the larger request count, then the lexicographically
-    smallest scope. Output is ordered by descending score, then key.
+    smallest scope, then the earlier rule. Output is ordered by descending
+    score, then key.
     """
     best: dict[str, Rule] = {}
-    for rule in rules:
-        key = rule.key()
-        cur = best.get(key)
-        if cur is None:
-            best[key] = rule
-            continue
-        contender = (
-            (rule.correlation_score, rule.request_count),
-            (cur.correlation_score, cur.request_count),
-        )
-        if contender[0] > contender[1] or (
-            contender[0] == contender[1]
-            and _scope_sort_key(rule) < _scope_sort_key(cur)
-        ):
-            best[key] = rule
-    return sorted(
-        best.values(), key=lambda r: (-r.correlation_score, r.key())
-    )
+    for rule in sorted(rules, key=lambda r: (-r.correlation_score, -r.request_count, _Scope(r))):
+        best.setdefault(rule.key(), rule)
+    return sorted(best.values(), key=lambda r: (-r.correlation_score, r.key()))
 
 
 def filter_negative(rules: Sequence[Rule]) -> list[Rule]:
@@ -179,10 +159,7 @@ def annotate_impacts(
     rates for a binary one. It is None, and the rule stale, when no row
     matches (extraction may have run on a sample of the full table).
     """
-    if kpi.kind is KpiKind.CONTINUOUS:
-        kpi_values = full_table.values(kpi.column)
-    else:
-        kpi_values = full_table.category_mask(kpi.column, kpi.positive_label)
+    kpi_values = prep.kpi_values(full_table, kpi)
     out = []
     for rule in rules:
         mask = full_table.conjunction_mask(rule.all_predicates())

@@ -7,7 +7,9 @@ previous run-date but absent today). The window is the 14 most recent
 run-dates present in the store, so skipped runs do not shrink it. Until 14
 run-dates of history exist every rule is new (cold start).
 
-The store is a newline-delimited UTF-8 file, one record per line:
+The store is a UTF-8 file, one record per line, each ended by "\n" (and
+split at "\n" only, so a key may hold a "\r"; a key that holds a tab or a
+"\n" is refused):
 
     run_date<TAB>predicate_key<TAB>score<TAB>count
 
@@ -66,7 +68,7 @@ class HistoryStore:
         days, keys, scores, counts = [], [], [], []
         day_of: dict[str, datetime.date] = {}
         try:
-            with open(self.path, encoding="utf-8") as f:
+            with open(self.path, encoding="utf-8", newline="\n") as f:
                 # a chunk of lines at a time, so that only its fields are held as texts
                 while lines := f.readlines(_CHUNK_BYTES):
                     if any(map(str.isspace, lines)):
@@ -95,7 +97,7 @@ class HistoryStore:
         """The error naming the first line with a fault, and its first field,
         from a second, line-by-line read."""
         stored = set()
-        with open(self.path, encoding="utf-8") as f:
+        with open(self.path, encoding="utf-8", newline="\n") as f:
             for line_no, line in enumerate(f, start=1):
                 if not line.strip():
                     continue
@@ -114,9 +116,12 @@ class HistoryStore:
         raise AssertionError("some line has a fault")
 
     def check(self, new_records: Sequence[HistoryRecord]) -> None:
-        """ValueError if a record repeats a (date, key) stored or earlier in the batch."""
+        """ValueError if a record's key holds a tab or a line end, or if it
+        repeats a (date, key) stored or earlier in the batch."""
         staged = set()
         for rec in new_records:
+            if "\t" in rec.predicate_key or "\n" in rec.predicate_key:
+                raise ValueError(f"key {rec.predicate_key!r} holds a tab or a line end, which the store cannot hold")
             pair = (rec.run_date, rec.predicate_key)
             if pair in staged or rec.predicate_key in self.keys_on(rec.run_date):
                 raise ValueError(

@@ -5,9 +5,9 @@ definition, MSE as a two-pass mean of squared deviations, and best-split
 search as full enumeration of every predicate with row-by-row evaluation.
 Row-at-a-time views of a table, predicates and KPI criteria, the
 structural walks over trees, a table built from Python lists, a
-cell-by-cell file loader, an evaluator for the generated SQL dialect and a
-one-node entry to the forest's split search live here too: only tests
-need them.
+cell-by-cell file loader, an evaluator for the generated SQL dialect, a
+one-node entry to the forest's split search and a rule-at-a-time
+deduplication live here too: only tests need them.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from kpidiag.errors import ConfigError, SchemaError
-from kpidiag.forest import ForestModel, TreeNode, _TrainingData
+from kpidiag.forest import ForestModel, TreeNode, _TrainingData, _TreeSearch
 from kpidiag.ingest import LogTable, SchemaConfig
 from kpidiag.model import (
     ColumnKind,
@@ -32,6 +32,7 @@ from kpidiag.model import (
     KpiSpec,
     Predicate,
     PredicateOp,
+    Rule,
     SloDirection,
     format_number,
 )
@@ -289,10 +290,33 @@ def best_split(
     if idx is not None:
         rows = np.sort(idx)
         table, y = table.take(rows), y[rows]
+    if table.row_count == 0:
+        raise ValueError("best_split on an empty node")
     features = [s.name for s in table.feature_columns()]
-    td = _TrainingData(table, features, y, min_rows_in_leaf)
-    found = td.best_split(np.arange(table.row_count), features)
+    search = _TreeSearch(_TrainingData(table, features, y, min_rows_in_leaf), features)
+    hist = search.count(np.arange(table.row_count), search.td.y)
+    found = search.split(hist, table.row_count, float(search.td.y.sum()))
     return None if found is None else SplitCandidate(found[1], found[0])
+
+
+def deduplicate(rules: Sequence[Rule]) -> list[Rule]:
+    """`rules.deduplicate` as one pass over the rules in order: a later rule
+    replaces its key's rule when its (score, request count) is higher, or
+    equal with a lexicographically smaller scope."""
+
+    def scope(rule: Rule) -> tuple:
+        return tuple((p.attribute, p.op.value, str(p.value), p.polarity) for p in rule.scope_predicates)
+
+    best: dict[str, Rule] = {}
+    for rule in rules:
+        cur = best.get(rule.key())
+        if cur is None:
+            best[rule.key()] = rule
+            continue
+        new, old = (rule.correlation_score, rule.request_count), (cur.correlation_score, cur.request_count)
+        if new > old or (new == old and scope(rule) < scope(cur)):
+            best[rule.key()] = rule
+    return sorted(best.values(), key=lambda r: (-r.correlation_score, r.key()))
 
 
 def iter_split_nodes(tree: TreeNode) -> Iterator[TreeNode]:

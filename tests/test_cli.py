@@ -5,12 +5,12 @@ import re
 
 import pytest
 
-from kpidiag import forest, prep
+from kpidiag import cli, forest, prep
 from kpidiag.cli import main
-from kpidiag.config import _SETTINGS, parse_run_config
+from kpidiag.config import _SETTINGS, parse_run_config, rule_to_json
 from kpidiag.errors import ConfigError
 from kpidiag.ingest import load
-from kpidiag.model import ColumnRole, KpiKind
+from kpidiag.model import ColumnRole, KpiKind, Predicate, Rule
 
 RUN_DATE = "2026-08-10"
 
@@ -75,6 +75,13 @@ def generate_data(tmp_path, **kw):
     code = main(["generate", "--config", str(gen_config(tmp_path, **kw)), "--out", str(out), "--date", RUN_DATE])
     assert code == 0
     return out
+
+
+def test_usage_lines_name_every_sub_command_and_its_flags():
+    usage = re.findall(r"^    kpidiag (\S+)(.*)$", cli.__doc__, re.M)
+    assert [(name, re.findall(r"--(\w+)", rest)) for name, rest in usage] == [
+        (name, flags.split()) for name, (_, flags, _) in cli._COMMANDS.items()
+    ]
 
 
 class TestConfigParsing:
@@ -554,6 +561,18 @@ class TestHistoryIsRecordedLast:
         assert "duplicate record" in capsys.readouterr().err
         assert (out / "report.json").read_bytes() == report
         assert (tmp_path / "history.tsv").read_bytes() == history
+
+    def test_key_with_a_tab_fails_before_writing(self, tmp_path, capsys):
+        history = tmp_path / "history.tsv"
+        history.write_bytes(b"2026-08-09\tRack=c\t1.0\t10\n")
+        rule = Rule(Predicate.equals("Rack", "a\tb"), (), 1.0, 10, 0.5, 10)
+        rules = write_json(tmp_path / "rules.json", [rule_to_json(rule)])
+        out = tmp_path / "out"
+        argv = ["triage", "--config", str(run_config(tmp_path)), "--rules", str(rules)]
+        assert main(argv + ["--history", str(history), "--out", str(out), "--date", RUN_DATE]) == 1
+        assert "holds a tab or a line end" in capsys.readouterr().err
+        assert not (out / "report.json").exists() and not (out / "report.md").exists()
+        assert history.read_bytes() == b"2026-08-09\tRack=c\t1.0\t10\n"
 
 
 class TestEval:

@@ -18,6 +18,7 @@ from kpidiag.forest import (
     train,
 )
 from kpidiag.model import ColumnKind, KpiKind, Predicate, PredicateOp
+from kpidiag.pipeline import read_model
 from kpidiag.synth import AttributeSpec, FaultSpec, GeneratorConfig, KpiProfile, generate
 
 from conftest import make_table
@@ -580,6 +581,17 @@ class TestDumpAndParse:
         )
         parsed = parse_text(dump_text(model))
         assert parsed.trees[0].split == Predicate.equals("A", "x=y>z")
+
+    # every line boundary of str.splitlines but "\n", which a dump refuses
+    @pytest.mark.parametrize("c", ["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+    def test_names_holding_a_line_boundary_round_trip(self, tmp_path, c):
+        split = Predicate.equals(f"A{c}", f"x{c}y")
+        model = ForestModel([TreeNode(2, 0.5, split, TreeNode(1, 0.0), TreeNode(1, 1.0))], TargetKind.CLASSIFICATION)
+        text = dump_text(model)
+        assert forest_structure_equal(parse_text(text), model)
+        path = tmp_path / "model.txt"
+        path.write_text(text, encoding="utf-8", newline="")
+        assert forest_structure_equal(read_model(path), model)
 
 
 # sha256 of dump_text for the forests below; a change to either digest is a

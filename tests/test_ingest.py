@@ -2,6 +2,7 @@ import contextlib
 import csv
 import datetime
 import json
+import multiprocessing.pool
 import os
 import re
 import signal
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from kpidiag import ingest, synth
+from kpidiag import forest, ingest, synth
 from kpidiag.errors import ConfigError, SchemaError
 from kpidiag.ingest import (
     ColumnDecl,
@@ -587,6 +588,25 @@ class TestRanges:
         assert len(ingest._ranges(path, "csv")) == 3
         path.write_text('"K"\n' + "1\n" * (ingest._RANGE_BYTES // 2 * 3))
         assert len(ingest._ranges(path, "csv")) == 1
+
+    def test_no_worker_outlives_a_failed_load_or_a_pooled_training(self, tmp_path, monkeypatch):
+        good = "K,X\n" + "".join(f"{i},x{i % 3}\n" for i in range(1000))
+        path = write(tmp_path, "a.csv", good + "7,x,y\n")  # the bad row is in the second range
+        pool = mock.patch("multiprocessing.pool.Pool", wraps=multiprocessing.pool.Pool)
+        with split_into_ranges(2), pool as started:
+            assert len(ingest._ranges(path, "csv")) == 2
+            with pytest.raises(SchemaError, match=r"^row 1002: expected 2 fields, got 3$"):
+                load(path, "csv", TestAcrossBlocks.CONFIG)
+            assert started.call_count == 1
+        assert multiprocessing.active_children() == []
+        table = load(write(tmp_path, "b.csv", good), "csv", TestAcrossBlocks.CONFIG)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(forest, "_POOL_SEARCHES", 0)
+        with pool as started:
+            model = forest.train(table, table.values("K"), forest.Hyperparams(min_rows_in_leaf=50, num_trees=4))
+            assert started.call_count == 1
+        assert len(model.trees) == 4
+        assert multiprocessing.active_children() == []
 
     def test_a_small_file_is_loaded_without_a_pool(self, tmp_path, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kpidiag.errors import ConfigError
 from kpidiag.forest import ForestModel, Hyperparams, TargetKind, TreeNode, parse_text, train
@@ -14,6 +16,7 @@ from kpidiag.rules import (
 )
 
 from conftest import make_table
+from oracles import deduplicate as oracle_deduplicate
 
 LAT = KpiSpec(column="Lat", kind=KpiKind.CONTINUOUS, threshold=5.0)
 STATUS = KpiSpec(column="Status", kind=KpiKind.BINARY, positive_label="fail")
@@ -230,6 +233,25 @@ class TestDeduplicate:
         candidates = extract_rules(model, METRIC)
         assert len(candidates) == 50
         assert len(deduplicate(candidates)) == 1
+
+
+# a few values of each, so that drawn rules often tie on score, count and scope
+_PREDICATES = [Predicate.equals("X", "a"), Predicate.equals("X", "b"), Predicate.equals("X", "a", False),
+               Predicate.greater_than("T", 1.0), Predicate.greater_than("T", 2.0)]
+_SCOPES = [(), (Predicate.equals("S", "u"),), (Predicate.equals("S", "v"),),
+           (Predicate.equals("S", "u"), Predicate.greater_than("T", 1.0, False))]
+_DRAWN_RULES = st.lists(
+    st.tuples(st.sampled_from(_PREDICATES), st.sampled_from(_SCOPES), st.sampled_from([1.0, 2.0]), st.sampled_from([5, 10])),
+    max_size=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(drawn=_DRAWN_RULES)
+def test_deduplicate_picks_the_winner_the_one_pass_loop_picks(drawn):
+    # full_row_count tells apart rules that tie on everything deduplicate reads
+    rules = [Rule(p, scope, score, count, full_row_count=i) for i, (p, scope, score, count) in enumerate(drawn)]
+    assert deduplicate(rules) == oracle_deduplicate(rules)
 
 
 class TestFilterNegative:

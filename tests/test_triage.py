@@ -213,6 +213,24 @@ class TestHistoryStore:
         assert not path.exists() or path.read_text() == ""
         assert len(HistoryStore(path).records) == 0
 
+    @pytest.mark.parametrize("value", ["a\tb", "a\nb"])
+    def test_key_with_a_tab_or_line_feed_rejected_before_writing(self, tmp_path, value):
+        path = tmp_path / "history.tsv"
+        with pytest.raises(ValueError, match="holds a tab or a line end"):
+            record_run([rule_for(value, 1.0)], HistoryStore(path), D(2026, 1, 1))
+        assert not path.exists()
+
+    @pytest.mark.parametrize("value", ["a\rb", "a\r", "a\x85b\u2028"])
+    def test_key_with_another_line_boundary_appends_and_loads_back(self, tmp_path, value):
+        path = tmp_path / "history.tsv"
+        record_run([rule_for(value, 1.5), rule_for("z", 2.0)], HistoryStore(path), D(2026, 1, 1))
+        record_run([rule_for(value, 2.5)], HistoryStore(path), D(2026, 1, 2))
+        store = HistoryStore(path)
+        assert [(r.predicate_key, r.correlation_score) for r in store.records] == [
+            (f"X={value}", 1.5), ("X=z", 2.0), (f"X={value}", 2.5)
+        ]
+        assert store.keys_on(D(2026, 1, 1)) == {f"X={value}", "X=z"}
+
     def test_format_is_tab_separated(self, tmp_path):
         path = tmp_path / "history.tsv"
         record_run([rule_for("a", 2.5, count=7)], HistoryStore(path), D(2026, 1, 3))
@@ -340,11 +358,12 @@ class TestHistoryLoadErrors:
         ]
         assert store.run_dates() == [D(2026, 8, 1), D(2026, 8, 2), D(2026, 8, 3)]
         assert store.keys_on(D(2026, 8, 1)) == {"k0", "k1"}
-        # the blank lines still count: the bad line after them is file line 9
+        # the blank lines still count, and only "\n" ends a line ("\r\r\n" is
+        # one blank line): the bad line after them is file line 8
         path.write_bytes((text + "\r\n" + FAULTS["score"][0]).encode("utf-8"))
         with pytest.raises(ValueError) as err:
             HistoryStore(path)
-        assert str(err.value) == f"{path}:9: {FAULTS['score'][1]}"
+        assert str(err.value) == f"{path}:8: {FAULTS['score'][1]}"
 
     @pytest.mark.parametrize("chunk", [16, 1 << 18])
     def test_duplicate_across_chunks(self, tmp_path, monkeypatch, chunk):
