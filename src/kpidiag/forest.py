@@ -37,12 +37,15 @@ Models serialize to a line-oriented text dump that parses back losslessly:
     <indent><attr>=<value>|<attr>><threshold>|LEAF \t <row_count> \t <metric>
 
 with two spaces of indent per depth level and children in left (predicate
-true) then right order. A line ends at "\n" only.
+true) then right order. A line ends at "\n" only. An attribute that starts
+with a space or '"', or holds "=", ">", a tab or a "\n", is written as a
+JSON string.
 """
 
 from __future__ import annotations
 
 import functools
+import json
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -463,8 +466,8 @@ def _predicate_dump(p: Predicate) -> str:
     if not p.polarity:
         raise ValueError("tree split predicates are always polarity-true")
     attr = p.attribute
-    if any(c in attr for c in "=>\t\n"):
-        raise ValueError(f"attribute name {attr!r} cannot appear in a model dump")
+    if attr.startswith((" ", '"')) or any(c in attr for c in "=>\t\n"):
+        attr = json.dumps(attr, ensure_ascii=False)
     if p.op is PredicateOp.EQUALS:
         value = str(p.value)
         if "\t" in value or "\n" in value:
@@ -586,14 +589,17 @@ def parse_text(text: str) -> ForestModel:
 
 
 def _parse_predicate(head: str, line_no: int) -> Predicate:
-    cut = None
-    for i, c in enumerate(head):
-        if c in "=>":
-            cut = i
-            break
-    if cut is None or cut == 0:
+    if head.startswith('"'):  # an attribute written as a JSON string
+        try:
+            attr, cut = json.JSONDecoder().raw_decode(head)
+        except ValueError:
+            raise DumpParseError(f"cannot parse predicate {head!r}", line_no) from None
+    else:
+        cut = next((i for i, c in enumerate(head) if c in "=>"), 0)
+        attr = head[:cut]
+    if not attr or head[cut : cut + 1] not in ("=", ">"):
         raise DumpParseError(f"cannot parse predicate {head!r}", line_no)
-    attr, rest = head[:cut], head[cut + 1 :]
+    rest = head[cut + 1 :]
     if head[cut] == "=":
         return Predicate.equals(attr, rest)
     try:

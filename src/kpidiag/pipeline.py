@@ -17,7 +17,7 @@ import datetime
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -122,7 +122,7 @@ def run_train(config: RunConfig, input_path, out_dir, timer: _StageTimer | None 
     model = build_model(config, imputed, timer)
     with timer.stage("dump-model"):
         _write(out_dir, "model.txt", forest.dump_text(model))
-        _write(out_dir, "pruning.json", pruning_report_json(pruning, warnings))
+        _write_json(out_dir, "pruning.json", {"recommendations": list(map(asdict, pruning)), "warnings": warnings})
     return imputed, model, warnings
 
 
@@ -213,23 +213,15 @@ def _write(out_dir, name: str, text: str) -> None:
         f.write(text)
 
 
-def pruning_report_json(pruning, warnings) -> str:
-    doc = {
-        "recommendations": [
-            {"attribute": p.attribute, "cardinality": p.cardinality, "reason": p.reason}
-            for p in pruning
-        ],
-        "warnings": warnings,
-    }
-    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+def _write_json(out_dir, name: str, doc) -> None:
+    _write(out_dir, name, json.dumps(doc, indent=2, ensure_ascii=False) + "\n")
 
 
 # -- rule (de)serialization for the stage-composition files ----------------
 
 
 def write_rules(rules_list: list[Rule], out_dir) -> None:
-    doc = [rule_to_json(r) for r in rules_list]
-    _write(out_dir, "rules.json", json.dumps(doc, indent=2, ensure_ascii=False) + "\n")
+    _write_json(out_dir, "rules.json", [rule_to_json(r) for r in rules_list])
 
 
 def read_records(path, noun: str, parse, key: str | None = None) -> list:

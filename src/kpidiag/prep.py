@@ -122,6 +122,12 @@ def kpi_values(table: LogTable, kpi: KpiSpec) -> np.ndarray:
     return values
 
 
+def impact(kpi_values: np.ndarray, mask: np.ndarray) -> float | None:
+    """The masked rows' mean KPI minus every row's (of a binary KPI, the
+    positive rate), or None when no row is masked."""
+    return float(kpi_values[mask].mean() - kpi_values.mean()) if mask.any() else None
+
+
 def stratify(table: LogTable, kpi: KpiSpec) -> StratifiedTable:
     """Label every row positive (violating the objective) or negative."""
     labels = kpi_values(table, kpi)

@@ -77,10 +77,24 @@ def generate_query(rule: Rule, table_name: str = "logs") -> str:
 # -- rendering --------------------------------------------------------------
 
 
-def _ranked(triaged_rules: Sequence[TriagedRule]) -> list[TriagedRule]:
-    return sorted(
-        triaged_rules, key=lambda t: (-t.rule.correlation_score, t.rule.key())
-    )
+def _entries(triaged_rules: Sequence[TriagedRule], table_name: str) -> list[dict]:
+    """The report's rules, ranked by descending score, then key."""
+    ranked = sorted(triaged_rules, key=lambda t: (-t.rule.correlation_score, t.rule.key()))
+    return [
+        {
+            "rank": rank,
+            "key": t.rule.key(),
+            "correlated_predicate": t.rule.correlated_predicate.text(),
+            "scope_predicates": [p.text() for p in t.rule.scope_predicates],
+            "request_count": t.rule.request_count,
+            "full_row_count": t.rule.full_row_count,
+            "performance_impact": t.rule.performance_impact,
+            "correlation_score": t.rule.correlation_score,
+            "triage": t.category.value,
+            "query": generate_query(t.rule, table_name),
+        }
+        for rank, t in enumerate(ranked, start=1)
+    ]
 
 
 def render_json(
@@ -90,30 +104,18 @@ def render_json(
     kpi: KpiSpec,
     table_name: str = "logs",
 ) -> str:
-    entries = []
-    for rank, triaged in enumerate(_ranked(triaged_rules), start=1):
-        rule = triaged.rule
-        entries.append(
-            {
-                "rank": rank,
-                "key": rule.key(),
-                "correlated_predicate": rule.correlated_predicate.text(),
-                "scope_predicates": [p.text() for p in rule.scope_predicates],
-                "request_count": rule.request_count,
-                "full_row_count": rule.full_row_count,
-                "performance_impact": rule.performance_impact,
-                "correlation_score": rule.correlation_score,
-                "triage": triaged.category.value,
-                "query": generate_query(rule, table_name),
-            }
-        )
     doc = {
         "run_date": run_date.isoformat(),
         "kpi": kpi.describe(),
-        "rules": entries,
+        "rules": _entries(triaged_rules, table_name),
         "resolved": list(resolved_keys),
     }
     return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+
+
+def _cell(text: str) -> str:
+    """Text for one markdown table cell: a "|" would end the cell."""
+    return text.replace("|", "\\|")
 
 
 def render_markdown(
@@ -123,7 +125,7 @@ def render_markdown(
     kpi: KpiSpec,
     table_name: str = "logs",
 ) -> str:
-    ranked = _ranked(triaged_rules)
+    entries = _entries(triaged_rules, table_name)
     kpi_desc = kpi.describe()
     lines = [
         f"# KPI diagnosis report for {run_date.isoformat()}",
@@ -133,30 +135,20 @@ def render_markdown(
         "| Rank | Triage | Correlated predicate | Scope | Requests | Impact | Score |",
         "|---:|---|---|---|---:|---:|---:|",
     ]
-    for rank, triaged in enumerate(ranked, start=1):
-        rule = triaged.rule
-        scope = " ∧ ".join(p.text() for p in rule.scope_predicates) or "-"
-        impact = "stale" if rule.performance_impact is None else f"{rule.performance_impact:.6g}"
+    for e in entries:
+        scope = " ∧ ".join(e["scope_predicates"]) or "-"
+        impact = "stale" if e["performance_impact"] is None else f"{e['performance_impact']:.6g}"
         lines.append(
-            f"| {rank} | {triaged.category.value} | {rule.correlated_predicate.text()} "
-            f"| {scope} | {rule.request_count} | {impact} "
-            f"| {rule.correlation_score:.6g} |"
+            f"| {e['rank']} | {e['triage']} | {_cell(e['correlated_predicate'])} "
+            f"| {_cell(scope)} | {e['request_count']} | {impact} "
+            f"| {e['correlation_score']:.6g} |"
         )
-    lines.append("")
-    lines.append("## Resolved")
-    lines.append("")
-    if resolved_keys:
-        lines.extend(f"- `{key}`" for key in resolved_keys)
-    else:
-        lines.append("(none)")
-    lines.append("")
-    lines.append("## Queries")
-    lines.append("")
-    if ranked:
-        for rank, triaged in enumerate(ranked, start=1):
-            lines.append(f"{rank}. `{generate_query(triaged.rule, table_name)}`")
-    else:
-        lines.append("(none)")
+    sections = {
+        "Resolved": [f"- `{key}`" for key in resolved_keys],
+        "Queries": [f"{e['rank']}. `{e['query']}`" for e in entries],
+    }
+    for title, items in sections.items():
+        lines += ["", f"## {title}", "", *(items or ["(none)"])]
     return "\n".join(lines) + "\n"
 
 

@@ -45,12 +45,14 @@ _ALLOWED_EXPR_NODES = (
 )
 
 
-def scoring_from_expression(expr: str) -> ScoringFunction:
-    """Compile an arithmetic expression over `row_count` and `metric`.
+def resolve_scoring(name_or_expr: str) -> ScoringFunction:
+    """Compile a builtin's expression by name, else an arithmetic expression
+    over `row_count` and `metric`.
 
     Only +, -, *, /, ** and numeric literals are allowed; anything else is
     rejected. Example: "row_count * metric ** 2".
     """
+    expr = BUILTIN_SCORING.get(name_or_expr, name_or_expr)
     try:
         tree = ast.parse(expr, mode="eval")
     except SyntaxError as e:
@@ -72,11 +74,6 @@ def scoring_from_expression(expr: str) -> ScoringFunction:
         return float(eval(code, {"__builtins__": {}}, {"row_count": row_count, "metric": metric}))
 
     return score
-
-
-def resolve_scoring(name_or_expr: str) -> ScoringFunction:
-    """Compile a builtin's expression by name, else name_or_expr itself."""
-    return scoring_from_expression(BUILTIN_SCORING.get(name_or_expr, name_or_expr))
 
 
 def extract_rules(model: ForestModel, f: ScoringFunction) -> list[Rule]:
@@ -163,11 +160,10 @@ def annotate_impacts(
     out = []
     for rule in rules:
         mask = full_table.conjunction_mask(rule.all_predicates())
-        impact = float(kpi_values[mask].mean() - kpi_values.mean()) if mask.any() else None
         out.append(
             replace(
                 rule,
-                performance_impact=impact,
+                performance_impact=prep.impact(kpi_values, mask),
                 full_row_count=int(mask.sum()),
             )
         )

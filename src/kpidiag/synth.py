@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from . import prep
+from .errors import ConfigError, SchemaError
 from .ingest import LogTable
 from .model import (
     ColumnKind,
@@ -164,7 +165,7 @@ def generate(
                 kpi_vals[mask] *= fault.multiplier
         values[kpi.column] = kpi_vals
         schema.append(ColumnSpec(kpi.column, ColumnKind.CONTINUOUS, ColumnRole.KPI))
-        positive = None
+        observed = kpi_vals
     else:
         prob = np.full(n, kpi.failure_rate)
         for fault, mask in zip(active, fault_masks):
@@ -175,10 +176,10 @@ def generate(
                     "fault failure probability must exceed the base failure rate"
                 )
             prob[mask] = np.maximum(prob[mask], fault.failure_probability)
-        positive = rng.random(n) < prob
+        observed = rng.random(n) < prob  # whether each row is positive
         labels = sorted((kpi.positive_label, kpi.negative_label))
         pos_code = labels.index(kpi.positive_label)
-        codes[kpi.column] = np.where(positive, pos_code, 1 - pos_code).astype(np.int32)
+        codes[kpi.column] = np.where(observed, pos_code, 1 - pos_code).astype(np.int32)
         categories[kpi.column] = tuple(labels)
         schema.append(ColumnSpec(kpi.column, ColumnKind.CATEGORICAL, ColumnRole.KPI))
 
@@ -186,17 +187,13 @@ def generate(
 
     fault_entries = []
     for fault, mask in zip(active, fault_masks):
-        matched = int(mask.sum())
-        if kpi.kind is KpiKind.CONTINUOUS:
-            impact = float(values[kpi.column][mask].mean() - values[kpi.column].mean()) if matched else 0.0
-        else:
-            impact = float(positive[mask].mean() - positive.mean()) if matched else 0.0
+        impact = prep.impact(observed, mask)
         fault_entries.append(
             {
                 "keys": fault.keys(),
                 "predicates": [p.text() for p in fault.trigger],
-                "rows_matched": matched,
-                "expected_impact": impact,
+                "rows_matched": int(mask.sum()),
+                "expected_impact": 0.0 if impact is None else impact,
             }
         )
     degraded = np.zeros(n, dtype=bool)
@@ -246,20 +243,16 @@ def _draw_continuous(attr: AttributeSpec, n: int, rng: np.random.Generator) -> n
 
 def _trigger_mask(fault: FaultSpec, features: LogTable) -> np.ndarray:
     """Rows matching the fault's trigger, after checking it against the generated columns."""
+    try:
+        mask = features.conjunction_mask(fault.trigger)
+    except SchemaError as e:
+        raise ConfigError(f"fault trigger: {e}") from None
     for p in fault.trigger:
-        if p.attribute not in features.column_names:
-            raise ConfigError(f"fault trigger references unknown attribute {p.attribute!r}")
-        kind = features.spec(p.attribute).kind
-        if p.op is PredicateOp.EQUALS:
-            if kind is not ColumnKind.CATEGORICAL:
-                raise ConfigError(f"equality trigger on continuous attribute {p.attribute!r}")
-            if p.value not in features.categories(p.attribute):
-                raise ConfigError(
-                    f"trigger value {p.value!r} outside the generated categories of {p.attribute!r}"
-                )
-        elif kind is not ColumnKind.CONTINUOUS:
-            raise ConfigError(f"threshold trigger on categorical attribute {p.attribute!r}")
-    return features.conjunction_mask(fault.trigger)
+        if p.op is PredicateOp.EQUALS and p.value not in features.categories(p.attribute):
+            raise ConfigError(
+                f"trigger value {p.value!r} outside the generated categories of {p.attribute!r}"
+            )
+    return mask
 
 
 def manifest_keys(manifest: dict) -> set[str]:

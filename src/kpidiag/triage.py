@@ -28,8 +28,6 @@ import os
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
-import numpy as np
-
 from .model import Rule, TriageCategory, TriagedRule
 
 WINDOW_RUNS = 14
@@ -55,7 +53,9 @@ class HistoryStore:
         self._keys: list[str] = []
         self._scores: list[float] = []
         self._counts: list[int] = []
-        self._index: _Index | None = None  # built on the first query after a load or an append
+        # run-date -> {key -> the record's position}; built on the first query
+        # after an append, so an append-only caller never pays for it
+        self._on: dict[datetime.date, dict[str, int]] | None = None
         if os.path.exists(self.path):
             self._load()
 
@@ -85,13 +85,13 @@ class HistoryStore:
                     counts += map(int, fields[3::4])
             if not all(map(math.isfinite, scores)):
                 raise ValueError("a score that is not finite")
-            index = _Index(days, keys)
-            if index.repeats:
+            on = _date_map(days, keys)
+            if sum(map(len, on.values())) != len(keys):
                 raise ValueError("a record stored twice")
         except ValueError:
             raise self._first_fault() from None
         self._days, self._keys, self._scores, self._counts = days, keys, scores, counts
-        self._index = index
+        self._on = on
 
     def _first_fault(self) -> ValueError:
         """The error naming the first line with a fault, and its first field,
@@ -123,7 +123,7 @@ class HistoryStore:
             if "\t" in rec.predicate_key or "\n" in rec.predicate_key:
                 raise ValueError(f"key {rec.predicate_key!r} holds a tab or a line end, which the store cannot hold")
             pair = (rec.run_date, rec.predicate_key)
-            if pair in staged or rec.predicate_key in self.keys_on(rec.run_date):
+            if pair in staged or rec.predicate_key in self._by_date().get(rec.run_date, ()):
                 raise ValueError(
                     f"duplicate record for {rec.predicate_key!r} on {rec.run_date}"
                 )
@@ -145,35 +145,27 @@ class HistoryStore:
             self._keys.append(rec.predicate_key)
             self._scores.append(rec.correlation_score)
             self._counts.append(rec.request_count)
-        self._index = None
+        self._on = None
 
-    def _indexed(self) -> _Index:
-        if self._index is None:
-            self._index = _Index(self._days, self._keys)
-        return self._index
+    def _by_date(self) -> dict[datetime.date, dict[str, int]]:
+        if self._on is None:
+            self._on = _date_map(self._days, self._keys)
+        return self._on
 
     def run_dates(self, before: datetime.date | None = None) -> list[datetime.date]:
         """Distinct run-dates in the store, ascending, optionally before a date."""
-        dates = self._indexed().rows_on.keys()
-        if before is not None:
-            dates = [d for d in dates if d < before]
-        return sorted(dates)
+        return sorted(d for d in self._by_date() if before is None or d < before)
 
     def keys_on(self, day: datetime.date) -> set[str]:
-        rows = self._indexed().rows_on.get(day)
-        return set() if rows is None else set(map(self._keys.__getitem__, rows.tolist()))
+        return set(self._by_date().get(day, ()))
 
     def scores_in_window(
         self, key: str, window_dates: Iterable[datetime.date]
     ) -> list[float]:
         """The key's scores on the window's dates, in file order."""
-        index = self._indexed()
-        rows = index.rows_of.get(key)
-        if rows is None:
-            return []
-        in_window = np.zeros(len(index.rows_on), dtype=bool)
-        in_window[[index.day_ids[d] for d in set(window_dates) if d in index.day_ids]] = True
-        return list(map(self._scores.__getitem__, rows[in_window[index.day_codes[rows]]].tolist()))
+        on = self._by_date()
+        rows = [on[d][key] for d in set(window_dates) if key in on.get(d, ())]
+        return [self._scores[i] for i in sorted(rows)]
 
 
 class _Records(Sequence):
@@ -190,23 +182,12 @@ class _Records(Sequence):
         return HistoryRecord(s._days[i], s._keys[i], s._scores[i], s._counts[i])
 
 
-class _Index:
-    """The store's rows by run-date and by key, each in file order."""
-
-    def __init__(self, days: list, keys: list):
-        self.day_ids, self.day_codes, self.rows_on = _group(days)
-        key_ids, key_codes, self.rows_of = _group(keys)
-        pairs = np.sort(self.day_codes * len(key_ids) + key_codes)
-        self.repeats = bool((pairs[1:] == pairs[:-1]).any())  # some (run-date, key) is on two rows
-
-
-def _group(values: list):
-    """(an id per distinct value, each row's id, each distinct value's rows)."""
-    ids = dict(zip(dict.fromkeys(values), itertools.count()))
-    codes = np.fromiter(map(ids.__getitem__, values), dtype=np.intp, count=len(values))
-    order = np.argsort(codes, kind="stable")
-    ends = np.bincount(codes, minlength=len(ids)).cumsum()
-    return ids, codes, dict(zip(ids, np.split(order, ends[:-1])))
+def _date_map(days: list, keys: list) -> dict[datetime.date, dict[str, int]]:
+    """Each run-date's keys, each with its last record's position."""
+    on: dict[datetime.date, dict[str, int]] = {day: {} for day in dict.fromkeys(days)}
+    for day, key, i in zip(days, keys, itertools.count()):
+        on[day][key] = i
+    return on
 
 
 def _finite_float(text: str) -> float:
@@ -233,22 +214,17 @@ def triage(
     window = prior_dates[-WINDOW_RUNS:]
     out = []
     for rule in rules:
-        if cold_start:
-            out.append(TriagedRule(rule, TriageCategory.NEW))
-            continue
-        scores = store.scores_in_window(rule.key(), window)
-        if not scores:
-            out.append(TriagedRule(rule, TriageCategory.NEW))
-            continue
-        mean = sum(scores) / len(scores)
-        sigma = math.sqrt(sum((s - mean) ** 2 for s in scores) / len(scores))
-        score = rule.correlation_score
-        if score > mean + sigma:
-            category = TriageCategory.REGRESSED
-        elif score < mean - sigma:
-            category = TriageCategory.IMPROVED
-        else:
-            category = TriageCategory.KNOWN
+        scores = [] if cold_start else store.scores_in_window(rule.key(), window)
+        category = TriageCategory.NEW
+        if scores:
+            mean = sum(scores) / len(scores)
+            sigma = math.sqrt(sum((s - mean) ** 2 for s in scores) / len(scores))
+            if rule.correlation_score > mean + sigma:
+                category = TriageCategory.REGRESSED
+            elif rule.correlation_score < mean - sigma:
+                category = TriageCategory.IMPROVED
+            else:
+                category = TriageCategory.KNOWN
         out.append(TriagedRule(rule, category))
     return out
 

@@ -550,21 +550,24 @@ class TestDumpAndParse:
         with pytest.raises(DumpParseError, match="odd indent"):
             parse_text(text)
 
-    def test_attribute_with_separator_cannot_dump(self):
-        model = ForestModel(
-            [
-                TreeNode(
-                    row_count=2,
-                    metric=0.5,
-                    split=Predicate.equals("A=B", "x"),
-                    left=TreeNode(1, 0.0),
-                    right=TreeNode(1, 1.0),
-                )
-            ],
-            TargetKind.CLASSIFICATION,
-        )
-        with pytest.raises(ValueError):
-            dump_text(model)
+    # a CSV header "K, A" names the column " A"; these attributes are written as JSON strings
+    @pytest.mark.parametrize("attr", [" A", "  A", "a=b", "x>y", '"q', "a\tb", "a\nb"])
+    def test_attribute_names_that_need_quoting_round_trip(self, attr):
+        for split in (Predicate.equals(attr, "x=y"), Predicate.greater_than(attr, 1.5)):
+            leaf = TreeNode(2, 0.5, split, TreeNode(1, 0.0), TreeNode(1, 1.0))
+            model = ForestModel([TreeNode(4, 0.5, Predicate.equals("B", "b"), leaf, leaf)], TargetKind.CLASSIFICATION)
+            text = dump_text(model)
+            assert forest_structure_equal(parse_text(text), model)
+            assert dump_text(parse_text(text)) == text
+
+    def test_a_plain_attribute_is_not_quoted(self):
+        model = ForestModel([TreeNode(2, 0.5, Predicate.equals("A B", "x"), TreeNode(1, 0.0), TreeNode(1, 1.0))], TargetKind.CLASSIFICATION)
+        assert dump_text(model).splitlines()[1] == "A B=x\t2\t0.5"
+
+    @pytest.mark.parametrize("head", ['"A=x', '"A"x', '"A"', '""=x', '"\\q"=x'])
+    def test_a_malformed_quoted_attribute_names_its_line(self, head):
+        with pytest.raises(DumpParseError, match="line 2"):
+            parse_text(f"TREE 0 Classification\n{head}\t2\t0.5\n  LEAF\t1\t0.0\n  LEAF\t1\t1.0\n")
 
     def test_value_containing_separators_round_trips(self):
         model = ForestModel(

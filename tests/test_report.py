@@ -2,6 +2,7 @@ import _sqlite3
 import ctypes
 import datetime
 import json
+import re
 import sqlite3
 
 import numpy as np
@@ -259,6 +260,22 @@ class TestRender:
         assert "## Resolved" in md
         assert "`Gone=`" in md
         assert "## Queries" in md
+
+    def test_a_pipe_in_a_table_cell_is_escaped(self):
+        piped = rule_of(Predicate.equals("Path", "/a|b"), scope=[Predicate.equals("Rack", "r|1")], score=9999.0)
+        triaged = [TriagedRule(piped, TriageCategory.NEW), *self._triaged()]
+        md = render_markdown(triaged, ["A|B=c"], RUN_DATE, LAT)
+        rows = [line for line in md.splitlines() if line.startswith("|")]
+        assert len(rows) == 2 + len(triaged)
+        for row in rows:
+            # the cells between the first and the last unescaped "|"
+            assert len(re.split(r"(?<!\\)\|", row)[1:-1]) == 7, row
+        assert "| Path:/a\\|b | Rack:r\\|1 |" in md
+        # the Resolved and Queries lists and the JSON report keep the text as it is
+        assert "- `A|B=c`" in md
+        assert f"1. `{generate_query(piped)}`" in md
+        top = json.loads(render_json(triaged, [], RUN_DATE, LAT))["rules"][0]
+        assert (top["correlated_predicate"], top["scope_predicates"]) == ("Path:/a|b", ["Rack:r|1"])
 
     def test_stale_rule_renders_null_impact(self):
         stale = rule_of(Predicate.equals("A", "x"), impact=None)

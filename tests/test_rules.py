@@ -12,7 +12,6 @@ from kpidiag.rules import (
     extract_rules,
     filter_negative,
     resolve_scoring,
-    scoring_from_expression,
 )
 
 from conftest import make_table
@@ -52,7 +51,7 @@ class TestScoring:
         assert resolve_scoring("metric")(123, 0.0) == 0.0
 
     def test_expression_escape_hatch(self):
-        f = scoring_from_expression("row_count * metric ** 2")
+        f = resolve_scoring("row_count * metric ** 2")
         assert f(10, 3.0) == 90.0
 
     def test_resolve_builtin_and_expression(self):
@@ -63,7 +62,7 @@ class TestScoring:
     def test_expression_rejects_anything_else(self):
         for bad in ("__import__('os')", "metric.x", "f(1)", "unknown + 1", "'s'"):
             with pytest.raises(ConfigError):
-                scoring_from_expression(bad)
+                resolve_scoring(bad)
 
 
 class TestCorrelationScore:

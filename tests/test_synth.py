@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from kpidiag.errors import ConfigError
-from kpidiag.model import ColumnKind, KpiKind, Predicate
+from kpidiag.model import ColumnKind, KpiKind, KpiSpec, Predicate, Rule
+from kpidiag.rules import annotate_impacts
 from kpidiag.synth import (
     AttributeSpec,
     FaultSpec,
@@ -122,6 +123,29 @@ class TestFaultApplication:
         assert manifest["faults"][0]["expected_impact"] == pytest.approx(direct)
 
 
+    @pytest.mark.parametrize(
+        "kpi, spec, effect",
+        [
+            (CONT_KPI, KpiSpec(column="Lat", kind=KpiKind.CONTINUOUS, threshold=5.0), {"shift": 5.0}),
+            (BIN_KPI, KpiSpec(column="Status", kind=KpiKind.BINARY, positive_label="fail"),
+             {"failure_probability": 0.3}),
+        ],
+        ids=["continuous", "binary"],
+    )
+    def test_expected_impact_is_the_impact_a_rule_is_given(self, kpi, spec, effect):
+        planted = FaultSpec(trigger=(Predicate.equals("A", "c3"), Predicate.greater_than("B", 1.0)), **effect)
+        unmatched = FaultSpec(trigger=(Predicate.greater_than("B", 1e9),), **effect)
+        cfg = config([cat("A", 10), cont("B")], kpi=kpi, faults=[planted, unmatched], rows=20_000, seed=14)
+        table, manifest = generate(cfg, DAY)
+        rules = [Rule(f.trigger[-1], f.trigger[:-1], 1.0, 1) for f in (planted, unmatched)]
+        hit, miss = annotate_impacts(rules, table, spec)
+        assert manifest["faults"][0]["rows_matched"] > 0
+        assert manifest["faults"][0]["expected_impact"] == hit.performance_impact  # not approx
+        assert miss.performance_impact is None
+        assert manifest["faults"][1]["rows_matched"] == 0
+        assert manifest["faults"][1]["expected_impact"] == 0.0
+
+
 class TestBaseRates:
     def test_fault_free_binary_rate_within_binomial_bounds(self):
         n = 100_000
@@ -183,6 +207,16 @@ class TestValidation:
         fault = FaultSpec(trigger=(Predicate.equals("A", "zzz"),), shift=1.0)
         with pytest.raises(ConfigError, match="zzz"):
             generate(config([cat("A", 5)], faults=[fault]), DAY)
+
+    def test_equality_trigger_on_a_continuous_attribute_rejected(self):
+        fault = FaultSpec(trigger=(Predicate.equals("B", "1.0"),), shift=1.0)
+        with pytest.raises(ConfigError, match="'B'"):
+            generate(config([cat("A", 5), cont("B")], faults=[fault]), DAY)
+
+    def test_threshold_trigger_on_a_categorical_attribute_rejected(self):
+        fault = FaultSpec(trigger=(Predicate.greater_than("A", 1.0),), shift=1.0)
+        with pytest.raises(ConfigError, match="'A'"):
+            generate(config([cat("A", 5), cont("B")], faults=[fault]), DAY)
 
     def test_binary_fault_must_exceed_base_rate(self):
         fault = FaultSpec(trigger=(Predicate.equals("A", "c0"),), failure_probability=0.0005)

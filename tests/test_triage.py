@@ -1,8 +1,12 @@
 import datetime
 import importlib
+import os
 import statistics
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kpidiag.model import Predicate, Rule, TriageCategory
 from kpidiag.triage import (
@@ -14,6 +18,9 @@ from kpidiag.triage import (
 )
 
 D = datetime.date
+# the run-dates and keys of the history-store property test
+DATES = [D(2026, 1, d) for d in range(1, 6)]
+KEYS = ["k0", "k1", "k2", "k3"]
 # the package's attribute `triage` is the function of that name
 triage_module = importlib.import_module("kpidiag.triage")
 
@@ -308,6 +315,46 @@ class TestHistoryStore:
         assert store.keys_on(D(2026, 1, 3)) == set()
         assert store.run_dates() == [D(2026, 1, d) for d in (2, 5, 7, 9)]
         assert store.run_dates(before=D(2026, 1, 7)) == [D(2026, 1, 2), D(2026, 1, 5)]
+
+    def test_an_append_only_store_builds_no_run_date_map(self, tmp_path):
+        # The run-date map is built on the first query, not by append: the
+        # benchmark's set-up seeds a year of history through append in its own
+        # process, and every child it starts inherits that process's peak RSS.
+        store = HistoryStore(tmp_path / "history.tsv")
+        for day in (D(2026, 1, 2), D(2026, 1, 1)):
+            store.append([HistoryRecord(day, f"k{i}", 1.0, 1) for i in range(3)])
+        assert store._on is None
+        assert store.run_dates() == [D(2026, 1, 1), D(2026, 1, 2)]
+        assert store._on is not None
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        batches=st.lists(
+            st.tuples(
+                st.sampled_from(DATES),
+                st.lists(st.tuples(st.sampled_from(KEYS), st.floats(-1e3, 1e3)), max_size=4),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        window=st.lists(st.sampled_from(DATES), max_size=4),
+    )
+    def test_queries_after_each_append_answer_like_a_fresh_load(self, batches, window):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "history.tsv")
+            store, stored = HistoryStore(path), set()
+            for day, scored in batches:  # dates out of order, a date repeated with new keys
+                new = [(day, k, v) for k, v in dict(scored).items() if (day, k) not in stored]
+                stored.update((d, k) for d, k, _ in new)
+                store.append([HistoryRecord(d, k, v, 1) for d, k, v in new])
+                fresh = HistoryStore(path)
+                for before in (None, *DATES):
+                    assert store.run_dates(before) == fresh.run_dates(before)
+                for d in DATES:
+                    assert store.keys_on(d) == fresh.keys_on(d)
+                for key in KEYS:
+                    scan = [r.correlation_score for r in fresh.records if r.predicate_key == key and r.run_date in window]
+                    assert store.scores_in_window(key, window) == fresh.scores_in_window(key, window) == scan
 
 
 GOOD = [f"2026-08-0{d}\tk{k}\t0.5\t3" for d in range(1, 4) for k in range(3)]  # 9 lines
