@@ -7,11 +7,23 @@ what README's library-use example imports plus the error types; everything
 else lives in its submodule (`kpidiag.pipeline` composes the stages).
 """
 
+import importlib
+
 from .errors import ConfigError, DumpParseError, SchemaError, StageError
-from .forest import Hyperparams, train
-from .ingest import SchemaConfig, load
-from .model import KpiKind, KpiSpec
-from .prep import impute, sample, stratify
-from .rules import deduplicate, extract_rules, filter_negative, resolve_scoring
 
 __version__ = "0.1.0"
+
+# The other exports by submodule. Each is imported, and bound here, on
+# first use, so that importing the package does not load numpy.
+_EXPORTS = {name: module for module, names in {
+    "forest": "Hyperparams train", "ingest": "load", "model": "KpiKind KpiSpec SchemaConfig",
+    "prep": "impute sample stratify", "rules": "deduplicate extract_rules filter_negative resolve_scoring",
+}.items() for name in names.split()}
+__all__ = ["ConfigError", "DumpParseError", "SchemaError", "StageError", *_EXPORTS]
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+    return value

@@ -22,10 +22,10 @@ import json
 import os
 import sys
 
-from . import forest, pipeline, report, synth
-from .config import fault_keys, load_generator_config, load_run_config, report_key, rule_from_json
+# The handlers import the array modules they use: triage and eval run without numpy.
+from . import pipeline, report
+from .config import fault_keys, load_generator_config, load_run_config, read_records, report_key, rule_reader
 from .errors import ConfigError, DumpParseError, StageError
-from .ingest import write_csv
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -61,6 +61,8 @@ def _cmd_diagnose(args) -> int:
 
 
 def _cmd_generate(args) -> int:
+    from . import synth
+    from .ingest import write_csv
     cfg = load_generator_config(args.config)
     table, manifest = synth.generate(cfg, args.date)
     os.makedirs(args.out, exist_ok=True)
@@ -90,15 +92,15 @@ def _cmd_extract(args) -> int:
 
 def _cmd_triage(args) -> int:
     config = load_run_config(args.config)
-    mined = pipeline.read_records(args.rules, "rule", rule_from_json)
+    mined = read_records(args.rules, "rule", rule_reader())
     triaged, report_json = pipeline.run_triage(config, mined, args.history, args.out, args.date)
     print(report_json, end="")
     return pipeline.exit_code_for(triaged)
 
 
 def _cmd_eval(args) -> int:
-    reported = set(pipeline.read_records(args.report, "rule", report_key, key="rules"))
-    truth = set().union(*pipeline.read_records(args.manifest, "fault", fault_keys, key="faults"))
+    reported = set(read_records(args.report, "rule", report_key, key="rules"))
+    truth = set().union(*read_records(args.manifest, "fault", fault_keys, key="faults"))
     value, valid = report.precision(reported, truth)
     out = {
         "precision": value,
@@ -111,6 +113,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_dump_model(args) -> int:
+    from . import forest
     print(forest.dump_text(pipeline.read_model(args.model)), end="")
     return 0
 

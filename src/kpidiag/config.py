@@ -29,19 +29,23 @@ from dataclasses import MISSING, dataclass, field, fields
 from enum import EnumMeta
 
 from .errors import ConfigError
-from .ingest import ColumnDecl, SchemaConfig
 from .model import (
+    AttributeSpec,
+    ColumnDecl,
     ColumnKind,
     ColumnRole,
+    FaultSpec,
+    GeneratorConfig,
     KpiKind,
+    KpiProfile,
     KpiSpec,
     Predicate,
     PredicateOp,
     Rule,
+    SchemaConfig,
     SloDirection,
 )
 from .rules import resolve_scoring
-from .synth import AttributeSpec, FaultSpec, GeneratorConfig, KpiProfile
 
 
 @dataclass(frozen=True)
@@ -227,9 +231,6 @@ def _columns(at: str, raw) -> dict[str, ColumnDecl]:
 
 
 _RUN_CONFIG = _record(RunConfig, {"kpi": _kpi, "columns": _columns, **_SETTINGS})
-_RULE = _record(Rule, {"correlated_predicate": _predicate, "scope_predicates": _list(_predicate),
-                       "correlation_score": _NUMBER, "request_count": _COUNT,
-                       "performance_impact": _NUMBER, "full_row_count": _COUNT})
 _GENERATOR = _record(GeneratorConfig, {
     "attributes": _list(_record(AttributeSpec, {
         "name": _STRING, "kind": _Setting(ColumnKind), "cardinality": _COUNT,
@@ -286,9 +287,22 @@ def rule_to_json(rule: Rule) -> dict:
     }
 
 
-def rule_from_json(d) -> Rule:
-    """A Rule from its rules.json record; a malformed record is a ConfigError."""
-    return _RULE("", d)
+def rule_reader():
+    """A reader for one rules.json file: a Rule from each record, or a
+    ConfigError for a malformed one. The rules of a file share most of their
+    predicates, so the reader reads each distinct valid predicate record once,
+    keyed by its repr, which tells any two JSON values apart."""
+    seen: dict[str, Predicate] = {}
+
+    def predicate(at: str, obj) -> Predicate:
+        if (key := repr(obj)) not in seen:
+            seen[key] = _predicate(at, obj)
+        return seen[key]
+
+    rule = _record(Rule, {"correlated_predicate": predicate, "scope_predicates": _list(predicate),
+                          "correlation_score": _NUMBER, "request_count": _COUNT,
+                          "performance_impact": _NUMBER, "full_row_count": _COUNT})
+    return lambda record: rule("", record)
 
 
 def report_key(entry) -> str:
@@ -308,3 +322,19 @@ def parse_generator_config(obj) -> GeneratorConfig:
 
 def load_generator_config(path) -> GeneratorConfig:
     return parse_generator_config(read_json(path))
+
+
+def read_records(path, noun: str, parse, key: str | None = None) -> list:
+    """parse(record) for each record of a JSON file: the file's list, or the
+    list its object holds under key. An error names the file and the record."""
+    doc = read_json(path)
+    where = f"{path}: "
+    try:
+        records = _LIST(f"{noun}s", doc) if key is None else _get(doc, "", key, _LIST)
+        out = []
+        for i, record in enumerate(records):
+            where = f"{path}: {noun} {i}: "
+            out.append(parse(record))
+        return out
+    except ConfigError as e:
+        raise ConfigError(f"{where}{e}") from None

@@ -14,8 +14,10 @@ import contextlib
 import csv
 import functools
 import io
+import itertools
 import json
 import math
+import operator
 import os
 import stat
 from dataclasses import dataclass, field
@@ -29,30 +31,11 @@ from .model import (
     ColumnRole,
     ColumnSpec,
     KpiKind,
-    KpiSpec,
     Predicate,
     PredicateOp,
+    SchemaConfig,
     format_number,
 )
-
-
-@dataclass(frozen=True)
-class ColumnDecl:
-    """Declared kind/role for one column; kind=None means infer."""
-
-    kind: ColumnKind | None = None
-    role: ColumnRole = ColumnRole.FEATURE
-
-
-@dataclass(frozen=True)
-class SchemaConfig:
-    """Column declarations plus the KPI criterion. Declarations win over inference."""
-
-    kpi: KpiSpec
-    columns: Mapping[str, ColumnDecl] = field(default_factory=dict)
-
-    def decl(self, name: str) -> ColumnDecl:
-        return self.columns.get(name, ColumnDecl())
 
 
 class LogTable:
@@ -321,11 +304,11 @@ def _column(name: str, schema_config: SchemaConfig, categorical: frozenset, miss
 def _encode_range(path, format: str, schema_config: SchemaConfig, categorical: frozenset, span) -> _Part:
     part = _Part()
     read = _read_csv if format == "csv" else _read_jsonl
-    for names, lines, cells in read(path, span, schema_config, part):
+    for names, lines, cells, types in read(path, span, schema_config, part):
         for name in names[len(part.columns):]:
             part.columns.append(_column(name, schema_config, categorical, part.rows))
-        for column, block in zip(part.columns, cells):
-            column.add(block, lines)
+        for column, block, block_types in zip(part.columns, cells, types):
+            column.add(block, lines, block_types)
         part.rows += len(lines)
     return part
 
@@ -369,8 +352,10 @@ class _Column:
         self.flipped = None  # the line where it turned categorical after numbers
         self.parse_error = self.finite_error = None
 
-    def add(self, cells: Sequence, lines: Sequence[int]) -> None:
-        types = set(map(type, cells)) - {type(None)}
+    def add(self, cells: Sequence, lines: Sequence[int], types: set | None = None) -> None:
+        """Encode a block; `types` is the set of its cells' types besides None, if known."""
+        if types is None:
+            types = set(map(type, cells)) - {type(None)}
         if bool in types:
             cells = ["true" if v is True else "false" if v is False else v for v in cells]
             types = types - {bool} | {str}
@@ -569,47 +554,86 @@ def _read_csv(path, span: tuple[int, int | None], schema_config: SchemaConfig, p
                 lines.append(line_no)
                 rows.append(row)
                 if len(rows) == _BLOCK_ROWS:
-                    yield header, lines, [[cell or None for cell in col] for col in zip(*rows)]
+                    yield header, lines, [[cell or None for cell in col] for col in zip(*rows)], _UNTYPED
                     lines, rows = [], []
         except csv.Error as e:  # e.g. a field past csv.field_size_limit()
             raise _RowError(end + 1, str(e)) from None
         part.lines = reader.line_num
-    yield header, lines, [[cell or None for cell in col] for col in zip(*rows)]
+    yield header, lines, [[cell or None for cell in col] for col in zip(*rows)], _UNTYPED
 
 
+_UNTYPED = itertools.repeat(None)  # a CSV block's cell types: _Column.add finds them
 _NESTED = frozenset((dict, list))
 
 
 def _read_jsonl(path, span: tuple[int, int | None], schema_config: SchemaConfig, part: _Part):
     """Per block: (keys so far, line of each row counted from the range's
-    start, cells per key with None for absent or null)."""
+    start, cells per key with None for absent or null, each key's cell types)."""
     keys = list(dict.fromkeys([*schema_config.columns, schema_config.kpi.column]))
-    seen = part.seen = {schema_config.kpi.column}  # and every key some line carries
-    lines, records = [], []
+    part.seen = {schema_config.kpi.column}  # and every key some line carries
+    lines, texts = [], []
     line_no = 0
     with _text(path, span, newline=None) as f, _utf8(f, span[0]):
-        for line_no, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except ValueError as e:  # JSONDecodeError, or an integer too long to convert
-                raise _RowError(line_no, f"invalid JSON ({getattr(e, 'msg', e)})") from None
-            if not isinstance(obj, dict):
-                raise _RowError(line_no, "expected a flat JSON object")
-            if not _NESTED.isdisjoint(map(type, obj.values())):
-                k = next(k for k, v in obj.items() if type(v) in _NESTED)
-                raise _RowError(line_no, f"field {k!r} is nested; flatten upstream")
-            if not seen.issuperset(obj):
-                seen.update(obj)
-                keys += [k for k in obj if k not in keys]
-            lines.append(line_no)
-            records.append(obj)
-            if len(records) == _BLOCK_ROWS:
-                yield keys, lines, [[obj.get(k) for obj in records] for k in keys]
-                lines, records = [], []
+        try:
+            for line_no, line in enumerate(f, start=1):
+                if line.strip():
+                    lines.append(line_no)
+                    texts.append(line)
+                    if len(texts) == _BLOCK_ROWS:
+                        yield _jsonl_block(texts, lines, keys, part.seen)
+                        lines, texts = [], []
+        except UnicodeDecodeError:  # comes after any bad line read before it
+            list(map(_jsonl_object, texts, lines))
+            raise
     part.lines = line_no
-    yield keys, lines, [[obj.get(k) for obj in records] for k in keys]
+    yield _jsonl_block(texts, lines, keys, part.seen)
+
+
+def _jsonl_block(texts: list[str], lines: list[int], keys: list[str], seen: set):
+    """One block's (keys so far, lines, cells per key, each key's cell types
+    besides None); a block _joined refuses is decoded line by line."""
+    objects = _joined(texts) or list(map(_jsonl_object, texts, lines))
+    for obj in objects:
+        if not seen.issuperset(obj):
+            seen.update(obj)
+            keys += [k for k in obj if k not in keys]
+    get = operator.itemgetter(*keys)
+    try:
+        cells = list(zip(*map(get, objects))) if len(keys) > 1 else [list(map(get, objects))]
+    except KeyError:  # a line without some key
+        cells = [[obj.get(k) for obj in objects] for k in keys]
+    cells = cells or [[] for _ in keys]
+    types = [set(map(type, column)) - {type(None)} for column in cells]
+    if any(not _NESTED.isdisjoint(t) for t in types):
+        list(map(_jsonl_object, texts, lines))  # raises at the first bad line
+    return keys, lines, cells, types
+
+
+def _joined(texts: list[str]) -> list[dict] | None:
+    """The block's lines decoded as one JSON list, if it holds one object per
+    line and every line starts with "{". A string cannot span a line end, so
+    each object is then its line's own, unless some object holds a nested value."""
+    if not all(text.lstrip().startswith("{") for text in texts):
+        return None
+    try:
+        objects = json.loads("[" + ",".join(texts) + "]")
+    except ValueError:  # JSONDecodeError, or an integer too long to convert
+        return None
+    return objects if len(objects) == len(texts) and all(type(obj) is dict for obj in objects) else None
+
+
+def _jsonl_object(text: str, line_no: int) -> dict:
+    """One line's flat object, or a _RowError naming the line."""
+    try:
+        obj = json.loads(text)
+    except ValueError as e:  # JSONDecodeError, or an integer too long to convert
+        raise _RowError(line_no, f"invalid JSON ({getattr(e, 'msg', e)})") from None
+    if not isinstance(obj, dict):
+        raise _RowError(line_no, "expected a flat JSON object")
+    if not _NESTED.isdisjoint(map(type, obj.values())):
+        k = next(k for k, v in obj.items() if type(v) in _NESTED)
+        raise _RowError(line_no, f"field {k!r} is nested; flatten upstream")
+    return obj
 
 
 def write_csv(table: LogTable, path) -> None:

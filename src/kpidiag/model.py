@@ -1,4 +1,5 @@
-"""Shared domain types: column schemas, predicates, KPI criteria, rules.
+"""Shared domain types: column schemas, predicates, KPI criteria, rules, and
+the synthetic generator's config.
 
 Everything here is immutable after construction and safe to share between
 threads. Predicates are the unit of diagnosis: a boolean test on one log
@@ -8,10 +9,12 @@ greater-than test on a continuous threshold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import datetime
+from dataclasses import dataclass, field
 from enum import Enum
+from typing import Mapping
 
-from .errors import SchemaError
+from .errors import ConfigError, SchemaError
 
 # Placeholder category substituted for missing categorical cells during
 # imputation. It is an ordinary category afterwards: predicates may
@@ -171,6 +174,116 @@ class Rule:
     def all_predicates(self) -> tuple[Predicate, ...]:
         """Scope conjunction followed by the correlated predicate."""
         return self.scope_predicates + (self.correlated_predicate,)
+
+
+@dataclass(frozen=True)
+class ColumnDecl:
+    """Declared kind/role for one column; kind=None means infer."""
+
+    kind: ColumnKind | None = None
+    role: ColumnRole = ColumnRole.FEATURE
+
+
+@dataclass(frozen=True)
+class SchemaConfig:
+    """Column declarations plus the KPI criterion. Declarations win over inference."""
+
+    kpi: KpiSpec
+    columns: Mapping[str, ColumnDecl] = field(default_factory=dict)
+
+    def decl(self, name: str) -> ColumnDecl:
+        return self.columns.get(name, ColumnDecl())
+
+
+@dataclass(frozen=True)
+class AttributeSpec:
+    """One generated feature column.
+
+    Categorical: `cardinality` distinct values named c0000..; `weighting`
+    is "uniform" or "zipf" (probability ~ 1/rank^zipf_s). Continuous:
+    `distribution` is "lognormal"/"normal" (loc=mu, scale=sigma) or
+    "uniform" (loc=low, scale=width).
+    """
+
+    name: str
+    kind: ColumnKind
+    cardinality: int = 0
+    weighting: str = "uniform"
+    distribution: str = "lognormal"
+    loc: float = 0.0
+    scale: float = 1.0
+    zipf_s: float = 1.5
+
+    def __post_init__(self):
+        if self.kind is ColumnKind.CATEGORICAL and self.cardinality < 1:
+            raise ConfigError(f"attribute {self.name!r} needs cardinality >= 1")
+
+    def value(self, i: int) -> str:
+        """Name of the i-th category (categories sort in index order)."""
+        width = max(1, len(str(self.cardinality - 1)))
+        return f"c{i:0{width}d}"
+
+    def categories(self) -> tuple[str, ...]:
+        return tuple(self.value(i) for i in range(self.cardinality))
+
+
+@dataclass(frozen=True)
+class KpiProfile:
+    """Base (fault-free) distribution of the KPI column."""
+
+    column: str
+    kind: KpiKind
+    mu: float = 0.0
+    sigma: float = 1.0
+    failure_rate: float = 0.001
+    positive_label: str = "fail"
+    negative_label: str = "success"
+
+
+@dataclass(frozen=True)
+class FaultSpec:
+    """A planted degradation applied to rows matching the trigger conjunction."""
+
+    trigger: tuple[Predicate, ...]
+    shift: float | None = None
+    multiplier: float | None = None
+    failure_probability: float | None = None
+    first_day: datetime.date | None = None
+    last_day: datetime.date | None = None
+
+    def __post_init__(self):
+        effects = [
+            e for e in (self.shift, self.multiplier, self.failure_probability) if e is not None
+        ]
+        if len(effects) != 1:
+            raise ConfigError("a fault needs exactly one effect")
+        if self.shift is not None and self.shift <= 0:
+            raise ConfigError("a latency shift must strictly degrade (shift > 0)")
+        if self.multiplier is not None and self.multiplier <= 1:
+            raise ConfigError("a latency multiplier must strictly degrade (> 1)")
+        if self.failure_probability is not None and not (
+            0 < self.failure_probability <= 1
+        ):
+            raise ConfigError("failure probability must be in (0, 1]")
+
+    def active_on(self, day: datetime.date) -> bool:
+        if self.first_day is not None and day < self.first_day:
+            return False
+        if self.last_day is not None and day > self.last_day:
+            return False
+        return True
+
+    def keys(self) -> list[str]:
+        return [canonical_key(p) for p in self.trigger]
+
+
+@dataclass(frozen=True)
+class GeneratorConfig:
+    attributes: tuple[AttributeSpec, ...]
+    row_count: int
+    kpi: KpiProfile
+    faults: tuple[FaultSpec, ...] = ()
+    seed: int = 0
 
 
 class TriageCategory(Enum):

@@ -7,7 +7,9 @@ record history. The history append is the last step: a run whose report
 cannot be written leaves the store as it was, and a same-date rerun fails
 in triage, before its reports or the store are touched. The file-based
 sub-commands (train, extract, triage) call the same functions as one
-monolithic `diagnose` run and produce byte-identical files.
+monolithic `diagnose` run and produce byte-identical files. The array
+modules are imported by the stages that use them, so `kpidiag triage`
+runs without numpy.
 """
 
 from __future__ import annotations
@@ -18,16 +20,18 @@ import json
 import os
 import time
 from dataclasses import asdict, dataclass, field
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import forest, ingest, prep, report, rules
-from .config import _LIST, RunConfig, _get, read_json, rule_to_json
+from . import report, rules
+from .config import RunConfig, rule_to_json
 from .errors import ConfigError, StageError
-from .ingest import LogTable
 from .model import KpiKind, Rule, TriageCategory, TriagedRule
 from .triage import HistoryStore, detect_resolved, record_run, run_records
 from .triage import triage as triage_today
+
+if TYPE_CHECKING:
+    from .forest import ForestModel
+    from .ingest import LogTable
 
 
 @dataclass
@@ -61,6 +65,7 @@ class _StageTimer:
 
 def _seeds(seed: int) -> tuple[int, int]:
     """Independent substreams for sampling and training from one seed."""
+    import numpy as np
     children = np.random.SeedSequence(seed).spawn(2)
     return (
         int(children[0].generate_state(1)[0]),
@@ -70,6 +75,8 @@ def _seeds(seed: int) -> tuple[int, int]:
 
 def prepare_table(config: RunConfig, input_path, timer: _StageTimer | None = None) -> LogTable:
     """ingest -> impute; a KPI column without a single value is an error."""
+    import numpy as np
+    from . import ingest, prep
     timer = timer or _StageTimer()
     with timer.stage("ingest"):
         table = ingest.load(input_path, config.input_format, config.schema_config())
@@ -83,8 +90,9 @@ def prepare_table(config: RunConfig, input_path, timer: _StageTimer | None = Non
 
 def build_model(
     config: RunConfig, imputed: LogTable, timer: _StageTimer | None = None
-) -> forest.ForestModel:
+) -> ForestModel:
     """stratify -> sample -> train on the prepared table."""
+    from . import forest, prep
     timer = timer or _StageTimer()
     sample_seed, train_seed = _seeds(config.seed)
     with timer.stage("stratify"):
@@ -108,6 +116,7 @@ def run_train(config: RunConfig, input_path, out_dir, timer: _StageTimer | None 
 
     Returns (imputed table, model, warnings).
     """
+    from . import forest, prep
     timer = timer or _StageTimer()
     imputed = prepare_table(config, input_path, timer)
     with timer.stage("prune"):
@@ -122,13 +131,14 @@ def run_train(config: RunConfig, input_path, out_dir, timer: _StageTimer | None 
     model = build_model(config, imputed, timer)
     with timer.stage("dump-model"):
         _write(out_dir, "model.txt", forest.dump_text(model))
-        _write_json(out_dir, "pruning.json", {"recommendations": list(map(asdict, pruning)), "warnings": warnings})
+        doc = {"recommendations": list(map(asdict, pruning)), "warnings": warnings}
+        _write(out_dir, "pruning.json", json.dumps(doc, indent=2, ensure_ascii=False) + "\n")
     return imputed, model, warnings
 
 
 def mine_rules(
     config: RunConfig,
-    model: forest.ForestModel,
+    model: ForestModel,
     imputed: LogTable,
     timer: _StageTimer | None = None,
 ) -> list[Rule]:
@@ -213,35 +223,18 @@ def _write(out_dir, name: str, text: str) -> None:
         f.write(text)
 
 
-def _write_json(out_dir, name: str, doc) -> None:
-    _write(out_dir, name, json.dumps(doc, indent=2, ensure_ascii=False) + "\n")
-
-
 # -- rule (de)serialization for the stage-composition files ----------------
 
 
 def write_rules(rules_list: list[Rule], out_dir) -> None:
-    _write_json(out_dir, "rules.json", [rule_to_json(r) for r in rules_list])
+    """rules.json: a JSON list with one compact rule record per line."""
+    lines = [json.dumps(rule_to_json(r), ensure_ascii=False, separators=(",", ":")) for r in rules_list]
+    _write(out_dir, "rules.json", "[\n" + ",\n".join(lines) + "\n]\n" if lines else "[]\n")
 
 
-def read_records(path, noun: str, parse, key: str | None = None) -> list:
-    """parse(record) for each record of a JSON file: the file's list, or the
-    list its object holds under key. An error names the file and the record."""
-    doc = read_json(path)
-    where = f"{path}: "
-    try:
-        records = _LIST(f"{noun}s", doc) if key is None else _get(doc, "", key, _LIST)
-        out = []
-        for i, record in enumerate(records):
-            where = f"{path}: {noun} {i}: "
-            out.append(parse(record))
-        return out
-    except ConfigError as e:
-        raise ConfigError(f"{where}{e}") from None
-
-
-def read_model(path, kpi: KpiKind | None = None) -> forest.ForestModel:
+def read_model(path, kpi: KpiKind | None = None) -> ForestModel:
     """A model dump; given a KPI kind, its trees must be the kind that KPI trains."""
+    from . import forest
     with open(path, encoding="utf-8", newline="") as f:
         model = forest.parse_text(f.read())
     if kpi is not None and (model.target_kind is forest.TargetKind.CLASSIFICATION) is not (kpi is KpiKind.BINARY):

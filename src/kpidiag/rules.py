@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import ast
 from dataclasses import replace
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
-from . import prep
 from .errors import ConfigError
-from .ingest import LogTable
 from .model import KpiSpec, Predicate, PredicateOp, Rule
-from .forest import ForestModel, TreeNode
+
+if TYPE_CHECKING:  # the array modules: a run config is read without numpy
+    from .forest import ForestModel, TreeNode
+    from .ingest import LogTable
 
 # A scoring function maps (row_count, node_metric) -> score. Higher score
 # means a worse (more degraded) population. Pure and deterministic.
@@ -156,15 +157,20 @@ def annotate_impacts(
     rates for a binary one. It is None, and the rule stale, when no row
     matches (extraction may have run on a sample of the full table).
     """
+    from . import prep
     kpi_values = prep.kpi_values(full_table, kpi)
-    out = []
-    for rule in rules:
-        mask = full_table.conjunction_mask(rule.all_predicates())
-        out.append(
-            replace(
-                rule,
-                performance_impact=prep.impact(kpi_values, mask),
-                full_row_count=int(mask.sum()),
-            )
-        )
+    out = list(rules)
+    # Rules share the prefixes of their tree paths. In this order each rule
+    # ANDs in only the predicates past the prefix it shares with the last.
+    order = sorted(range(len(rules)), key=lambda i: [
+        (p.attribute, p.op.value, p.value, p.polarity) for p in rules[i].all_predicates()])
+    path, masks = (), [full_table.conjunction_mask(())]  # masks[k]: the first k of path
+    for i in order:
+        predicates = rules[i].all_predicates()
+        k = next((k for k, (a, b) in enumerate(zip(path, predicates)) if a != b), min(len(path), len(predicates)))
+        path, masks = predicates, masks[:k + 1]
+        for p in predicates[k:]:
+            masks.append(masks[-1] & full_table.predicate_mask(p))
+        out[i] = replace(rules[i], performance_impact=prep.impact(kpi_values, masks[-1]),
+                         full_row_count=int(masks[-1].sum()))
     return out

@@ -54,8 +54,10 @@ class HistoryStore:
         self._scores: list[float] = []
         self._counts: list[int] = []
         # run-date -> {key -> the record's position}; built on the first query
-        # after an append, so an append-only caller never pays for it
+        # or the first check of a stored date, so an append-only caller that
+        # adds new dates never pays for it, and kept up to date from then on
         self._on: dict[datetime.date, dict[str, int]] | None = None
+        self._dates: set[datetime.date] = set()  # every stored run-date
         if os.path.exists(self.path):
             self._load()
 
@@ -91,7 +93,7 @@ class HistoryStore:
         except ValueError:
             raise self._first_fault() from None
         self._days, self._keys, self._scores, self._counts = days, keys, scores, counts
-        self._on = on
+        self._on, self._dates = on, set(on)
 
     def _first_fault(self) -> ValueError:
         """The error naming the first line with a fault, and its first field,
@@ -123,7 +125,7 @@ class HistoryStore:
             if "\t" in rec.predicate_key or "\n" in rec.predicate_key:
                 raise ValueError(f"key {rec.predicate_key!r} holds a tab or a line end, which the store cannot hold")
             pair = (rec.run_date, rec.predicate_key)
-            if pair in staged or rec.predicate_key in self._by_date().get(rec.run_date, ()):
+            if pair in staged or rec.run_date in self._dates and rec.predicate_key in self._by_date()[rec.run_date]:
                 raise ValueError(
                     f"duplicate record for {rec.predicate_key!r} on {rec.run_date}"
                 )
@@ -141,11 +143,13 @@ class HistoryStore:
             f.flush()
             os.fsync(f.fileno())
         for rec in new_records:
+            if self._on is not None:
+                self._on.setdefault(rec.run_date, {})[rec.predicate_key] = len(self._keys)
+            self._dates.add(rec.run_date)
             self._days.append(rec.run_date)
             self._keys.append(rec.predicate_key)
             self._scores.append(rec.correlation_score)
             self._counts.append(rec.request_count)
-        self._on = None
 
     def _by_date(self) -> dict[datetime.date, dict[str, int]]:
         if self._on is None:

@@ -2,12 +2,16 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import kpidiag
 from kpidiag import cli, forest, prep
 from kpidiag.cli import main
-from kpidiag.config import _SETTINGS, parse_run_config, rule_to_json
+from kpidiag.config import _SETTINGS, parse_run_config, rule_reader, rule_to_json
 from kpidiag.errors import ConfigError
 from kpidiag.ingest import load
 from kpidiag.model import ColumnRole, KpiKind, Predicate, Rule
@@ -523,6 +527,10 @@ class TestComposition:
         for name in ("report.json", "report.md", "model.txt", "pruning.json"):
             assert (staged / name).read_bytes() == (mono / name).read_bytes(), name
         assert (tmp_path / "h-staged.tsv").read_bytes() == (tmp_path / "h-mono.tsv").read_bytes()
+        # rules.json holds one compact rule record per line
+        lines = (staged / "rules.json").read_text(encoding="utf-8").splitlines()
+        assert lines[0] == "[" and lines[-1] == "]" and len(lines) > 3
+        assert [json.loads(line.removesuffix(",")) for line in lines[1:-1]] == json.loads("\n".join(lines))
 
 
 class TestHistoryIsRecordedLast:
@@ -710,6 +718,22 @@ def test_malformed_json_input_is_one_error_line_naming_the_key(tmp_path, capsys,
     assert capsys.readouterr().err == f"error: {where}{message}\n"
 
 
+def test_a_repeated_predicate_record_reads_as_the_first_and_a_lookalike_is_checked():
+    """A rules.json reader reads each distinct predicate record once; a record
+    that differs only in a value's type or sign, which compares equal, is read anew."""
+    read = rule_reader()
+    pred = {"attribute": "C", "op": "gt", "value": 1.0, "polarity": True}
+    rule = read(dict(RULE, correlated_predicate=pred, scope_predicates=[pred]))
+    assert rule.scope_predicates == (rule.correlated_predicate,) == (Predicate.greater_than("C", 1.0),)
+    zero = read(dict(RULE, correlated_predicate=dict(pred, value=0.0))).correlated_predicate
+    negative = read(dict(RULE, correlated_predicate=dict(pred, value=-0.0))).correlated_predicate
+    assert (math.copysign(1.0, zero.value), math.copysign(1.0, negative.value)) == (1.0, -1.0)
+    for lookalike, got in (({"polarity": 1}, "polarity must be true or false, got 1"),
+                           ({"value": True}, "value must be a finite number, got true")):
+        with pytest.raises(ConfigError, match=f"^correlated_predicate.{got}$"):
+            read(dict(RULE, correlated_predicate=dict(pred, **lookalike)))
+
+
 SCOPED_RULE = dict(RULE, scope_predicates=[{"attribute": "C", "op": "gt", "value": 1.0, "polarity": False}])
 
 # (file, a valid document, path of the object that gets the unknown key
@@ -856,3 +880,21 @@ class TestMultiDayResolution:
             assert seen[day]["resolved"] == []
         assert seen[6]["rules"] == []
         assert seen[6]["resolved"] == ["A=c3"]
+
+
+def test_triage_and_eval_run_without_numpy(tmp_path):
+    """Neither sub-command does array work, so neither imports numpy."""
+    rule = Rule(Predicate.equals("Rack", "a"), (Predicate.greater_than("X", 1.5, polarity=False),), 2.0, 10, 0.5, 10)
+    rules = write_json(tmp_path / "rules.json", [rule_to_json(rule)])
+    manifest = write_json(tmp_path / "manifest.json", {"faults": [{"keys": ["Rack=a"]}]})
+    out = tmp_path / "out"
+    steps = [
+        (["triage", "--config", str(run_config(tmp_path)), "--rules", str(rules),
+          "--history", str(tmp_path / "history.tsv"), "--out", str(out), "--date", RUN_DATE], 2),
+        (["eval", "--report", str(out / "report.json"), "--manifest", str(manifest)], 0),
+    ]
+    probe = "import sys; from kpidiag.cli import main; print(main(sys.argv[1:]), 'numpy' in sys.modules, file=sys.stderr)"
+    env = dict(os.environ, PYTHONPATH=str(Path(kpidiag.__file__).parent.parent))
+    for argv, code in steps:
+        run = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True, text=True, env=env)
+        assert run.stderr.splitlines() == [f"{code} False"], argv[0]

@@ -2,6 +2,7 @@ import contextlib
 import csv
 import datetime
 import json
+import math
 import multiprocessing.pool
 import os
 import re
@@ -19,13 +20,8 @@ from hypothesis import strategies as st
 
 from kpidiag import forest, ingest, synth
 from kpidiag.errors import ConfigError, SchemaError
-from kpidiag.ingest import (
-    ColumnDecl,
-    SchemaConfig,
-    load,
-    write_csv,
-)
-from kpidiag.model import ColumnKind, ColumnRole, KpiKind, KpiSpec
+from kpidiag.ingest import load, write_csv
+from kpidiag.model import ColumnDecl, ColumnKind, ColumnRole, KpiKind, KpiSpec, SchemaConfig
 
 from conftest import category_counts, make_table
 from oracles import cell, evaluate, iter_rows, load_reference, table_from_columns
@@ -148,6 +144,26 @@ class TestJsonlLoad:
         path = write(tmp_path, "a.jsonl", f'{{"AuthLatency": 1}}\n\n{{"AuthLatency": {"9" * 5000}}}\n')
         with pytest.raises(SchemaError, match="row 3: invalid JSON"):
             load(path, "jsonl", SchemaConfig(kpi=LAT_KPI))
+
+    def test_lines_that_parse_only_when_joined_fail_at_the_first(self, tmp_path):
+        lines = ['{"AuthLatency": 1}', '{"AuthLatency": 1},{"A": 0}', '{"B": 2, "AuthLatency": 0', '"A": 1}']
+        path = write(tmp_path, "a.jsonl", "\n".join(lines) + "\n")
+        with pytest.raises(SchemaError, match=r"^row 2: invalid JSON \(Extra data\)$"):
+            load(path, "jsonl", SchemaConfig(kpi=LAT_KPI))
+
+    def test_bad_line_beats_a_later_undecodable_byte_in_its_block(self, tmp_path):
+        path = tmp_path / "a.jsonl"
+        path.write_bytes(b'{"AuthLatency": 1}\nnot-json\n' + b'{"AuthLatency": 2}\n' * 2000 + b'{"A": "\xff"}\n')
+        with pytest.raises(SchemaError, match=r"^row 2: invalid JSON"):
+            load(path, "jsonl", SchemaConfig(kpi=LAT_KPI))
+
+    def test_a_clean_block_is_decoded_whole(self, tmp_path):
+        path = write(tmp_path, "a.jsonl", '{"AuthLatency": 1, "A": "x"}\n\n {"A": null}\r\n{"AuthLatency": 2.5}')
+        with mock.patch.object(ingest, "_jsonl_object", wraps=ingest._jsonl_object) as per_line:
+            table = load(path, "jsonl", SchemaConfig(kpi=LAT_KPI))
+        assert per_line.call_count == 0
+        assert [cell(table, "A", i) for i in range(3)] == ["x", None, None]
+        assert [cell(table, "AuthLatency", i) for i in range(3)] == [1.0, None, 2.5]
 
 
 class TestNonFinite:
@@ -507,6 +523,83 @@ class TestAcrossRanges(TestAcrossBlocks):
             table = load(path, "csv", self.CONFIG)
         assert table == load_reference(path, "csv", self.CONFIG)
         assert cell(table, "X", 500) == "two\nlines" and table.row_count == 1000
+
+
+# -- JSON lines decoded a block at a time ---------------------------------------
+
+JSONL_KEYS = ("K", "A", "B")
+JSONL_CELLS = st.one_of(
+    st.integers(-5, 5),
+    st.floats(-1e3, 1e3),
+    st.sampled_from([True, False, None, "x", "Zürich", math.nan, math.inf, -math.inf]),
+)
+# one list of three flat objects when joined, though no line parses alone
+JOINED_ONLY = ['{"K": 1},{"A": 0}', '{"B": 2,"K": 0', '"A": 1}']
+# each an injected fault, as the lines that carry it; None is no fault
+JSONL_FAULTS = (
+    None,
+    ["not-json"],
+    ['{"K": 1'],
+    ["[1, 2]"],
+    ['"K"'],
+    ["7"],
+    ['{"K": 1, "A": {"x": 1}}'],
+    ['{"A": [1], "K": 2}'],
+    ['{"K": ' + "9" * 5000 + "}"],  # an integer past int_max_str_digits
+    JOINED_ONLY,
+    JOINED_ONLY,
+)
+
+
+@st.composite
+def jsonl_texts(draw):
+    """A JSONL file's text: flat objects (keys first seen anywhere, some
+    absent), blank and whitespace-only lines, CRLF or LF line ends, maybe no
+    final line end, maybe one fault."""
+    lines = []
+    for _ in range(draw(st.integers(0, 9))):
+        keys = draw(st.lists(st.sampled_from(JSONL_KEYS), unique=True))
+        row = {k: draw(JSONL_CELLS) for k in keys}
+        lines.append(draw(st.sampled_from(["", " ", "\t"])) + json.dumps(row) + draw(st.sampled_from(["", " "])))
+        if draw(st.integers(0, 4)) == 0:
+            lines.append(draw(st.sampled_from(["", "  ", " \t "])))
+    at = draw(st.integers(0, len(lines)))
+    lines[at:at] = draw(st.sampled_from(JSONL_FAULTS)) or []
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(lines) + (end if lines and draw(st.booleans()) else "")
+
+
+def jsonl_outcome(path, config):
+    """The loaded table, or the error's type and text."""
+    try:
+        return load(path, "jsonl", config)
+    except (ConfigError, SchemaError) as e:
+        return type(e).__name__, str(e)
+
+
+class TestJsonlBlocks:
+    """A block of JSON lines is decoded as one JSON list when that must give
+    each line's own object; the table and every error are those of decoding
+    each line by itself."""
+
+    CONFIG = SchemaConfig(kpi=KpiSpec(column="K", kind=KpiKind.CONTINUOUS, threshold=0.0))
+
+    @pytest.fixture(autouse=True, params=[1, 2], ids=["1 range", "2 ranges"])
+    def ranges(self, request):
+        with split_into_ranges(request.param):
+            yield
+
+    @pytest.mark.parametrize("block_rows", [2, 3, 4096])
+    @settings(IN_RANGES, max_examples=80)
+    @given(text=jsonl_texts())
+    def test_block_decoder_equals_the_per_line_decoder(self, block_rows, text):
+        with tempfile.TemporaryDirectory() as dir, mock.patch.object(ingest, "_BLOCK_ROWS", block_rows):
+            path = Path(dir) / "t.jsonl"
+            path.write_bytes(text.encode("utf-8"))
+            per_line = mock.patch.object(ingest, "_joined", lambda texts: None)
+            with per_line:
+                expected = jsonl_outcome(path, self.CONFIG)
+            assert jsonl_outcome(path, self.CONFIG) == expected
 
 
 class TestRanges:

@@ -23,12 +23,15 @@ def test_library_use_block_imports_exactly_the_exports():
     namespace: dict = {}
     exec(compile(block, "README.md", "exec"), namespace)
     imported = {name for name in namespace if not name.startswith("__")}
+    # the package binds each export on first use: bind all of them, so that
+    # the namespace below holds every export whatever ran before
+    assert not any(inspect.ismodule(getattr(kpidiag, name)) for name in kpidiag.__all__)
     exported = {
         name
         for name, value in vars(kpidiag).items()
         if not name.startswith("_") and not inspect.ismodule(value)
     }
-    assert exported == imported | ERRORS
+    assert exported == set(kpidiag.__all__) == imported | ERRORS
 
 
 def _config_table() -> dict[str, tuple[str, str]]:

@@ -330,6 +330,23 @@ class TestComputeImpact:
         # subset = {row 0} (10.0) vs global mean 5.0
         assert impact(rule, table, LAT) == pytest.approx(5.0)
 
+    @settings(max_examples=60, deadline=None)
+    @given(paths=st.lists(st.lists(st.integers(0, 5), min_size=1, max_size=4), max_size=12))
+    def test_rules_sharing_path_prefixes_get_each_their_own_impact(self, paths):
+        """Rules whose predicates share prefixes, in any order, get what each
+        gets alone, though a batch computes a shared prefix's mask once."""
+        rng = np.random.default_rng(len(paths))
+        table = make_table({
+            "A": ("cat", [f"a{v}" for v in rng.integers(0, 3, 60)]),
+            "X": ("cont", list(rng.normal(size=60))),
+            "Lat": ("cont", list(rng.lognormal(size=60))),
+        }, kpi="Lat")
+        pool = [Predicate.equals("A", "a0"), Predicate.equals("A", "a1", polarity=False),
+                Predicate.greater_than("X", 0.0), Predicate.greater_than("X", -0.5, polarity=False),
+                Predicate.greater_than("X", 0.5), Predicate.equals("A", "zz")]
+        rules = [rule_of(pool[path[-1]], scope=[pool[i] for i in path[:-1]]) for path in paths]
+        assert annotate_impacts(rules, table, LAT) == [annotate_impacts([r], table, LAT)[0] for r in rules]
+
 
 class TestOrientationSoundness:
     def test_degraded_side_scores_at_least_the_other(self, rng):

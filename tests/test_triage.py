@@ -347,6 +347,9 @@ class TestHistoryStore:
                 new = [(day, k, v) for k, v in dict(scored).items() if (day, k) not in stored]
                 stored.update((d, k) for d, k, _ in new)
                 store.append([HistoryRecord(d, k, v, 1) for d, k, v in new])
+                for d, k, _ in new[:1]:  # a stored (date, key) is refused, map built or not
+                    with pytest.raises(ValueError, match="duplicate"):
+                        store.append([HistoryRecord(d, k, 0.0, 1)])
                 fresh = HistoryStore(path)
                 for before in (None, *DATES):
                     assert store.run_dates(before) == fresh.run_dates(before)
