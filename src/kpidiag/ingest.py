@@ -184,18 +184,20 @@ def forked_map(fn, items, workers: int, consume):
     """consume(fn(item) for each item, in order): in this process for one
     worker, else in a `fork` pool (a spawned worker would import the package
     again) whose workers inherit fn and are sent only the items. The pool is
-    closed before this returns or raises."""
+    closed and joined before this returns or raises."""
     global _task
     if workers == 1:
         return consume(map(fn, items))
     import multiprocessing  # here, not at module level: most runs start no pool
 
     _task = fn
-    try:
-        with multiprocessing.get_context("fork").Pool(workers) as pool:
+    with multiprocessing.get_context("fork").Pool(workers) as pool:
+        try:
             return consume(pool.imap(_run_task, items, chunksize=1))
-    finally:
-        _task = None
+        finally:  # the with's terminate() alone could kill a worker holding the result queue's lock, and hang
+            _task = None
+            pool.close()
+            pool.join()
 
 
 def load(path, format: str, schema_config: SchemaConfig) -> LogTable:
@@ -637,16 +639,34 @@ def _jsonl_object(text: str, line_no: int) -> dict:
 
 
 def write_csv(table: LogTable, path) -> None:
-    """Write a table back out as CSV (missing cells -> empty)."""
+    """Write a table as `csv.writer` would (missing cells -> empty), _BLOCK_ROWS rows at a time."""
+    for spec in table.schema:
+        if spec.kind is ColumnKind.CONTINUOUS and np.isinf(table.values(spec.name)).any():
+            raise SchemaError(f"column {spec.name!r} holds an infinite value, which a log file may not hold")
+    fields = {s.name: np.array([*_csv_fields(table.categories(s.name)), ""], dtype=object)  # code -1 -> ""
+              for s in table.schema if s.kind is ColumnKind.CATEGORICAL}
     with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(table.column_names)
-        cols = []
-        for spec in table.schema:
-            if spec.kind is ColumnKind.CATEGORICAL:
-                cats = table.categories(spec.name)
-                cols.append(["" if c < 0 else cats[c] for c in table.codes(spec.name)])
-            else:
-                cols.append(["" if np.isnan(v) else format_number(float(v)) for v in table.values(spec.name)])
-        for row in zip(*cols):
-            writer.writerow(row)
+        csv.writer(f).writerow(table.column_names)
+        for start in range(0, table.row_count, _BLOCK_ROWS):
+            rows = slice(start, start + _BLOCK_ROWS)
+            # a generator, so only zip holds the cells: they are freed before the text is encoded and written
+            cols = (fields[s.name][table.codes(s.name)[rows]].tolist() if s.name in fields
+                    else _number_fields(table.values(s.name)[rows]) for s in table.schema)
+            f.write("".join([(",".join(cells) or '""') + "\r\n" for cells in zip(*cols)]))  # as csv quotes a lone ""
+
+
+def _csv_fields(texts: Sequence[str]) -> list[str]:
+    """Each text as `csv.writer` writes it beside other fields: quoted if it must be, else itself."""
+    writer = csv.writer(buf := io.StringIO())
+    ends = list(itertools.accumulate(writer.writerow((t, "")) for t in texts))
+    data = buf.getvalue()
+    return [t if b - a - 3 == len(t) else data[a:b - 3] for t, a, b in zip(texts, [0, *ends], ends)]
+
+
+def _number_fields(values: np.ndarray) -> list[str]:
+    """`format_number` of each value, "" for NaN."""
+    fields = np.array(list(map(repr, values.tolist())), dtype=object)
+    whole = (values == np.trunc(values)) & (np.abs(values) < 1e16)
+    fields[whole] = list(map(str, values[whole].astype(np.int64).tolist()))
+    fields[np.isnan(values)] = ""
+    return fields.tolist()

@@ -10,6 +10,7 @@ the generated table, which is what a correct diagnosis should recover.
 
 from __future__ import annotations
 
+import contextlib
 import datetime
 import json
 import statistics
@@ -58,7 +59,8 @@ def generate(
             codes[attr.name] = _draw_categorical(attr, n, rng)
             categories[attr.name] = attr.categories()
         else:
-            values[attr.name] = _draw_continuous(attr, n, rng)
+            what = f"attribute {attr.name!r} ({attr.distribution}, loc={attr.loc}, scale={attr.scale})"
+            values[attr.name] = _finite(lambda: _draw_continuous(attr, n, rng), what)
         schema.append(ColumnSpec(attr.name, attr.kind, ColumnRole.FEATURE))
 
     features = LogTable(schema, codes, categories, values, n)
@@ -67,13 +69,15 @@ def generate(
 
     kpi = cfg.kpi
     if kpi.kind is KpiKind.CONTINUOUS:
-        kpi_vals = rng.lognormal(mean=kpi.mu, sigma=kpi.sigma, size=n)
-        for fault, mask in zip(active, fault_masks):
-            if fault.shift is not None:
-                kpi_vals[mask] += fault.shift
-            else:
-                kpi_vals[mask] *= fault.multiplier
-        values[kpi.column] = kpi_vals
+        what = f"kpi {kpi.column!r} (lognormal, mu={kpi.mu}, sigma={kpi.sigma})"
+        kpi_vals = _finite(lambda: rng.lognormal(mean=kpi.mu, sigma=kpi.sigma, size=n), what)
+        with np.errstate(over="ignore"):  # an overflow is refused below
+            for fault, mask in zip(active, fault_masks):
+                if fault.shift is not None:
+                    kpi_vals[mask] += fault.shift
+                else:
+                    kpi_vals[mask] *= fault.multiplier
+        values[kpi.column] = _finite(lambda: kpi_vals, f"{what} with its faults' effects")
         schema.append(ColumnSpec(kpi.column, ColumnKind.CONTINUOUS, ColumnRole.KPI))
         observed = kpi_vals
     else:
@@ -95,26 +99,21 @@ def generate(
 
     table = LogTable(schema, codes, categories, values, n)
 
-    fault_entries = []
-    for fault, mask in zip(active, fault_masks):
-        impact = prep.impact(observed, mask)
-        fault_entries.append(
-            {
-                "keys": fault.keys(),
-                "predicates": [p.text() for p in fault.trigger],
-                "rows_matched": int(mask.sum()),
-                "expected_impact": 0.0 if impact is None else impact,
-            }
-        )
-    degraded = np.zeros(n, dtype=bool)
-    for mask in fault_masks:
-        degraded |= mask
+    fault_entries = [
+        {
+            "keys": fault.keys(),
+            "predicates": [p.text() for p in fault.trigger],
+            "rows_matched": int(mask.sum()),
+            "expected_impact": 0.0 if (impact := prep.impact(observed, mask)) is None else impact,
+        }
+        for fault, mask in zip(active, fault_masks)
+    ]
     manifest = {
         "day": day.isoformat(),
         "row_count": n,
         "kpi_column": kpi.column,
         "kpi_kind": kpi.kind.value,
-        "degraded_rows": int(degraded.sum()),
+        "degraded_rows": int(np.any(fault_masks, axis=0).sum()),
         "faults": fault_entries,
     }
     return table, manifest
@@ -132,8 +131,7 @@ def _draw_categorical(attr: AttributeSpec, n: int, rng: np.random.Generator) -> 
         raise ConfigError(f"unknown categorical weighting {attr.weighting!r}")
     drawn = drawn.astype(np.int32)
     if n >= EXACT_CARDINALITY_FACTOR * k:
-        present = np.bincount(drawn, minlength=k) > 0
-        absent = np.flatnonzero(~present)
+        absent = np.flatnonzero(np.bincount(drawn, minlength=k) == 0)
         if absent.size:
             # overwrite a few random rows so the configured cardinality is exact
             spots = rng.choice(n, size=absent.size, replace=False)
@@ -149,6 +147,13 @@ def _draw_continuous(attr: AttributeSpec, n: int, rng: np.random.Generator) -> n
     if attr.distribution == "uniform":
         return rng.uniform(attr.loc, attr.loc + attr.scale, size=n)
     raise ConfigError(f"unknown continuous distribution {attr.distribution!r}")
+
+
+def _finite(draw, what: str) -> np.ndarray:
+    with contextlib.suppress(OverflowError):  # as from a uniform range wider than a float can hold
+        if np.isfinite(values := draw()).all():
+            return values
+    raise ConfigError(f"{what} draws values that are not finite")
 
 
 def _trigger_mask(fault: FaultSpec, features: LogTable) -> np.ndarray:

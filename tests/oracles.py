@@ -5,9 +5,9 @@ definition, MSE as a two-pass mean of squared deviations, and best-split
 search as full enumeration of every predicate with row-by-row evaluation.
 Row-at-a-time views of a table, predicates and KPI criteria, the
 structural walks over trees, a table built from Python lists, a
-cell-by-cell file loader, an evaluator for the generated SQL dialect, a
-one-node entry to the forest's split search and a rule-at-a-time
-deduplication live here too: only tests need them.
+cell-by-cell file loader, a row-at-a-time CSV writer, an evaluator for
+the generated SQL dialect, a one-node entry to the forest's split search
+and a rule-at-a-time deduplication live here too: only tests need them.
 """
 
 from __future__ import annotations
@@ -216,6 +216,22 @@ def load_reference(path, format: str, schema_config: SchemaConfig) -> LogTable:
             codes[name], categories[name] = _dictionary_encode(texts)
         schema.append(ColumnSpec(name, kind, role))
     return LogTable(schema, codes, categories, values, len(rows))
+
+
+def write_csv_reference(table: LogTable, path) -> None:
+    """`ingest.write_csv`, one row at a time through `csv.writer`."""
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        writer = csv.writer(f)
+        writer.writerow(table.column_names)
+        cols = []
+        for spec in table.schema:
+            if spec.kind is ColumnKind.CATEGORICAL:
+                cats = table.categories(spec.name)
+                cols.append(["" if c < 0 else cats[c] for c in table.codes(spec.name)])
+            else:
+                cols.append(["" if np.isnan(v) else format_number(float(v)) for v in table.values(spec.name)])
+        for row in zip(*cols):
+            writer.writerow(row)
 
 
 def _reference_kind(present: list) -> ColumnKind:

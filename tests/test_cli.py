@@ -262,6 +262,33 @@ def test_bad_generator_number_is_a_config_error_naming_the_key(tmp_path, capsys,
     assert not out.exists()
 
 
+OVERFLOWING = [
+    ("attributes", {"name": "X", "kind": "continuous", "distribution": "lognormal", "loc": 800},
+     "attribute 'X' (lognormal, loc=800.0, scale=1.0)"),
+    ("attributes", {"name": "X", "kind": "continuous", "distribution": "uniform", "loc": 1e308, "scale": 1e308},
+     "attribute 'X' (uniform, loc=1e+308, scale=1e+308)"),
+    ("kpi", {"column": "Lat", "kind": "continuous", "mu": 800, "sigma": 1.0},
+     "kpi 'Lat' (lognormal, mu=800.0, sigma=1.0)"),
+    ("faults", {"trigger": [{"attribute": "A", "op": "eq", "value": "c3"}], "multiplier": 1e308},
+     "kpi 'Lat' (lognormal, mu=0.0, sigma=1.0) with its faults' effects"),
+]
+
+
+@pytest.mark.parametrize("key, entry, named", OVERFLOWING, ids=["lognormal", "uniform", "kpi", "fault"])
+def test_draws_that_are_not_finite_exit_1_naming_the_parameters(tmp_path, capsys, key, entry, named):
+    path = gen_config(tmp_path)
+    obj = json.loads(path.read_text())
+    if key == "kpi":
+        obj["kpi"] = entry
+    else:
+        obj[key].append(entry)
+    write_json(path, obj)
+    out = tmp_path / "data"
+    assert main(["generate", "--config", str(path), "--out", str(out), "--date", RUN_DATE]) == 1
+    assert capsys.readouterr().err == f"error: {named} draws values that are not finite\n"
+    assert not out.exists()
+
+
 class TestDiagnose:
     def test_planted_fault_exits_two_with_top_rule(self, tmp_path, capsys):
         data = generate_data(tmp_path, faults=[FAULT])

@@ -7,6 +7,8 @@ import multiprocessing.pool
 import os
 import re
 import signal
+import subprocess
+import sys
 import tempfile
 import threading
 import tracemalloc
@@ -21,10 +23,10 @@ from hypothesis import strategies as st
 from kpidiag import forest, ingest, synth
 from kpidiag.errors import ConfigError, SchemaError
 from kpidiag.ingest import load, write_csv
-from kpidiag.model import ColumnDecl, ColumnKind, ColumnRole, KpiKind, KpiSpec, SchemaConfig
+from kpidiag.model import ColumnDecl, ColumnKind, ColumnRole, ColumnSpec, KpiKind, KpiSpec, SchemaConfig
 
 from conftest import category_counts, make_table
-from oracles import cell, evaluate, iter_rows, load_reference, table_from_columns
+from oracles import cell, evaluate, iter_rows, load_reference, table_from_columns, write_csv_reference
 
 LAT_KPI = KpiSpec(column="AuthLatency", kind=KpiKind.CONTINUOUS, threshold=50.0)
 
@@ -602,6 +604,28 @@ class TestJsonlBlocks:
             assert jsonl_outcome(path, self.CONFIG) == expected
 
 
+FORKED_MAP_PROBE = """
+from kpidiag import ingest
+def fail(results):
+    next(results)
+    raise ValueError
+for _ in range(30):
+    try:
+        ingest.forked_map(lambda i: b"x" * (8 << 20), range(6), 2, fail)
+    except ValueError:
+        pass
+"""
+
+
+def test_forked_map_returns_when_consume_raises_while_workers_send():
+    # Leaving a pool terminates its workers; one killed while it sent a
+    # result held the result queue's lock, and the pool waited on it
+    # forever, in 6 of 6 probe runs. A fresh process, so that such a hang
+    # ends at the timeout.
+    env = dict(os.environ, PYTHONPATH=str(Path(ingest.__file__).parent.parent))
+    subprocess.run([sys.executable, "-c", FORKED_MAP_PROBE], env=env, check=True, timeout=120)
+
+
 class TestRanges:
     def test_traced_peak_of_the_parent_merging_a_40k_row_day_stays_near_one_block(self, tmp_path):
         # Workers encode the ranges; the parent holds the table so far and
@@ -730,8 +754,6 @@ class TestCardinality:
 
 class TestLogTable:
     def test_columns_must_align(self):
-        from kpidiag.model import ColumnSpec
-
         specs = [
             ColumnSpec("A", ColumnKind.CATEGORICAL),
             ColumnSpec("B", ColumnKind.CONTINUOUS),
@@ -790,3 +812,77 @@ def test_write_csv_round_trips(tmp_path):
     write_csv(table, path)
     loaded = load(path, "csv", SchemaConfig(kpi=LAT_KPI))
     assert loaded == table
+
+
+# Texts csv.writer must quote, or must not: separators, quotes, line ends,
+# surrounding spaces, non-ASCII and the empty string.
+AWKWARD_TEXTS = st.one_of(
+    st.sampled_from(["", " ", "a,b", 'say "hi"', '"', "a\rb", "a\nb", "\r\n", " lead", "trail ", "Zürich", "東京", "x"]),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=6),
+)
+# Floats format_number treats apart: integral, signed zeros, at and past
+# 1e16, subnormal, NaN (missing); and any other finite float.
+EDGE_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 47.0, -3.0, 1e16, -1e16, 9999999999999998.0, 2.5e16, 5e-324, 1e-310, math.nan]),
+    st.integers(min_value=-(2**60), max_value=2**60).map(float),
+    st.floats(allow_infinity=False),
+)
+
+
+@st.composite
+def writable_tables(draw):
+    """A table of one to four columns and zero to nine rows, with awkward names and cells."""
+    names = draw(st.lists(AWKWARD_TEXTS, min_size=1, max_size=4, unique=True))
+    rows = draw(st.integers(min_value=0, max_value=9))
+    schema, data = [], {}
+    for name in names:
+        kind = draw(st.sampled_from([ColumnKind.CATEGORICAL, ColumnKind.CONTINUOUS]))
+        cells = st.one_of(st.none(), AWKWARD_TEXTS) if kind is ColumnKind.CATEGORICAL else EDGE_FLOATS
+        schema.append(ColumnSpec(name, kind, ColumnRole.FEATURE))
+        data[name] = draw(st.lists(cells, min_size=rows, max_size=rows))
+    return table_from_columns(schema, data)
+
+
+def written(writer, table, dir) -> bytes:
+    path = Path(dir) / f"{writer.__name__}.csv"
+    writer(table, path)
+    return path.read_bytes()
+
+
+class TestWriteCsv:
+    @pytest.mark.parametrize("block_rows", [1, 2, 3, 4096])
+    @settings(max_examples=150, deadline=None)
+    @given(table=writable_tables())
+    def test_writes_the_reference_bytes(self, block_rows, table):
+        with tempfile.TemporaryDirectory() as dir, mock.patch.object(ingest, "_BLOCK_ROWS", block_rows):
+            assert written(write_csv, table, dir) == written(write_csv_reference, table, dir)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf])
+    def test_infinite_value_is_refused_before_the_file_is_opened(self, tmp_path, value):
+        table = make_table({"Region": ("cat", ["NA", "EU"]), "Lat": ("cont", [1.0, value])})
+        path = tmp_path / "t.csv"
+        with pytest.raises(SchemaError, match="column 'Lat' holds an infinite value"):
+            write_csv(table, path)
+        assert not path.exists()
+
+    def test_holds_about_one_block_of_cell_texts(self, tmp_path):
+        # 50,000 rows x 21 columns. The reference writer holds every cell's
+        # text at once; write_csv holds one 4,096-row block of them.
+        attrs = tuple(
+            synth.AttributeSpec(name=f"C{i}", kind=ColumnKind.CATEGORICAL, cardinality=5 + 40 * i)
+            for i in range(12)
+        ) + tuple(synth.AttributeSpec(name=f"X{i}", kind=ColumnKind.CONTINUOUS) for i in range(8))
+        kpi = synth.KpiProfile(column="Lat", kind=KpiKind.CONTINUOUS)
+        table, _ = synth.generate(
+            synth.GeneratorConfig(attrs, 50_000, kpi, (), seed=11), datetime.date(2026, 8, 10)
+        )
+        peaks = {}
+        for writer in (write_csv_reference, write_csv):
+            tracemalloc.start()
+            try:
+                writer(table, tmp_path / f"{writer.__name__}.csv")
+                peaks[writer] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert (tmp_path / "write_csv.csv").read_bytes() == (tmp_path / "write_csv_reference.csv").read_bytes()
+        assert peaks[write_csv] < peaks[write_csv_reference] / 4, {w.__name__: p for w, p in peaks.items()}
