@@ -73,7 +73,10 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    _, _, warnings = pipeline.run_train(load_run_config(args.config), args.input, args.out)
+    config = load_run_config(args.config)
+    before = pipeline.input_state(args.input)
+    imputed, _, warnings = pipeline.run_train(config, args.input, args.out)
+    pipeline.save_table(imputed, config, args.input, args.out, before)
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
     print(f"wrote {args.out}/model.txt", file=sys.stderr)
@@ -83,7 +86,9 @@ def _cmd_train(args) -> int:
 def _cmd_extract(args) -> int:
     config = load_run_config(args.config)
     model = pipeline.read_model(args.model, config.kpi.kind)
-    imputed = pipeline.prepare_table(config, args.input)
+    imputed = pipeline.load_table(config, args.input, args.model)
+    if imputed is None:
+        imputed = pipeline.prepare_table(config, args.input)
     mined = pipeline.mine_rules(config, model, imputed)
     pipeline.write_rules(mined, args.out)
     print(f"wrote {len(mined)} rules to {args.out}/rules.json", file=sys.stderr)

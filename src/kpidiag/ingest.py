@@ -132,21 +132,6 @@ class LogTable:
             mask &= self.predicate_mask(p)
         return mask
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LogTable):
-            return NotImplemented
-        if self.schema != other.schema or self.row_count != other.row_count:
-            return False
-        for name in self._codes:
-            if self._categories[name] != other._categories[name]:
-                return False
-            if not np.array_equal(self._codes[name], other._codes[name]):
-                return False
-        for name in self._values:
-            if not np.array_equal(self._values[name], other._values[name], equal_nan=True):
-                return False
-        return True
-
     def __repr__(self) -> str:
         return f"LogTable({len(self.schema)} columns, {self.row_count} rows)"
 

@@ -16,8 +16,10 @@ from __future__ import annotations
 
 import contextlib
 import datetime
+import hashlib
 import json
 import os
+import stat
 import time
 from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING
@@ -25,7 +27,7 @@ from typing import TYPE_CHECKING
 from . import report, rules
 from .config import RunConfig, rule_to_json
 from .errors import ConfigError, StageError
-from .model import KpiKind, Rule, TriageCategory, TriagedRule
+from .model import ColumnKind, ColumnRole, ColumnSpec, KpiKind, Rule, TriageCategory, TriagedRule
 from .triage import HistoryStore, detect_resolved, record_run, run_records
 from .triage import triage as triage_today
 
@@ -174,12 +176,9 @@ def run_triage(
         resolved = detect_resolved(mined, store, run_date)
         store.check(run_records(mined, run_date))
     with timer.stage("report"):
-        report_json = report.render_json(
-            triaged, resolved, run_date, config.kpi, config.table_name
-        )
-        report_md = report.render_markdown(
-            triaged, resolved, run_date, config.kpi, config.table_name
-        )
+        ranked = report.entries(triaged, config.table_name)
+        report_json = report.render_json(ranked, resolved, run_date, config.kpi)
+        report_md = report.render_markdown(ranked, resolved, run_date, config.kpi)
         _write(out_dir, "report.json", report_json)
         _write(out_dir, "report.md", report_md)
     with timer.stage("triage"):
@@ -217,10 +216,109 @@ def run_diagnose(
     )
 
 
-def _write(out_dir, name: str, text: str) -> None:
+@contextlib.contextmanager
+def _replacing(out_dir, name: str):
+    """A binary file that replaces out_dir/name when the block ends. It is
+    written beside it under a temporary name, so a block that fails leaves
+    the old file, and no temporary one."""
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, name), "w", encoding="utf-8") as f:
-        f.write(text)
+    temp = os.path.join(out_dir, f".{name}.{os.getpid()}.tmp")
+    try:
+        with open(temp, "wb") as f:
+            yield f
+        os.replace(temp, os.path.join(out_dir, name))
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(temp)
+
+
+def _write(out_dir, name: str, text: str) -> None:
+    with _replacing(out_dir, name) as f:
+        f.write(text.encode("utf-8"))
+
+
+# -- the prepared table that train hands to extract -------------------------
+
+TABLE_FILE = "table.npz"
+# A change to what prepare_table makes of given bytes and settings must bump
+# this, so that extract loads no table.npz written before the change.
+TABLE_FORMAT = 1
+
+
+def input_state(path):
+    """(device, inode, size, mtime) of a regular file, which tell its bytes
+    apart without reading them; None for a pipe or a file that is not there."""
+    with contextlib.suppress(OSError):
+        s = os.stat(path)
+        return (s.st_dev, s.st_ino, s.st_size, s.st_mtime_ns) if stat.S_ISREG(s.st_mode) else None
+
+
+def _table_key(config: RunConfig) -> dict:
+    """The settings prepare_table reads, as table.npz records them."""
+    columns = {name: [d.kind and d.kind.value, d.role.value] for name, d in config.columns.items()}
+    kpi = [config.kpi.column, config.kpi.kind.value]
+    return {"format": TABLE_FORMAT, "input_format": config.input_format, "kpi": kpi, "columns": columns}
+
+
+def _sha256(path) -> str:
+    digest = hashlib.sha256()
+    with open(path, "rb") as f:
+        while block := f.read(1 << 20):
+            digest.update(block)
+    return digest.hexdigest()
+
+
+def save_table(table: LogTable, config: RunConfig, input_path, out_dir, before) -> None:
+    """Write out_dir/table.npz: a JSON header (input_path's digest, _table_key,
+    the row count, each column's name, kind, role and categories), then each
+    column's codes or values as the table holds them. `before` is input_state
+    from before the input was read: a pipe, or a file changed since, writes nothing."""
+    import numpy as np
+    if before is None:
+        return
+    digest = _sha256(input_path)
+    if input_state(input_path) != before:
+        return
+    columns, arrays = [], {}
+    for i, s in enumerate(table.schema):
+        coded = s.kind is ColumnKind.CATEGORICAL
+        columns.append([s.name, s.kind.value, s.role.value, table.categories(s.name) if coded else None])
+        arrays[f"c{i}"] = table.codes(s.name) if coded else table.values(s.name)
+    header = {"key": _table_key(config), "sha256": digest, "rows": table.row_count, "columns": columns}
+    with _replacing(out_dir, TABLE_FILE) as f:
+        np.savez(f, header=np.frombuffer(json.dumps(header).encode("ascii"), np.uint8), **arrays)
+
+
+def load_table(config: RunConfig, input_path, model_path) -> LogTable | None:
+    """The table.npz beside model_path if train wrote it from input_path's
+    bytes under the settings prepare_table reads, else None. The input is
+    hashed only once those settings match. A file that does not hold such a
+    table, whatever its fault, is None too, and the caller ingests."""
+    import numpy as np
+    from .ingest import LogTable
+    if input_state(input_path) is None:
+        return None
+    try:
+        with np.load(os.path.join(os.path.dirname(model_path), TABLE_FILE), allow_pickle=False) as npz:
+            header = json.loads(npz["header"].tobytes())
+            if header["key"] != _table_key(config) or header["sha256"] != _sha256(input_path):
+                return None
+            schema, codes, categories, values = [], {}, {}, {}
+            for i, (name, kind, role, cats) in enumerate(header["columns"]):
+                spec = ColumnSpec(name, ColumnKind(kind), ColumnRole(role))
+                array = npz[f"c{i}"]
+                if cats is None:  # continuous; LogTable refuses a spec whose kind disagrees
+                    values[name], fits = array, array.dtype == np.float64 and np.isfinite(array).all()
+                else:
+                    codes[name], categories[name] = array, tuple(cats)
+                    fits = array.dtype == np.int32 and all(isinstance(c, str) for c in cats)
+                    fits = fits and cats == sorted(set(cats)) and not ((array < 0) | (array >= len(cats))).any()
+                if not fits:
+                    return None
+                schema.append(spec)
+            return LogTable(schema, codes, categories, values, header["rows"])
+    except Exception:  # whatever a damaged or foreign file raises, it is only a miss
+        return None
 
 
 # -- rule (de)serialization for the stage-composition files ----------------

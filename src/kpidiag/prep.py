@@ -83,8 +83,9 @@ def recommend_pruning(
     """Advisory list of feature columns that look unhelpful for diagnosis.
 
     Flags categorical features above the cardinality cap, any feature that is
-    unique per row (identifier-like), and constant features. Flagged columns
-    stay in play until the run config actually excludes them.
+    unique per row (identifier-like; a continuous one only when its values
+    are whole numbers, like a counter's), and constant features. Flagged
+    columns stay in play until the run config actually excludes them.
     """
     if max_cardinality < 1:
         raise ValueError("max_cardinality must be >= 1")
@@ -98,7 +99,10 @@ def recommend_pruning(
             card = int(np.count_nonzero(np.bincount(codes[codes >= 0])))
         else:
             col = table.values(spec.name)
-            card = int(np.unique(col[~np.isnan(col)]).size)
+            col = col[~np.isnan(col)]
+            if not col.size or (col.min() < col.max() and (np.floor(col) != col).any()):
+                continue  # a real-valued measurement is no identifier, and needs no np.unique
+            card = 1 if col.min() == col.max() else int(np.unique(col).size)
         if rows >= 1 and card == 1:
             out.append(PruneRecommendation(spec.name, card, "constant"))
         elif rows > 1 and card == rows:

@@ -77,8 +77,9 @@ def generate_query(rule: Rule, table_name: str = "logs") -> str:
 # -- rendering --------------------------------------------------------------
 
 
-def _entries(triaged_rules: Sequence[TriagedRule], table_name: str) -> list[dict]:
-    """The report's rules, ranked by descending score, then key."""
+def entries(triaged_rules: Sequence[TriagedRule], table_name: str = "logs") -> list[dict]:
+    """The report's rules, ranked by descending score, then key: what both
+    renderers print, built once per run."""
     ranked = sorted(triaged_rules, key=lambda t: (-t.rule.correlation_score, t.rule.key()))
     return [
         {
@@ -98,16 +99,12 @@ def _entries(triaged_rules: Sequence[TriagedRule], table_name: str) -> list[dict
 
 
 def render_json(
-    triaged_rules: Sequence[TriagedRule],
-    resolved_keys: Sequence[str],
-    run_date: datetime.date,
-    kpi: KpiSpec,
-    table_name: str = "logs",
+    ranked: Sequence[dict], resolved_keys: Sequence[str], run_date: datetime.date, kpi: KpiSpec
 ) -> str:
     doc = {
         "run_date": run_date.isoformat(),
         "kpi": kpi.describe(),
-        "rules": _entries(triaged_rules, table_name),
+        "rules": ranked,
         "resolved": list(resolved_keys),
     }
     return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
@@ -119,13 +116,8 @@ def _cell(text: str) -> str:
 
 
 def render_markdown(
-    triaged_rules: Sequence[TriagedRule],
-    resolved_keys: Sequence[str],
-    run_date: datetime.date,
-    kpi: KpiSpec,
-    table_name: str = "logs",
+    ranked: Sequence[dict], resolved_keys: Sequence[str], run_date: datetime.date, kpi: KpiSpec
 ) -> str:
-    entries = _entries(triaged_rules, table_name)
     kpi_desc = kpi.describe()
     lines = [
         f"# KPI diagnosis report for {run_date.isoformat()}",
@@ -135,7 +127,7 @@ def render_markdown(
         "| Rank | Triage | Correlated predicate | Scope | Requests | Impact | Score |",
         "|---:|---|---|---|---:|---:|---:|",
     ]
-    for e in entries:
+    for e in ranked:
         scope = " ∧ ".join(e["scope_predicates"]) or "-"
         impact = "stale" if e["performance_impact"] is None else f"{e['performance_impact']:.6g}"
         lines.append(
@@ -145,7 +137,7 @@ def render_markdown(
         )
     sections = {
         "Resolved": [f"- `{key}`" for key in resolved_keys],
-        "Queries": [f"{e['rank']}. `{e['query']}`" for e in entries],
+        "Queries": [f"{e['rank']}. `{e['query']}`" for e in ranked],
     }
     for title, items in sections.items():
         lines += ["", f"## {title}", "", *(items or ["(none)"])]

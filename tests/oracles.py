@@ -4,10 +4,11 @@ Everything here is deliberately naive pure Python: entropy from the
 definition, MSE as a two-pass mean of squared deviations, and best-split
 search as full enumeration of every predicate with row-by-row evaluation.
 Row-at-a-time views of a table, predicates and KPI criteria, the
-structural walks over trees, a table built from Python lists, a
-cell-by-cell file loader, a row-at-a-time CSV writer, an evaluator for
-the generated SQL dialect, a one-node entry to the forest's split search
-and a rule-at-a-time deduplication live here too: only tests need them.
+structural walks over trees, a table built from Python lists, structural
+equality of tables, a cell-by-cell file loader, a row-at-a-time CSV
+writer, an evaluator for the generated SQL dialect, a one-node entry to
+the forest's split search and a rule-at-a-time deduplication live here
+too: only tests need them.
 """
 
 from __future__ import annotations
@@ -271,6 +272,17 @@ def table_from_columns(
         else:
             values[spec.name] = np.array(col, dtype=np.float64)
     return LogTable(schema, codes, categories, values, row_count)
+
+
+def table_state(table: LogTable) -> tuple:
+    """All a table holds, as a value `==` compares: its schema, its row count,
+    and each column's categories and codes, or its values (NaN as None)."""
+    columns = [
+        (table.categories(s.name), table.codes(s.name).tolist()) if s.kind is ColumnKind.CATEGORICAL
+        else [None if math.isnan(v) else v for v in table.values(s.name).tolist()]
+        for s in table.schema
+    ]
+    return table.schema, table.row_count, columns
 
 
 def forest_structure_equal(a: ForestModel, b: ForestModel) -> bool:

@@ -1,20 +1,25 @@
+import csv
+import dataclasses
+import errno
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import kpidiag
-from kpidiag import cli, forest, prep
+from kpidiag import cli, forest, pipeline, prep
 from kpidiag.cli import main
-from kpidiag.config import _SETTINGS, parse_run_config, rule_reader, rule_to_json
+from kpidiag.config import _SETTINGS, load_run_config, parse_run_config, rule_reader, rule_to_json
 from kpidiag.errors import ConfigError
 from kpidiag.ingest import load
-from kpidiag.model import ColumnRole, KpiKind, Predicate, Rule
+from kpidiag.model import ColumnDecl, ColumnRole, KpiKind, Predicate, Rule
 
 RUN_DATE = "2026-08-10"
 
@@ -860,6 +865,197 @@ class TestExtract:
 
         monkeypatch.setattr(prep, "recommend_pruning", advisory)
         assert main(["extract", *argv, "--model", str(work / "model.txt")]) == 0
+
+
+class TestTableHandOff:
+    """`train` leaves its prepared table as table.npz beside model.txt, and
+    `extract` loads it instead of ingesting when it was made from the same
+    input bytes under the same settings; either way rules.json is the same."""
+
+    BINARY_FAULT = {"trigger": [{"attribute": "B", "op": "eq", "value": "c07"}], "failure_probability": 0.4}
+
+    @pytest.fixture(params=[("continuous", "csv"), ("continuous", "jsonl"), ("binary", "csv"), ("binary", "jsonl")])
+    def staged(self, request, tmp_path, monkeypatch):
+        kind, suffix = request.param
+        faults = [FAULT] if kind == "continuous" else [self.BINARY_FAULT]
+        data = generate_data(tmp_path, faults=faults, kind=kind) / "logs.csv"
+        if suffix == "jsonl":
+            data = self.to_jsonl(data)
+        config = run_config(tmp_path, kind=kind, trees=3)
+        write_json(config, dict(json.loads(config.read_text()), input_format=suffix))
+        work = tmp_path / "work"
+        assert main(["train", "--config", str(config), "--input", str(data), "--out", str(work)]) == 0
+        ingests = []
+        real = pipeline.prepare_table
+        monkeypatch.setattr(pipeline, "prepare_table", lambda *a, **k: ingests.append(a) or real(*a, **k))
+        return Staged(config, data, work, ingests)
+
+    @staticmethod
+    def to_jsonl(csv_path):
+        path = csv_path.with_suffix(".jsonl")
+        with open(csv_path, newline="", encoding="utf-8") as f:
+            rows = [{k: v if k in ("A", "B", "Status") else float(v) for k, v in row.items()} for row in csv.DictReader(f)]
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+        return path
+
+    def test_hit_and_miss_write_the_same_rules(self, staged):
+        assert staged.table.exists()
+        hit = staged.extract(ingested=False)
+        staged.table.unlink()
+        assert staged.extract(ingested=True) == hit
+
+    def test_input_changed_at_the_same_size_and_mtime_is_a_miss(self, staged):
+        staged.extract(ingested=False)
+        state = os.stat(staged.data)
+        raw = staged.data.read_bytes()
+        # the first row's first digit becomes another digit: same size, other table
+        at = re.compile(rb"\d").search(raw, raw.index(b"\n")).start()
+        staged.data.write_bytes(raw[:at] + (b"9" if raw[at:at + 1] == b"1" else b"1") + raw[at + 1:])
+        os.utime(staged.data, ns=(state.st_atime_ns, state.st_mtime_ns))
+        assert os.stat(staged.data).st_size == state.st_size
+        changed = staged.extract(ingested=True)
+        staged.table.unlink()
+        assert staged.extract(ingested=True) == changed
+
+    @pytest.mark.parametrize("change", ["columns", "kpi.kind", "kpi.column", "input_format"])
+    def test_other_settings_are_a_miss(self, staged, change):
+        config = load_run_config(staged.config)
+        assert pipeline.load_table(config, staged.data, staged.work / "model.txt") is not None
+        other = {
+            "columns": {"columns": {"A": ColumnDecl(role=ColumnRole.EXCLUDED)}},
+            "kpi.kind": {"kpi": dataclasses.replace(config.kpi, kind=KpiKind.BINARY, positive_label="fail")
+                         if config.kpi.kind is KpiKind.CONTINUOUS
+                         else dataclasses.replace(config.kpi, kind=KpiKind.CONTINUOUS, threshold=1.0)},
+            "kpi.column": {"kpi": dataclasses.replace(config.kpi, column="B")},
+            "input_format": {"input_format": "csv" if config.input_format == "jsonl" else "jsonl"},
+        }[change]
+        assert pipeline.load_table(dataclasses.replace(config, **other), staged.data, staged.work / "model.txt") is None
+
+    @pytest.mark.parametrize("damage", ["truncated", "garbage", "object array", "code out of range", "wrong dtype"])
+    def test_damaged_table_is_a_miss(self, staged, damage):
+        rules = staged.extract(ingested=False)
+        table = staged.table
+        if damage == "truncated":
+            table.write_bytes(table.read_bytes()[: table.stat().st_size // 2])
+        elif damage == "garbage":
+            table.write_bytes(bytes(range(256)) * 64)
+        else:
+            with np.load(table) as npz:
+                arrays = dict(npz)
+            header = json.loads(arrays["header"].tobytes())
+            coded = next(i for i, c in enumerate(header["columns"]) if c[3] is not None)
+            plain = next(i for i, c in enumerate(header["columns"]) if c[3] is None)
+            if damage == "object array":
+                arrays[f"c{coded}"] = np.array(list(header["columns"][coded][3]) * 10, dtype=object)
+            elif damage == "code out of range":
+                arrays[f"c{coded}"][0] = len(header["columns"][coded][3])
+            else:
+                arrays[f"c{plain}"] = arrays[f"c{plain}"].astype(np.float32)
+            with open(table, "wb") as f:
+                np.savez(f, **arrays)
+        assert staged.extract(ingested=True) == rules
+
+    def test_a_pipe_neither_writes_nor_uses_the_table(self, staged, tmp_path):
+        rules = staged.extract(ingested=False)
+        pipe = tmp_path / "pipe"
+        os.mkfifo(pipe)
+        for argv in (["extract", "--model", str(staged.work / "model.txt"), "--date", RUN_DATE], ["train"]):
+            feeder = threading.Thread(target=lambda: pipe.write_bytes(staged.data.read_bytes()), daemon=True)
+            feeder.start()
+            out = tmp_path / argv[0]
+            assert main([*argv, "--config", str(staged.config), "--input", str(pipe), "--out", str(out)]) == 0
+            feeder.join(timeout=60)
+        assert (tmp_path / "extract" / "rules.json").read_bytes() == rules
+        assert len(staged.ingests) == 2
+        assert not (tmp_path / "train" / "table.npz").exists()
+
+    def test_a_table_write_failing_midway_leaves_the_old_table(self, staged, monkeypatch):
+        files = {name: (staged.work / name).read_bytes() for name in os.listdir(staged.work)}
+
+        def full(f, **arrays):
+            f.write(b"PK\x03\x04")
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(np, "savez", full)
+        argv = ["--config", str(staged.config), "--input", str(staged.data), "--out", str(staged.work)]
+        assert main(["train", *argv]) == 1
+        assert {name: (staged.work / name).read_bytes() for name in os.listdir(staged.work)} == files
+
+    def test_input_edited_during_train_writes_no_table(self, staged, monkeypatch):
+        staged.table.unlink()
+        prepare, row = pipeline.prepare_table, staged.data.read_text(encoding="utf-8").splitlines()[-1]
+
+        def edited_once_read(*args, **kwargs):
+            table = prepare(*args, **kwargs)
+            with open(staged.data, "a", encoding="utf-8") as f:
+                f.write(row + "\n")
+            return table
+
+        monkeypatch.setattr(pipeline, "prepare_table", edited_once_read)
+        argv = ["--config", str(staged.config), "--input", str(staged.data), "--out", str(staged.work)]
+        assert main(["train", *argv]) == 0
+        assert (staged.work / "model.txt").exists() and not staged.table.exists()
+
+
+@dataclasses.dataclass
+class Staged:
+    """A trained work directory, and the inputs `train` read to make it."""
+
+    config: Path
+    data: Path
+    work: Path
+    ingests: list  # the calls extract made to prepare_table
+
+    @property
+    def table(self) -> Path:
+        return self.work / "table.npz"
+
+    def extract(self, ingested: bool) -> bytes:
+        """rules.json of an extract run, which ingested the input or not."""
+        calls = len(self.ingests)
+        argv = ["--config", str(self.config), "--input", str(self.data), "--model", str(self.work / "model.txt")]
+        assert main(["extract", *argv, "--out", str(self.work), "--date", RUN_DATE]) == 0
+        assert len(self.ingests) == calls + ingested
+        return (self.work / "rules.json").read_bytes()
+
+
+def test_diagnose_leaves_no_table(tmp_path):
+    data = generate_data(tmp_path, faults=[FAULT])
+    out = tmp_path / "out"
+    argv = ["--config", str(run_config(tmp_path, trees=2)), "--input", str(data / "logs.csv"), "--out", str(out)]
+    assert main(["diagnose", *argv, "--history", str(tmp_path / "history.tsv"), "--date", RUN_DATE]) == 2
+    assert sorted(os.listdir(out)) == ["model.txt", "pruning.json", "report.json", "report.md"]
+
+
+def test_a_write_failing_midway_leaves_the_old_file_and_no_temp_file(tmp_path, monkeypatch):
+    pipeline._write(tmp_path, "report.json", "old\n")
+    opened = []
+
+    class HalfWritten:
+        """A file that takes half of the first bytes it is given, then runs out of space."""
+
+        def __init__(self, path, mode):
+            opened.append(path)
+            self.f = open(path, mode)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.f.close()
+
+        def write(self, data):
+            self.f.write(data[: len(data) // 2])
+            self.f.flush()
+            assert os.path.getsize(opened[0]) > 0
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(pipeline, "open", HalfWritten, raising=False)
+    with pytest.raises(OSError, match="No space"):
+        pipeline._write(tmp_path, "report.json", "new and longer\n")
+    assert len(opened) == 1 and os.path.dirname(opened[0]) == str(tmp_path)
+    assert os.listdir(tmp_path) == ["report.json"]
+    assert (tmp_path / "report.json").read_text() == "old\n"
 
 
 class TestDumpModel:

@@ -17,6 +17,7 @@ from kpidiag.model import (
     TriagedRule,
 )
 from kpidiag.report import (
+    entries,
     generate_query,
     precision,
     render_json,
@@ -215,20 +216,20 @@ class TestRender:
         ]
 
     def test_empty_report_is_valid(self):
-        doc = json.loads(render_json([], [], RUN_DATE, LAT))
+        doc = json.loads(render_json(entries([]), [], RUN_DATE, LAT))
         assert doc["rules"] == []
         assert doc["resolved"] == []
         assert doc["run_date"] == "2026-08-10"
 
     def test_rules_sorted_by_score_with_ranks(self):
-        doc = json.loads(render_json(self._triaged(), ["Old>"], RUN_DATE, LAT))
+        doc = json.loads(render_json(entries(self._triaged()), ["Old>"], RUN_DATE, LAT))
         scores = [r["correlation_score"] for r in doc["rules"]]
         assert scores == sorted(scores, reverse=True)
         assert [r["rank"] for r in doc["rules"]] == [1, 2]
         assert doc["resolved"] == ["Old>"]
 
     def test_incident_shape_fields(self):
-        doc = json.loads(render_json(self._triaged(), [], RUN_DATE, LAT))
+        doc = json.loads(render_json(entries(self._triaged()), [], RUN_DATE, LAT))
         top = doc["rules"][0]
         assert top["correlated_predicate"] == "Rack:AN150C01"
         assert top["scope_predicates"] == [
@@ -242,18 +243,18 @@ class TestRender:
         assert top["query"].startswith("SELECT * FROM logs WHERE")
 
     def test_json_round_trips_losslessly(self):
-        text = render_json(self._triaged(), ["A=b"], RUN_DATE, LAT)
+        text = render_json(entries(self._triaged()), ["A=b"], RUN_DATE, LAT)
         doc = json.loads(text)
         assert json.loads(json.dumps(doc)) == doc
 
     def test_no_rule_dropped_or_duplicated(self):
         triaged = self._triaged()
-        doc = json.loads(render_json(triaged, [], RUN_DATE, LAT))
+        doc = json.loads(render_json(entries(triaged), [], RUN_DATE, LAT))
         assert len(doc["rules"]) == len(triaged)
         assert {r["key"] for r in doc["rules"]} == {t.rule.key() for t in triaged}
 
     def test_markdown_contains_table_and_sections(self):
-        md = render_markdown(self._triaged(), ["Gone="], RUN_DATE, LAT)
+        md = render_markdown(entries(self._triaged()), ["Gone="], RUN_DATE, LAT)
         assert "| Rank | Triage |" in md
         assert "Rack:AN150C01" in md
         assert "RequestType:Offbox" in md
@@ -264,7 +265,7 @@ class TestRender:
     def test_a_pipe_in_a_table_cell_is_escaped(self):
         piped = rule_of(Predicate.equals("Path", "/a|b"), scope=[Predicate.equals("Rack", "r|1")], score=9999.0)
         triaged = [TriagedRule(piped, TriageCategory.NEW), *self._triaged()]
-        md = render_markdown(triaged, ["A|B=c"], RUN_DATE, LAT)
+        md = render_markdown(entries(triaged), ["A|B=c"], RUN_DATE, LAT)
         rows = [line for line in md.splitlines() if line.startswith("|")]
         assert len(rows) == 2 + len(triaged)
         for row in rows:
@@ -274,13 +275,13 @@ class TestRender:
         # the Resolved and Queries lists and the JSON report keep the text as it is
         assert "- `A|B=c`" in md
         assert f"1. `{generate_query(piped)}`" in md
-        top = json.loads(render_json(triaged, [], RUN_DATE, LAT))["rules"][0]
+        top = json.loads(render_json(entries(triaged), [], RUN_DATE, LAT))["rules"][0]
         assert (top["correlated_predicate"], top["scope_predicates"]) == ("Path:/a|b", ["Rack:r|1"])
 
     def test_stale_rule_renders_null_impact(self):
         stale = rule_of(Predicate.equals("A", "x"), impact=None)
         doc = json.loads(
-            render_json([TriagedRule(stale, TriageCategory.NEW)], [], RUN_DATE, LAT)
+            render_json(entries([TriagedRule(stale, TriageCategory.NEW)]), [], RUN_DATE, LAT)
         )
         assert doc["rules"][0]["performance_impact"] is None
 
