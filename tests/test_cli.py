@@ -614,6 +614,18 @@ class TestHistoryIsRecordedLast:
         assert not (out / "report.json").exists() and not (out / "report.md").exists()
         assert history.read_bytes() == b"2026-08-09\tRack=c\t1.0\t10\n"
 
+    def test_triage_before_the_last_run_date_fails_before_writing(self, tmp_path, capsys):
+        history = tmp_path / "history.tsv"
+        history.write_bytes(b"2026-08-11\tRack=c\t1.0\t10\n")
+        rule = Rule(Predicate.equals("Rack", "a"), (), 1.0, 10, 0.5, 10)
+        rules = write_json(tmp_path / "rules.json", [rule_to_json(rule)])
+        out = tmp_path / "out"
+        argv = ["triage", "--config", str(run_config(tmp_path)), "--rules", str(rules)]
+        assert main(argv + ["--history", str(history), "--out", str(out), "--date", RUN_DATE]) == 1
+        assert "run-date 2026-08-10 comes before 2026-08-11" in capsys.readouterr().err
+        assert not (out / "report.json").exists() and not (out / "report.md").exists()
+        assert history.read_bytes() == b"2026-08-11\tRack=c\t1.0\t10\n"
+
 
 class TestEval:
     def test_precision_against_manifest(self, tmp_path, capsys):
