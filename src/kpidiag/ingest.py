@@ -10,6 +10,7 @@ names the KPI column; undeclared columns get inferred kinds.
 from __future__ import annotations
 
 import bisect
+import codecs
 import contextlib
 import csv
 import functools
@@ -198,15 +199,18 @@ def load(path, format: str, schema_config: SchemaConfig) -> LogTable:
     the file line ("row N") and the column. So is a CSV header that repeats
     a name, before any row is read.
 
-    The file is split at line ends into byte ranges, one per worker process,
-    and each range is encoded _BLOCK_ROWS rows at a time; the table and any
-    error are those of one reader going through the file in order. A bad row
-    fails at its line; a bad cell fails once the whole file is read, in the
-    first column that has one. An undeclared column that turns categorical
-    after a block or range of numbers has lost those cells, so the file is
-    read once more; a pipe cannot be, so there that is a SchemaError naming
-    the column and the line where it turned. Bytes that are not UTF-8 are a
-    SchemaError naming their line and offset in the file.
+    The file is split at line ends into byte ranges, one per worker process.
+    A CSV range is read by numpy's C parser where that gives what encoding
+    it _BLOCK_ROWS rows at a time gives; else, and for JSONL, it is encoded
+    so. The table and any error are those of one reader going through the
+    file in order. A bad row fails at its line; a bad cell fails once the
+    whole file is read, in the first column that has one. An undeclared
+    column that turns categorical after a block or range of numbers has lost
+    those cells, so the file is read once more; a pipe cannot be, so there
+    that is a SchemaError naming the column and the line where it turned.
+    Bytes that are not UTF-8 are a SchemaError naming their line and offset
+    in the file. A line ends at a \\n, a \\r\\n or a lone \\r; a UTF-8
+    byte-order mark at the file's start is skipped.
     """
     if format not in ("csv", "jsonl"):
         raise ConfigError(f"unknown input format: {format!r}")
@@ -289,6 +293,8 @@ def _column(name: str, schema_config: SchemaConfig, categorical: frozenset, miss
 
 
 def _encode_range(path, format: str, schema_config: SchemaConfig, categorical: frozenset, span) -> _Part:
+    if format == "csv" and span[1] is not None and (part := _loadtxt_range(path, span, schema_config, categorical)):
+        return part
     part = _Part()
     read = _read_csv if format == "csv" else _read_jsonl
     for names, lines, cells, types in read(path, span, schema_config, part):
@@ -395,19 +401,37 @@ class _Column:
         remap = self._intern(other.index)
         self.chunks += [remap[codes] for codes in other.chunks]
 
+    def take(self, cells: np.ndarray) -> bool:
+        """Hold a range's cells as loadtxt read them (float64, or bytes); False
+        for a value not finite, a cell that may be cut, or numeric texts."""
+        cells = np.ascontiguousarray(cells)
+        if cells.dtype.kind == "f":
+            self.state, self.chunks = None if self.kind else _NUMERIC_TEXTS, [cells]
+            return bool(np.isfinite(cells).all())
+        width = cells.dtype.itemsize
+        if cells.view(np.uint8)[width - 1::width].any():
+            return False
+        distinct, codes = np.unique(cells.view(np.uint64) if width == 8 else cells, return_inverse=True)
+        texts = [b.decode() for b in distinct.view(cells.dtype).tolist()]
+        missing = texts[:1] == [""]  # the empty cell sorts first
+        present = texts[missing:]
+        if self.kind is None and not present:
+            self.missing = len(cells)
+        elif self.kind is None and _numeric(present):
+            return False
+        else:
+            self.kind = ColumnKind.CATEGORICAL
+            self.index = dict(zip([None, *present], range(len(present) + 1)))
+            self.chunks = [(codes.reshape(-1) + (not missing)).astype(np.int32)]
+        return True
+
     def _fits(self, v) -> bool:
         """Whether a cell is missing or of the undeclared column's state so far."""
         if v is None:
             return True
         if self.state is _NUMBERS:
             return type(v) in (int, float)
-        if type(v) is not str:
-            return False
-        try:
-            float(v)
-        except ValueError:
-            return False
-        return True
+        return type(v) is str and _numeric([v])
 
     def _pad(self, continuous: bool) -> None:
         """Move the pending missing rows into chunks."""
@@ -471,26 +495,70 @@ class _Column:
         return line, f"column {self.name!r} value {v!r} is not finite"
 
 
+def _line_ends(data: bytes) -> int:
+    """The line ends in `data` as the text layer counts them: \\n, \\r\\n and a lone \\r."""
+    return len(data.splitlines()) - (data[-1:] not in b"\r\n")
+
+
 class _Bytes(io.FileIO):
     """Bytes [start, end) of a file, or all of a pipe (end None), for a text
-    stream to decode; counts the bytes and line ends it hands out."""
+    stream to decode, less a UTF-8 byte-order mark at the file's start;
+    counts the bytes (the mark too) and line ends it hands out."""
 
     handed = newlines = 0
+    last = b""  # the last byte handed out
 
     def __init__(self, path, span: tuple[int, int | None]):
         super().__init__(path)
         if span[0]:
             self.seek(span[0])
         self._size = None if span[1] is None else span[1] - span[0]
+        self._head = not span[0]
 
     def read(self, size: int = -1) -> bytes:
         if self._size is not None:
             left = self._size - self.handed
             size = left if size < 0 else min(size, left)
         data = super().read(size)
+        if self._head and data.startswith(codecs.BOM_UTF8):
+            self.handed, self._head = 3, False
+            return self._hand(data[3:]) if len(data) > 3 else self.read(size)
+        self._head = False
+        return self._hand(data)
+
+    def _hand(self, data: bytes) -> bytes:
         self.handed += len(data)
-        self.newlines += data.count(b"\n")
+        self.newlines += _line_ends(data) - (self.last == b"\r" and data[:1] == b"\n")  # a \r\n across two reads
+        self.last = data[-1:] or self.last
         return data
+
+
+# Bytes loadtxt reads otherwise than the csv module: a quote, a NUL (a bytes
+# cell drops trailing NULs) and \x1c-\x1f (numpy's float parser skips them).
+_NOT_PLAIN = tuple(bytes([b]) for b in b'"\x00\x1c\x1d\x1e\x1f')
+
+
+class _Checked(_Bytes):
+    """_Bytes that notes whether all it hands out is UTF-8 free of _NOT_PLAIN
+    bytes, in lines no longer than the csv module's field limit."""
+
+    plain, _run = True, 0  # _run: bytes since the last line end
+
+    def __init__(self, path, span: tuple[int, int]):
+        super().__init__(path, span)
+        self._utf8 = codecs.getincrementaldecoder("utf-8")()
+
+    def _hand(self, data: bytes) -> bytes:
+        try:
+            if not data.isascii() or self._utf8.getstate()[0]:
+                self._utf8.decode(data, final=not data)
+        except UnicodeDecodeError:
+            self.plain = False
+        # a line that ends in this read is at most _run + len(data) long
+        self.plain &= self._run + len(data) <= csv.field_size_limit() and not any(b in data for b in _NOT_PLAIN)
+        end = max(data.rfind(b"\n"), data.rfind(b"\r"))
+        self._run = self._run + len(data) if end < 0 else len(data) - end - 1
+        return super()._hand(data)
 
 
 def _text(path, span: tuple[int, int | None], newline: str | None) -> io.TextIOWrapper:
@@ -504,33 +572,79 @@ def _utf8(f: io.TextIOWrapper, start: int):
     try:
         yield
     except UnicodeDecodeError as e:  # e.object: the tail of the bytes f took in
-        line = f.buffer.newlines - e.object.count(b"\n", e.start) + 1
+        line = f.buffer.newlines - _line_ends(e.object[e.start:]) + 1
         at = start + f.buffer.handed - len(e.object) + e.start
         raise _RowError(line, f"byte 0x{e.object[e.start]:02x} at offset {at} of the file is not UTF-8") from None
 
 
+def _csv_header(path, span: tuple[int, int | None], schema_config: SchemaConfig, reader) -> list[str]:
+    """The CSV file's column names. The first range reads them with `reader`
+    and checks them; a later one, of a file without quotes, takes them from
+    the file's first line."""
+    if span[0]:
+        with _text(path, (0, span[0]), newline="") as head:
+            return next(csv.reader(head))
+    header = next(reader, None)
+    if header is None:
+        raise SchemaError("empty CSV file: missing header row")
+    if schema_config.kpi.column not in header:
+        raise ConfigError(f"KPI column {schema_config.kpi.column!r} absent from input")
+    if absent := [name for name in schema_config.columns if name not in header]:
+        raise ConfigError(f"columns.{absent[0]}: the input has no column {absent[0]!r}")
+    if len(set(header)) != len(header):
+        raise SchemaError("duplicate column names")
+    return header
+
+
+def _loadtxt_range(path, span: tuple[int, int], schema_config: SchemaConfig, categorical: frozenset) -> _Part | None:
+    """A CSV byte range read by one np.loadtxt call, decoded as latin-1 so that
+    cells keep the file's bytes; None where the block reader, which then reads
+    the range and names any error, might differ. A column's kind comes from the
+    config, else from the range's first row: float64 for a number there, else
+    bytes with room for texts at least 2 bytes longer."""
+    with io.TextIOWrapper(_Checked(path, span), encoding="latin-1", newline="") as f:
+        try:  # a quote in the first line fails the range, once its header is read as if quote-free
+            reader = None if span[0] else csv.reader([f.readline().encode("latin-1").decode("utf-8")])
+            header = _csv_header(path, span, schema_config, reader)
+        except (ConfigError, SchemaError, UnicodeDecodeError):
+            return None
+        first = f.readline()
+        cells = first.rstrip("\r\n").split(",")
+        if not first.strip("\r\n") or len(cells) != len(header):
+            return None  # no rows, or a row the block reader names
+        columns = [_column(name, schema_config, categorical, 0) for name in header]
+        dtype = [(f"f{i}", "f8" if c.kind is ColumnKind.CONTINUOUS or c.kind is None and _numeric([cell])
+                  else f"S{8 * (len(cell) // 6 + 1)}") for i, (c, cell) in enumerate(zip(columns, cells))]
+        try:
+            table = np.loadtxt(itertools.chain([first], f), dtype=dtype, delimiter=",",
+                               comments=None, quotechar=None, ndmin=1)
+        except ValueError:  # a cell that is not a number, an empty one, or a row of another width
+            return None
+        read = f.buffer
+    lines = read.newlines + (read.last not in b"\r\n")
+    plain = read.plain and len(table) == lines - (not span[0])  # loadtxt skips blank lines
+    if plain and all(c.take(table[name]) for c, name in zip(columns, table.dtype.names)):
+        return _Part(columns, len(table), lines, set(header))
+    return None
+
+
+def _numeric(texts: list[str]) -> bool:
+    """Whether every text parses as a float, as `_Column.add` parses them."""
+    try:
+        np.array(texts, dtype=np.float64)
+        return True
+    except ValueError:
+        return False
+
+
 def _read_csv(path, span: tuple[int, int | None], schema_config: SchemaConfig, part: _Part):
     """Per block: (column names, line of each row counted from the range's
-    start, cells per column with None for an empty cell). The first range
-    reads and checks the header; a later one, of a file without quotes, takes
-    it from the file's first line."""
+    start, cells per column with None for an empty cell)."""
     with _text(path, span, newline="") as f, _utf8(f, span[0]):
         reader = csv.reader(f)
         end = 0
         try:
-            if span[0]:
-                with _text(path, (0, span[0]), newline="") as head:
-                    header = next(csv.reader(head))
-            else:
-                header = next(reader, None)
-                if header is None:
-                    raise SchemaError("empty CSV file: missing header row")
-                if schema_config.kpi.column not in header:
-                    raise ConfigError(f"KPI column {schema_config.kpi.column!r} absent from input")
-                if absent := [name for name in schema_config.columns if name not in header]:
-                    raise ConfigError(f"columns.{absent[0]}: the input has no column {absent[0]!r}")
-                if len(set(header)) != len(header):
-                    raise SchemaError("duplicate column names")
+            header = _csv_header(path, span, schema_config, reader)
             part.seen = set(header)
             lines, rows, end = [], [], reader.line_num
             for row in reader:
