@@ -402,27 +402,23 @@ class _Column:
         self.chunks += [remap[codes] for codes in other.chunks]
 
     def take(self, cells: np.ndarray) -> bool:
-        """Hold a range's cells as loadtxt read them (float64, or bytes); False
-        for a value not finite, a cell that may be cut, or numeric texts."""
-        cells = np.ascontiguousarray(cells)
+        """Encode a block as loadtxt read it (float64, or bytes); False for a
+        value not finite, or an undeclared column's texts that all parse as numbers."""
         if cells.dtype.kind == "f":
-            self.state, self.chunks = None if self.kind else _NUMERIC_TEXTS, [cells]
+            self.state = None if self.kind else _NUMERIC_TEXTS
+            self.chunks.append(cells)
             return bool(np.isfinite(cells).all())
-        width = cells.dtype.itemsize
-        if cells.view(np.uint8)[width - 1::width].any():
+        # cells of 8 bytes sort as integers, several times faster than as bytes
+        distinct, codes = np.unique(cells.view(np.uint64) if cells.itemsize == 8 else cells, return_inverse=True)
+        texts = [b.decode() or None for b in distinct.view(cells.dtype).tolist()]  # the empty cell sorts first
+        if self.kind is None and texts == [None]:
+            self.missing += len(cells)
+            return True
+        if self.kind is None and _numeric(texts[texts[0] is None:]):
             return False
-        distinct, codes = np.unique(cells.view(np.uint64) if width == 8 else cells, return_inverse=True)
-        texts = [b.decode() for b in distinct.view(cells.dtype).tolist()]
-        missing = texts[:1] == [""]  # the empty cell sorts first
-        present = texts[missing:]
-        if self.kind is None and not present:
-            self.missing = len(cells)
-        elif self.kind is None and _numeric(present):
-            return False
-        else:
-            self.kind = ColumnKind.CATEGORICAL
-            self.index = dict(zip([None, *present], range(len(present) + 1)))
-            self.chunks = [(codes.reshape(-1) + (not missing)).astype(np.int32)]
+        self.kind = ColumnKind.CATEGORICAL
+        self._pad(False)
+        self.chunks.append(self._intern(texts)[codes.reshape(-1)])
         return True
 
     def _fits(self, v) -> bool:
@@ -497,7 +493,7 @@ class _Column:
 
 def _line_ends(data: bytes) -> int:
     """The line ends in `data` as the text layer counts them: \\n, \\r\\n and a lone \\r."""
-    return len(data.splitlines()) - (data[-1:] not in b"\r\n")
+    return data.count(b"\n") + (data.count(b"\r") - data.count(b"\r\n") if b"\r" in data else 0)
 
 
 class _Bytes(io.FileIO):
@@ -538,11 +534,15 @@ class _Bytes(io.FileIO):
 _NOT_PLAIN = tuple(bytes([b]) for b in b'"\x00\x1c\x1d\x1e\x1f')
 
 
-class _Checked(_Bytes):
-    """_Bytes that notes whether all it hands out is UTF-8 free of _NOT_PLAIN
-    bytes, in lines no longer than the csv module's field limit."""
+class _Doubt(Exception):
+    """A CSV range that numpy's reader might read otherwise than the block reader."""
 
-    plain, _run = True, 0  # _run: bytes since the last line end
+
+class _Checked(_Bytes):
+    """_Bytes that raises _Doubt, before handing them out, at bytes that are
+    not UTF-8, hold a _NOT_PLAIN byte or end a line past the csv field limit."""
+
+    _run = 0  # bytes since the last line end
 
     def __init__(self, path, span: tuple[int, int]):
         super().__init__(path, span)
@@ -553,12 +553,14 @@ class _Checked(_Bytes):
             if not data.isascii() or self._utf8.getstate()[0]:
                 self._utf8.decode(data, final=not data)
         except UnicodeDecodeError:
-            self.plain = False
+            raise _Doubt from None
         # a line that ends in this read is at most _run + len(data) long
-        self.plain &= self._run + len(data) <= csv.field_size_limit() and not any(b in data for b in _NOT_PLAIN)
+        if self._run + len(data) > csv.field_size_limit() or any(b in data for b in _NOT_PLAIN):
+            raise _Doubt
         end = max(data.rfind(b"\n"), data.rfind(b"\r"))
         self._run = self._run + len(data) if end < 0 else len(data) - end - 1
-        return super()._hand(data)
+        self.handed += len(data)  # its line ends go uncounted: numpy's reader names no line
+        return data
 
 
 def _text(path, span: tuple[int, int | None], newline: str | None) -> io.TextIOWrapper:
@@ -597,35 +599,76 @@ def _csv_header(path, span: tuple[int, int | None], schema_config: SchemaConfig,
 
 
 def _loadtxt_range(path, span: tuple[int, int], schema_config: SchemaConfig, categorical: frozenset) -> _Part | None:
-    """A CSV byte range read by one np.loadtxt call, decoded as latin-1 so that
-    cells keep the file's bytes; None where the block reader, which then reads
-    the range and names any error, might differ. A column's kind comes from the
-    config, else from the range's first row: float64 for a number there, else
-    bytes with room for texts at least 2 bytes longer."""
-    with io.TextIOWrapper(_Checked(path, span), encoding="latin-1", newline="") as f:
-        try:  # a quote in the first line fails the range, once its header is read as if quote-free
-            reader = None if span[0] else csv.reader([f.readline().encode("latin-1").decode("utf-8")])
-            header = _csv_header(path, span, schema_config, reader)
-        except (ConfigError, SchemaError, UnicodeDecodeError):
-            return None
-        first = f.readline()
-        cells = first.rstrip("\r\n").split(",")
-        if not first.strip("\r\n") or len(cells) != len(header):
-            return None  # no rows, or a row the block reader names
-        columns = [_column(name, schema_config, categorical, 0) for name in header]
-        dtype = [(f"f{i}", "f8" if c.kind is ColumnKind.CONTINUOUS or c.kind is None and _numeric([cell])
-                  else f"S{8 * (len(cell) // 6 + 1)}") for i, (c, cell) in enumerate(zip(columns, cells))]
-        try:
-            table = np.loadtxt(itertools.chain([first], f), dtype=dtype, delimiter=",",
-                               comments=None, quotechar=None, ndmin=1)
-        except ValueError:  # a cell that is not a number, an empty one, or a row of another width
-            return None
-        read = f.buffer
-    lines = read.newlines + (read.last not in b"\r\n")
-    plain = read.plain and len(table) == lines - (not span[0])  # loadtxt skips blank lines
-    if plain and all(c.take(table[name]) for c, name in zip(columns, table.dtype.names)):
-        return _Part(columns, len(table), lines, set(header))
-    return None
+    """A CSV byte range read by np.loadtxt _BLOCK_ROWS rows at a time, decoded
+    as latin-1 so that cells keep the file's bytes; None at the first doubt
+    that the block reader, which then reads the range and names any error,
+    might read it otherwise. A column's kind comes from the config, else from
+    the range's first row: float64 for a number there, else bytes."""
+    try:
+        with io.TextIOWrapper(_Checked(path, span), encoding="latin-1", newline="") as f:
+            try:  # a quote in the first line fails the range, once its header is read as if quote-free
+                reader = None if span[0] else csv.reader([f.readline().encode("latin-1").decode("utf-8")])
+                header = _csv_header(path, span, schema_config, reader)
+            except (ConfigError, SchemaError, UnicodeDecodeError):
+                return None
+            first = f.readline()
+            cells = first.rstrip("\r\n").split(",")
+            if not first.strip("\r\n") or len(cells) != len(header):
+                return None  # no rows, or a row the block reader names
+            columns = [_column(name, schema_config, categorical, 0) for name in header]
+            dtype = [(f"f{i}", "f8" if c.kind is ColumnKind.CONTINUOUS or c.kind is None and _numeric([cell])
+                      else f"S{8 * (len(cell) // 6 + 1)}") for i, (c, cell) in enumerate(zip(columns, cells))]
+            rows, lines = 0, itertools.chain([first], f)
+            held = [[None, 0] for _ in columns]
+            # a short first block: a file whose doubt comes early falls back soon
+            sizes = itertools.chain([_BLOCK_ROWS // 8 or 1], itertools.repeat(_BLOCK_ROWS))
+            for block in iter(lambda: list(itertools.islice(lines, next(sizes))), []):
+                if not all(map(_Column.take, columns, _loadtxt_block(block, dtype))):
+                    return None
+                rows += len(block)
+                for c, h in zip(columns, held):
+                    _hold(h, c.chunks)
+                    c.chunks = []
+    except _Doubt:
+        return None
+    for c, (array, n) in zip(columns, held):
+        if array is not None:
+            array.resize(n, refcheck=False)
+            c.chunks = [array]
+    return _Part(columns, rows, rows + (not span[0]), set(header))
+
+
+def _hold(held: list, chunks: list[np.ndarray]) -> None:
+    """Append `chunks` to held = [a column's array or None, its rows so far],
+    doubling the array in place when full. A range's column is then one
+    allocation, which goes back to the OS whole when freed: a block's worth
+    of small ones, freed, stays in the heap of the worker and of the parent
+    that unpickles them (75 MB more peak RSS in the parent at 1M rows)."""
+    for new in chunks:
+        array, n = held
+        if array is None:
+            array = np.empty(max(len(new), _BLOCK_ROWS), new.dtype)
+        elif n + len(new) > len(array):
+            array.resize(max(2 * len(array), n + len(new)), refcheck=False)  # realloc: no view of it is held
+        array[n:n + len(new)] = new
+        held[:] = array, n + len(new)
+
+
+def _loadtxt_block(block: list[str], dtype: list) -> list[np.ndarray]:
+    """A block's columns as loadtxt reads them with `dtype`. A bytes column
+    that may cut a cell is read again with twice the room, up to room for the
+    block's longest line, and `dtype` keeps that width."""
+    try:
+        table = np.loadtxt(block, dtype=dtype, delimiter=",", comments=None, quotechar=None, ndmin=1)
+    except ValueError:  # a cell that is not a number, an empty one, or a row of another width
+        raise _Doubt from None
+    if len(table) != len(block):
+        raise _Doubt  # loadtxt skips blank lines
+    columns = [np.ascontiguousarray(table[name]) for name, _ in dtype]
+    cut = [i for i, c in enumerate(columns) if c.dtype.kind == "S" and c.view(np.uint8)[c.itemsize - 1::c.itemsize].any()]
+    for i in cut:  # doubled, up to room for the block's longest line, which no cell outgrows
+        dtype[i] = (dtype[i][0], f"S{min(2 * columns[i].itemsize, max(map(len, block)) + 1)}")
+    return _loadtxt_block(block, dtype) if cut else columns
 
 
 def _numeric(texts: list[str]) -> bool:

@@ -353,27 +353,20 @@ class TestAcrossBlocks:
     CONFIG = SchemaConfig(kpi=KpiSpec(column="K", kind=KpiKind.CONTINUOUS, threshold=0.0))
 
     def load_both(self, tmp_path, x: list, omit_missing=True, reads=1) -> list:
-        """Each format's load of columns K (numbers) and X, checked against the
-        reference; `reads` may be a function of the file and its format."""
+        """Each format's load of columns K (numbers) and X, checked against the reference."""
         columns = {"K": [float(i % 7) for i in range(len(x))], "X": x}
         tables = []
         for path, format in zip(write_both(tmp_path, columns, omit_missing), ("csv", "jsonl")):
             with mock.patch.object(ingest, "_encode", wraps=ingest._encode) as encode:
                 got = outcome(load, path, format, self.CONFIG)
             assert comparable(got) == comparable(outcome(load_reference, path, format, self.CONFIG)), format
-            assert encode.call_count == (reads(path, format) if callable(reads) else reads), format
+            assert encode.call_count == reads, format
             tables.append(got)
         return tables
 
     def test_column_numeric_for_5000_rows_then_text_is_read_again_as_categorical(self, tmp_path):
         x = [None if i % 11 == 0 else i / 4 for i in range(5000)] + ["abc", 2.5, None]
-        # numpy's reader takes a CSV range's X, whose first cell is empty, as
-        # text, and finds it categorical over the whole range in one read; a
-        # later range that starts with numbers turns after them, as JSONL does
-        def reads(path, format):
-            return 1 if format == "csv" and len(ingest._ranges(path, format)) == 1 else 2
-
-        for table in self.load_both(tmp_path, x, reads=reads):
+        for table in self.load_both(tmp_path, x, reads=2):
             assert table.spec("X").kind is ColumnKind.CATEGORICAL
             assert cell(table, "X", 1) == "0.25" and cell(table, "X", 5000) == "abc"
 
@@ -780,8 +773,6 @@ DOUBTS = {
     "blank line": (with_row(b""), r"^row 17: expected 2 fields, got 0$"),
     "no rows": (b"K\n", None),
     "no rows in the first of 2 ranges": (b"K," + b"X" * 40 + b"\n1,a\n2,b\n", None),
-    "cell as wide as its guessed width": (with_row(b"15,abcdefghijk"), None),
-    "cell cut inside a character": (with_row("15,0\U00010000\U00010000".encode()), None),
     "not finite": (with_row(b"inf,a"), None),
     "not UTF-8": (with_row(b"15,a\xff"), r"^row 17: byte 0xff at offset \d+ of the file is not UTF-8$"),
     "not UTF-8 in a number": (with_row(b"15\xa0,a"), r"^row 17: byte 0xa0 at offset \d+ of the file is not UTF-8$"),
@@ -813,6 +804,48 @@ class TestLoadtxt:
                     load(path, "csv", config)
             else:
                 assert comparable(outcome(load, path, "csv", config)) == comparable(outcome(load_reference, path, "csv", config))
+
+    @pytest.mark.parametrize("ranges", [1, 2], ids=["1 range", "2 ranges"])
+    def test_texts_longer_than_a_ranges_first_row_are_read_by_numpy(self, tmp_path, ranges):
+        # X's width is guessed from a range's first row; later blocks hold
+        # longer texts, one as wide as a guess and one cut inside a character
+        rows = [b"%d,%s" % (i, b"x" * (1 + i % 5 + i // 2000)) for i in range(10_000)]
+        rows[6000], rows[9000] = b"6000,abcdefgh", "9000,0\U00010000\U00010000".encode()
+        path = tmp_path / "a.csv"
+        path.write_bytes(b"K,X\n" + b"\n".join(rows) + b"\n")
+        config = TestAcrossBlocks.CONFIG
+        with split_into_ranges(ranges), \
+                mock.patch.object(ingest, "_read_csv", side_effect=AssertionError("the block reader read a range")):
+            loaded = load(path, "csv", config)
+        assert table_state(loaded) == table_state(load_reference(path, "csv", config))
+
+    def test_a_quoted_export_is_left_to_the_block_reader_before_numpy_parses_it(self, tmp_path):
+        path = tmp_path / "a.csv"
+        with open(path, "w", newline="") as f:
+            csv.writer(f, quoting=csv.QUOTE_ALL).writerows([["K", "X"]] + [[i, f"x{i % 3}"] for i in range(20_000)])
+        with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt:
+            got = outcome(load, path, "csv", TestAcrossBlocks.CONFIG)
+        assert loadtxt.call_count == 0
+        assert comparable(got) == comparable(outcome(load_reference, path, "csv", TestAcrossBlocks.CONFIG))
+
+    @pytest.mark.parametrize("row", [b'8000,"a"', b"8000,a\x00", b",a", b"inf,a"],
+                             ids=["quote", "NUL", "empty number", "not finite"])
+    def test_numpy_stops_at_the_block_that_holds_a_doubt(self, tmp_path, row):
+        rows = [b"%d,x%d" % (i, i % 3) for i in range(20_000)]
+        rows[8000] = row
+        path = tmp_path / "a.csv"
+        path.write_bytes(b"K,X\n" + b"\n".join(rows) + b"\n")
+        handed, loadtxt = [], np.loadtxt
+
+        def spy(lines, *args, **kwargs):
+            lines = list(lines)
+            handed.append(len(lines))
+            return loadtxt(lines, *args, **kwargs)
+
+        with mock.patch.object(np, "loadtxt", spy):
+            got = outcome(load, path, "csv", TestAcrossBlocks.CONFIG)
+        assert sum(handed) < 8000 + ingest._BLOCK_ROWS
+        assert comparable(got) == comparable(outcome(load_reference, path, "csv", TestAcrossBlocks.CONFIG))
 
     @pytest.mark.parametrize("ranges", [1, 2], ids=["1 range", "2 ranges"])
     def test_a_day_of_the_bench_shape_is_read_by_numpy_in_every_range(self, tmp_path, ranges):
