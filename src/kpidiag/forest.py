@@ -504,11 +504,14 @@ def parse_text(text: str) -> ForestModel:
     root: TreeNode | None = None
     # stack entries: [node, depth, line_no]; a node pops once both children attach
     stack: list[list] = []
+    header = 0  # the line of the last TREE header
 
-    def close_tree(line_no: int):
+    def close_tree():
         nonlocal root
-        if root is None:
+        if not header:
             return
+        if root is None:
+            raise DumpParseError("TREE header without node lines", header)
         if stack:
             raise DumpParseError("split node is missing children", stack[-1][2])
         trees.append(root)
@@ -519,8 +522,8 @@ def parse_text(text: str) -> ForestModel:
         if not line.strip():
             continue
         if line.startswith("TREE "):
-            close_tree(line_no)
-            parts = line.split(" ")
+            close_tree()
+            header, parts = line_no, line.split(" ")
             if len(parts) != 3:
                 raise DumpParseError("malformed TREE header", line_no)
             if parts[1] != str(len(trees)):
@@ -582,7 +585,7 @@ def parse_text(text: str) -> ForestModel:
                 stack.pop()
         if node.split is not None:
             stack.append([node, depth, line_no])
-    close_tree(len(lines))
+    close_tree()
     if not trees:
         raise DumpParseError("empty dump: no trees found", None)
     return ForestModel(trees, kind)

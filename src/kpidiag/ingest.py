@@ -355,11 +355,8 @@ class _Column:
         floats = None
         if self.kind is None and types:
             state = _NUMBERS if types <= {int, float} else _NUMERIC_TEXTS if types == {str} else None
-            if state is _NUMERIC_TEXTS:
-                try:
-                    floats = np.array(cells, dtype=np.float64)
-                except ValueError:
-                    state = None
+            if state is _NUMERIC_TEXTS and (floats := _numbers(cells)) is None:
+                state = None
             if state is None or self.state not in (None, state):
                 if self.state is not None:
                     self.flipped = next(line for v, line in zip(cells, lines) if not self._fits(v))
@@ -414,7 +411,7 @@ class _Column:
         if self.kind is None and texts == [None]:
             self.missing += len(cells)
             return True
-        if self.kind is None and _numeric(texts[texts[0] is None:]):
+        if self.kind is None and _numbers(texts[texts[0] is None:]) is not None:
             return False
         self.kind = ColumnKind.CATEGORICAL
         self._pad(False)
@@ -427,7 +424,7 @@ class _Column:
             return True
         if self.state is _NUMBERS:
             return type(v) in (int, float)
-        return type(v) is str and _numeric([v])
+        return type(v) is str and _numbers([v]) is not None
 
     def _pad(self, continuous: bool) -> None:
         """Move the pending missing rows into chunks."""
@@ -616,7 +613,7 @@ def _loadtxt_range(path, span: tuple[int, int], schema_config: SchemaConfig, cat
             if not first.strip("\r\n") or len(cells) != len(header):
                 return None  # no rows, or a row the block reader names
             columns = [_column(name, schema_config, categorical, 0) for name in header]
-            dtype = [(f"f{i}", "f8" if c.kind is ColumnKind.CONTINUOUS or c.kind is None and _numeric([cell])
+            dtype = [(f"f{i}", "f8" if c.kind is ColumnKind.CONTINUOUS or c.kind is None and _numbers([cell]) is not None
                       else f"S{8 * (len(cell) // 6 + 1)}") for i, (c, cell) in enumerate(zip(columns, cells))]
             rows, lines = 0, itertools.chain([first], f)
             held = [[None, 0] for _ in columns]
@@ -671,13 +668,12 @@ def _loadtxt_block(block: list[str], dtype: list) -> list[np.ndarray]:
     return _loadtxt_block(block, dtype) if cut else columns
 
 
-def _numeric(texts: list[str]) -> bool:
-    """Whether every text parses as a float, as `_Column.add` parses them."""
+def _numbers(texts: Sequence) -> np.ndarray | None:
+    """Every text parsed as a float64, or None if one does not parse."""
     try:
-        np.array(texts, dtype=np.float64)
-        return True
+        return np.array(texts, dtype=np.float64)
     except ValueError:
-        return False
+        return None
 
 
 def _read_csv(path, span: tuple[int, int | None], schema_config: SchemaConfig, part: _Part):

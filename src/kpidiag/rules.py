@@ -11,6 +11,7 @@ then deduplicated per canonical predicate key and inverted-equality
 from __future__ import annotations
 
 import ast
+import math
 from dataclasses import replace
 from typing import TYPE_CHECKING, Callable, Sequence
 
@@ -51,7 +52,8 @@ def resolve_scoring(name_or_expr: str) -> ScoringFunction:
     over `row_count` and `metric`.
 
     Only +, -, *, /, ** and numeric literals are allowed; anything else is
-    rejected. Example: "row_count * metric ** 2".
+    rejected. Example: "row_count * metric ** 2". A score that is not finite
+    raises a ValueError naming the expression.
     """
     expr = BUILTIN_SCORING.get(name_or_expr, name_or_expr)
     try:
@@ -72,7 +74,10 @@ def resolve_scoring(name_or_expr: str) -> ScoringFunction:
     code = compile(tree, "<scoring>", "eval")
 
     def score(row_count: float, metric: float) -> float:
-        return float(eval(code, {"__builtins__": {}}, {"row_count": row_count, "metric": metric}))
+        value = float(eval(code, {"__builtins__": {}}, {"row_count": row_count, "metric": metric}))
+        if not math.isfinite(value):
+            raise ValueError(f"scoring expression {expr!r} gives {value}, which is not a finite number")
+        return value
 
     return score
 
@@ -84,6 +89,7 @@ def extract_rules(model: ForestModel, f: ScoringFunction) -> list[Rule]:
     branch taken. Nodes whose children score identically carry no signal
     and yield nothing. A node's score difference, f(left) - f(right), is
     the correlation score: positive means the predicate-true side is worse.
+    A difference that is not finite raises a ValueError.
     """
     out: list[Rule] = []
     for tree in model.trees:
@@ -96,7 +102,9 @@ def extract_rules(model: ForestModel, f: ScoringFunction) -> list[Rule]:
             delta = f(node.left.row_count, node.left.metric) - f(
                 node.right.row_count, node.right.metric
             )
-            if abs(delta) > 0:  # not for a tie, nor a NaN
+            if not math.isfinite(delta):
+                raise ValueError(f"the two sides of split {node.split.text()} differ in score by {delta}")
+            if delta:  # not for a tie
                 predicate, worse = (node.split, node.left) if delta > 0 else (node.split.flip(), node.right)
                 out.append(Rule(predicate, path, abs(delta), worse.row_count))
             stack.append((node.left, path + (node.split,)))

@@ -8,20 +8,22 @@ run-dates present in the store, so skipped runs do not shrink it. Until 14
 run-dates of history exist every rule is new (cold start).
 
 The store is a UTF-8 file, one record per line, each ended by "\n" (and
-split at "\n" only, so a key may hold a "\r"; a key that holds a tab or a
-"\n" is refused):
+split at "\n" only, so a key may hold a "\r"; a key that holds a tab, a
+"\n" or a surrogate, which UTF-8 cannot encode, is refused):
 
     run_date<TAB>predicate_key<TAB>score<TAB>count
 
 Run-dates only grow down the file: an append whose run-dates go down, or
 start before the store's last one, is refused. So a load reads only the
-file's end: backward, a chunk at a time, up to the last line of a run-date
-older than the last WINDOW_RUNS + 1 (the window before a same-date rerun,
-and that date). Those lines are parsed as columns: one split into fields,
-and one parse per field column. Loading rejects a line whose fields do not
-parse, whose score is not a finite number, that repeats a stored (date,
-key) or whose run-date comes before an earlier line's, with a ValueError
-naming the file, the first such line and its field. A load holds a shared
+file's end. It finds, backward a chunk at a time, the first line of the last
+WINDOW_RUNS + 1 run-dates (the window before a same-date rerun, and that
+date), then reads the lines from there once, into one map: run-date ->
+{key -> (score, count)}. It stops at the first line whose fields do not
+parse, whose score is not a finite number, that repeats a stored (date, key)
+or whose run-date comes before an earlier line's, with a ValueError naming
+the file, that line (counted from the start of the file) and its field. An
+append refuses what a load would, writes nothing then, and drops the map it
+held: the next query reads the file's end again. A load holds a shared
 `flock` on the file, an append an exclusive one.
 """
 
@@ -30,10 +32,7 @@ from __future__ import annotations
 import contextlib
 import datetime
 import fcntl
-import io
-import itertools
 import math
-import operator
 import os
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
@@ -41,7 +40,7 @@ from dataclasses import dataclass
 from .model import Rule, TriageCategory, TriagedRule
 
 WINDOW_RUNS = 14
-# Bytes of the store read, backward or forward, at a time.
+# Bytes of the store read backward at a time.
 _CHUNK_BYTES = 1 << 18
 
 
@@ -55,26 +54,16 @@ class HistoryRecord:
 
 class HistoryStore:
     """Append-only, file-backed store of per-day rule scores, of which the
-    records of the last WINDOW_RUNS + 1 run-dates are held, as columns."""
+    records of the last WINDOW_RUNS + 1 run-dates are held."""
 
     def __init__(self, path):
         self.path = os.fspath(path)
-        # one entry per loaded or appended record, in file order
-        self._days: list[datetime.date] = []
-        self._keys: list[str] = []
-        self._scores: list[float] = []
-        self._counts: list[int] = []
-        # run-date -> {key -> the record's position}; built on the first query
-        # or the first check of a stored date, so an append-only caller that
-        # adds new dates never pays for it, and kept up to date from then on
-        self._on: dict[datetime.date, dict[str, int]] | None = None
-        self._dates: set[datetime.date] = set()  # every held run-date
+        # run-date -> {key -> (score, count)} of the held records, ascending;
+        # None from an append until a query or a check reads the file again
+        self._on: dict[datetime.date, dict[str, tuple[float, int]]] | None = None
         self._floor: datetime.date | None = None  # the first held run-date, when older lines were not read
-        self._end = 0  # the file's size when last read or written
-        if os.path.exists(self.path):
-            with open(self.path, "rb") as f:
-                fcntl.flock(f, fcntl.LOCK_SH)
-                self._load(f)
+        self._end = 0  # the file's size when last read
+        self._window()
 
     @property
     def records(self) -> list[HistoryRecord]:
@@ -83,81 +72,79 @@ class HistoryStore:
             return []
         with open(self.path, "rb") as f:
             fcntl.flock(f, fcntl.LOCK_SH)
-            return list(map(HistoryRecord, *self._read(f, 0)[:4]))
+            on = self._read(f, 0)
+        return [HistoryRecord(day, key, *value) for day, keys in on.items() for key, value in keys.items()]
+
+    def _window(self, days: Iterable[datetime.date] = ()) -> dict[datetime.date, dict[str, tuple[float, int]]]:
+        """The held map, read from the file's end if none is held; ValueError
+        for one of `days` before the held records, when older lines were not read."""
+        if self._on is None and os.path.exists(self.path):
+            with open(self.path, "rb") as f:
+                fcntl.flock(f, fcntl.LOCK_SH)
+                self._load(f)
+        if self._floor is not None and min(days, default=self._floor) < self._floor:
+            raise ValueError(f"{self.path}: records before {self._floor} are not loaded")
+        return {} if self._on is None else self._on
 
     def _load(self, f):
         self._end = f.seek(0, os.SEEK_END)
         start = _tail_start(f, self._end)
-        self._days, self._keys, self._scores, self._counts, self._on = self._read(f, start)
-        self._dates = set(self._on)
-        self._floor = self._days[0] if start else None
+        self._on = self._read(f, start)
+        self._floor = next(iter(self._on)) if start else None
 
-    def _read(self, f, start: int) -> tuple[list, list, list, list, dict]:
-        """The columns, and the run-date map, of the lines from byte `start` on."""
+    def _read(self, f, start: int) -> dict[datetime.date, dict[str, tuple[float, int]]]:
+        """The run-date map of the lines from byte `start` on; a ValueError
+        names the first faulty line, counted from the start of the file."""
         f.seek(start)
-        text = io.TextIOWrapper(f, encoding="utf-8", newline="\n")
-        try:
-            return _parse(text)
-        except ValueError:
-            raise self._first_fault(f, start) from None
-        finally:
-            text.detach()
-
-    def _first_fault(self, f, start: int) -> ValueError:
-        """The error naming the first line from byte `start` on with a fault,
-        and its first field, from a second, line-by-line read; lines are
-        numbered from the start of the file."""
-        f.seek(0)
-        stored, last = set(), datetime.date.min
-        for line_no, raw in enumerate(f, start=f.read(start).count(b"\n") + 1):
+        on, last = {}, datetime.date.min
+        for n, raw in enumerate(f):
             try:
-                line = raw.decode("utf-8")
-            except UnicodeDecodeError:
-                return ValueError(f"{self.path}:{line_no}: not UTF-8 text")
-            if not line.strip():
-                continue
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) != 4:
-                return ValueError(f"{self.path}:{line_no}: expected 4 tab-separated fields")
-            for name, i, parse, expected in _FIELDS:
-                try:
-                    parse(parts[i])
-                except ValueError:
-                    return ValueError(f"{self.path}:{line_no}: {name} field {parts[i]!r} is not {expected}")
-            day, key = datetime.date.fromisoformat(parts[0]), parts[1]
-            if (day, key) in stored:
-                return ValueError(f"{self.path}:{line_no}: duplicate record for {key!r} on {day}")
-            if day < last:
-                return ValueError(f"{self.path}:{line_no}: run_date {day} comes before {last} on an earlier line")
-            stored.add((day, key))
-            last = day
-        raise AssertionError("some line has a fault")
+                if (fields := _fields(raw)) is None:
+                    continue
+                day, key, score, count = fields
+                keys = on.setdefault(day, {})
+                if key in keys:
+                    raise ValueError(f"duplicate record for {key!r} on {day}")
+                if day < last:
+                    raise ValueError(f"run_date {day} comes before {last} on an earlier line")
+                keys[key], last = (score, count), day
+            except ValueError as err:
+                f.seek(0)
+                line_no = f.read(start).count(b"\n") + n + 1
+                raise ValueError(f"{self.path}:{line_no}: {err}") from None
+        return on
 
     def _going_down(self, day: datetime.date, last: datetime.date) -> ValueError:
         return ValueError(f"run-date {day} comes before {last}, and run-dates in {self.path} only grow")
 
     def check(self, new_records: Sequence[HistoryRecord]) -> None:
-        """ValueError if a record's key holds a tab or a line end, if its
-        run-date comes before the store's last or the batch's previous one, or
-        if it repeats a (date, key) stored or earlier in the batch."""
-        staged, last = set(), (self._days or [datetime.date.min])[-1]
+        """ValueError if a record's key holds a tab, a line end or a surrogate,
+        or for a record a load would refuse: a score that is not finite, a
+        run-date before the store's last or the batch's previous one, or a
+        (date, key) stored or earlier in the batch."""
+        on = self._window()
+        last, staged = next(reversed(on), datetime.date.min), set()  # staged: the keys on `last`
         for rec in new_records:
-            if "\t" in rec.predicate_key or "\n" in rec.predicate_key:
-                raise ValueError(f"key {rec.predicate_key!r} holds a tab or a line end, which the store cannot hold")
-            if rec.run_date < last:
-                raise self._going_down(rec.run_date, last)
-            last = rec.run_date
-            pair = (rec.run_date, rec.predicate_key)
-            if pair in staged or rec.run_date in self._dates and rec.predicate_key in self._by_date()[rec.run_date]:
-                raise ValueError(
-                    f"duplicate record for {rec.predicate_key!r} on {rec.run_date}"
-                )
-            staged.add(pair)
+            day, key = rec.run_date, rec.predicate_key
+            if "\t" in key or "\n" in key:
+                raise ValueError(f"key {key!r} holds a tab or a line end, which the store cannot hold")
+            if any("\ud800" <= c <= "\udfff" for c in key):
+                raise ValueError(f"key {key!r} holds a surrogate, which UTF-8 cannot encode")
+            if not math.isfinite(rec.correlation_score):
+                raise ValueError(f"score {rec.correlation_score!r} for {key!r} on {day} is not a finite number")
+            if day < last:
+                raise self._going_down(day, last)
+            if day != last:
+                last, staged = day, set()
+            if key in staged or key in on.get(day, ()):
+                raise ValueError(f"duplicate record for {key!r} on {day}")
+            staged.add(key)
 
     def append(self, new_records: Sequence[HistoryRecord]) -> None:
-        """Validate, then durably append; nothing is written on a validation
-        error. Under an exclusive lock, a store that another writer grew since
-        the load is read again and the records checked again first."""
+        """Check, then durably append; nothing is written if the check fails.
+        Under an exclusive lock, a store that another writer grew since it was
+        read is read again and the records checked again first. The held map
+        is dropped: what was written is read back by the next query."""
         self.check(new_records)
         with open(self.path, "ab+") as f:
             fcntl.flock(f, fcntl.LOCK_EX)
@@ -165,6 +152,7 @@ class HistoryStore:
             if size != self._end:
                 self._load(f)
                 self.check(new_records)
+            self._on = None
             if size:
                 f.seek(size - 1)
                 if f.read(1) != b"\n":  # end a last line that lacks its line end
@@ -176,46 +164,24 @@ class HistoryStore:
                 ).encode())
             f.flush()
             os.fsync(f.fileno())
-            self._end = os.fstat(f.fileno()).st_size
-        for rec in new_records:
-            if self._on is not None:
-                self._on.setdefault(rec.run_date, {})[rec.predicate_key] = len(self._keys)
-            self._dates.add(rec.run_date)
-            self._days.append(rec.run_date)
-            self._keys.append(rec.predicate_key)
-            self._scores.append(rec.correlation_score)
-            self._counts.append(rec.request_count)
-
-    def _by_date(self) -> dict[datetime.date, dict[str, int]]:
-        if self._on is None:
-            self._on = _date_map(self._days, self._keys)
-        return self._on
-
-    def _held(self, days: Iterable[datetime.date]) -> None:
-        """ValueError for a date before the held records, when older lines were not read."""
-        if self._floor is not None and min(days, default=self._floor) < self._floor:
-            raise ValueError(f"{self.path}: records before {self._floor} are not loaded")
 
     def run_dates(self, before: datetime.date | None = None) -> list[datetime.date]:
         """The last WINDOW_RUNS distinct run-dates, ascending, optionally before
         a date, which may not come before the store's last run-date."""
-        if before is not None and self._days and before < self._days[-1]:
-            raise self._going_down(before, self._days[-1])
-        return sorted(d for d in self._by_date() if before is None or d < before)[-WINDOW_RUNS:]
+        on = self._window()
+        last = next(reversed(on), None)
+        if before is not None and last is not None and before < last:
+            raise self._going_down(before, last)
+        return [d for d in on if before is None or d < before][-WINDOW_RUNS:]
 
     def keys_on(self, day: datetime.date) -> set[str]:
-        self._held((day,))
-        return set(self._by_date().get(day, ()))
+        return set(self._window((day,)).get(day, ()))
 
-    def scores_in_window(
-        self, key: str, window_dates: Iterable[datetime.date]
-    ) -> list[float]:
+    def scores_in_window(self, key: str, window_dates: Iterable[datetime.date]) -> list[float]:
         """The key's scores on the window's dates, in file order."""
         window_dates = set(window_dates)
-        self._held(window_dates)
-        on = self._by_date()
-        rows = [on[d][key] for d in window_dates if key in on.get(d, ())]
-        return [self._scores[i] for i in sorted(rows)]
+        on = self._window(window_dates)
+        return [keys[key][0] for day, keys in on.items() if day in window_dates and key in keys]
 
 
 def _tail_start(f, size: int) -> int:
@@ -245,41 +211,28 @@ def _tail_start(f, size: int) -> int:
     return 0
 
 
-def _parse(stream) -> tuple[list, list, list, list, dict]:
-    """Lines as columns, and their run-date map; ValueError, naming no line,
-    on the first fault."""
-    days, keys, scores, counts = [], [], [], []
-    day_of: dict[str, datetime.date] = {}
-    # a chunk of lines at a time, so that only its fields are held as texts
-    while lines := stream.readlines(_CHUNK_BYTES):
-        if any(map(str.isspace, lines)):
-            lines = [line for line in lines if not line.isspace()]
-        if len(lines) != list(map(str.count, lines, itertools.repeat("\t"))).count(3):
-            raise ValueError("a line without 4 fields")
-        # the last field keeps its line end, which int() ignores
-        fields = "\t".join(lines).split("\t")
-        for text in set(fields[0::4]) - day_of.keys():
-            day_of[text] = datetime.date.fromisoformat(text)
-        days += map(day_of.__getitem__, fields[0::4])
-        keys += fields[1::4]
-        scores += map(float, fields[2::4])
-        counts += map(int, fields[3::4])
-    if not all(map(math.isfinite, scores)):
-        raise ValueError("a score that is not finite")
-    on = _date_map(days, keys)
-    if sum(map(len, on.values())) != len(keys):
-        raise ValueError("a record stored twice")
-    if any(map(operator.gt, days, itertools.islice(days, 1, None))):
-        raise ValueError("a run-date that goes down")
-    return days, keys, scores, counts, on
-
-
-def _date_map(days: list, keys: list) -> dict[datetime.date, dict[str, int]]:
-    """Each run-date's keys, each with its last record's position."""
-    on: dict[datetime.date, dict[str, int]] = {day: {} for day in dict.fromkeys(days)}
-    for day, key, i in zip(days, keys, itertools.count()):
-        on[day][key] = i
-    return on
+def _fields(raw: bytes) -> tuple[datetime.date, str, float, int] | None:
+    """A line's run-date, key, score and count; None for a blank line. A
+    ValueError names the line's first fault, worded from _FIELDS only then."""
+    try:
+        line = raw.decode("utf-8")
+    except UnicodeDecodeError:
+        raise ValueError("not UTF-8 text") from None
+    if line.isspace():
+        return None
+    parts = line.rstrip("\n").split("\t")
+    if len(parts) != 4:
+        raise ValueError("expected 4 tab-separated fields")
+    try:
+        return datetime.date.fromisoformat(parts[0]), parts[1], _finite_float(parts[2]), int(parts[3])
+    except ValueError:
+        pass
+    for name, i, parse, expected in _FIELDS:
+        try:
+            parse(parts[i])
+        except ValueError:
+            raise ValueError(f"{name} field {parts[i]!r} is not {expected}") from None
+    raise AssertionError("some field does not parse")
 
 
 def _finite_float(text: str) -> float:

@@ -602,6 +602,17 @@ class TestHistoryIsRecordedLast:
         assert (out / "report.json").read_bytes() == report
         assert (tmp_path / "history.tsv").read_bytes() == history
 
+    def test_a_score_that_is_not_finite_fails_extract_before_writing(self, tmp_path, capsys):
+        data = generate_data(tmp_path, faults=[FAULT])
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert self.diagnose(tmp_path, data, out, RUN_DATE, run_config(tmp_path, scoring="metric * 1e308")) == 1
+        assert capsys.readouterr().err == (
+            "error: stage 'extract' failed: scoring expression 'metric * 1e308' gives inf,"
+            " which is not a finite number\n"
+        )
+        assert not (tmp_path / "history.tsv").exists() and not (out / "report.json").exists()
+
     def test_key_with_a_tab_fails_before_writing(self, tmp_path, capsys):
         history = tmp_path / "history.tsv"
         history.write_bytes(b"2026-08-09\tRack=c\t1.0\t10\n")

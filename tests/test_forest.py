@@ -527,6 +527,18 @@ class TestDumpAndParse:
         with pytest.raises(DumpParseError, match="empty"):
             parse_text("")
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("TREE 0 Regression\nLEAF\t3\t1.5\nTREE 1 Regression\n", 3),
+            ("TREE 0 Regression\nTREE 1 Regression\nLEAF\t3\t1.5\n", 1),
+        ],
+        ids=["last", "before-another-header"],
+    )
+    def test_a_tree_header_without_nodes_names_its_line(self, text, line):
+        with pytest.raises(DumpParseError, match=f"^line {line}: TREE header without node lines$"):
+            parse_text(text)
+
     def test_count_mismatch_reports_line(self):
         text = "TREE 0 Classification\nA=x\t10\t0.5\n  LEAF\t3\t0.1\n  LEAF\t3\t0.9\n"
         with pytest.raises(DumpParseError, match="line 4"):

@@ -81,6 +81,7 @@ def test_error_example_is_what_the_cli_prints(tmp_path, monkeypatch, capsys, fil
     kpi = {"column": "Latency", "kind": "continuous", "slo": {"threshold": 22.0}}
     files = {  # every other input valid, then the example's file
         "run.json": json.dumps({"kpi": kpi, "input_format": suffix}),
+        "data/logs.csv": "Latency,Rack\n" + "".join(f"{10 + 30 * (i % 2)},c{i % 2}\n" for i in range(40)),
         "work/rules.json": "[]",
         "out/report.json": '{"rules": []}',
         "data/manifest.json": '{"faults": []}',
@@ -101,6 +102,7 @@ def test_error_example_is_what_the_cli_prints(tmp_path, monkeypatch, capsys, fil
         "data/manifest.json": evaluate,
         "work/model.txt": ["extract", "--config", "run.json", "--input", "data/logs.csv",
                            "--model", "work/model.txt", "--out", "work", *date],
-    }.get(file, ["train", "--config", "run.json", "--input", f"data/logs.{suffix}", "--out", "work"])
+    }.get(file, ["diagnose", "--config", "run.json", "--input", f"data/logs.{suffix}",
+                 "--history", "history.tsv", "--out", "work", *date])
     assert main(argv) == 1
     assert capsys.readouterr().err == f"error: {message}\n"

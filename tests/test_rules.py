@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -63,6 +65,20 @@ class TestScoring:
         for bad in ("__import__('os')", "metric.x", "f(1)", "unknown + 1", "'s'"):
             with pytest.raises(ConfigError):
                 resolve_scoring(bad)
+
+
+    @pytest.mark.parametrize(
+        "scoring, metrics, named",
+        [
+            ("metric * 1e308", (93.0, 12.0), "scoring expression 'metric * 1e308' gives inf, which is not a finite number"),
+            ("metric", (1e308, -1e308), "the two sides of split X > 1.5 differ in score by inf"),
+        ],
+        ids=["a-score", "a-difference"],
+    )
+    def test_a_score_that_is_not_finite_is_an_error(self, scoring, metrics, named):
+        node = TreeNode(2, 0.0, Predicate.greater_than("X", 1.5), TreeNode(1, metrics[0]), TreeNode(1, metrics[1]))
+        with pytest.raises(ValueError, match=f"^{re.escape(named)}$"):
+            one_split_score(scoring, node)
 
 
 class TestCorrelationScore:

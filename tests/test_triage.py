@@ -1,6 +1,7 @@
 import datetime
 import fcntl
 import importlib
+import math
 import multiprocessing
 import os
 import statistics
@@ -231,6 +232,17 @@ class TestHistoryStore:
             record_run([rule_for(value, 1.0)], HistoryStore(path), D(2026, 1, 1))
         assert not path.exists()
 
+    def test_key_with_a_surrogate_rejected_before_writing(self, tmp_path):
+        # a JSON log may decode to one ("\ud800"); the batch is longer than
+        # one block of lines, so a write that encoded as it went would be torn
+        path = tmp_path / "history.tsv"
+        record_run([rule_for("a", 1.0)], HistoryStore(path), D(2026, 1, 1))
+        before = path.read_bytes()
+        batch = [HistoryRecord(D(2026, 1, 2), f"k{i}", 1.0, 1) for i in range(5000)]
+        with pytest.raises(ValueError, match="holds a surrogate, which UTF-8 cannot encode"):
+            HistoryStore(path).append(batch + [HistoryRecord(D(2026, 1, 2), "X=\ud800", 1.0, 1)])
+        assert path.read_bytes() == before
+
     @pytest.mark.parametrize("value", ["a\rb", "a\r", "a\x85b\u2028"])
     def test_key_with_another_line_boundary_appends_and_loads_back(self, tmp_path, value):
         path = tmp_path / "history.tsv"
@@ -354,18 +366,26 @@ class TestHistoryStore:
             HistoryStore(path)
         assert str(err.value) == f"{path}:4: run_date 2026-08-02 comes before 2026-08-03 on an earlier line"
 
-    def test_an_append_only_store_builds_no_run_date_map(self, tmp_path):
-        # The run-date map is built on the first query, not by append: the
-        # benchmark's set-up seeds a year of history through append in its own
-        # process, and every child it starts inherits that process's peak RSS.
-        store = HistoryStore(tmp_path / "history.tsv")
+    def test_an_append_holds_none_of_what_it_wrote(self, tmp_path):
+        # An append drops the run-date map, and the next query or check reads
+        # the file's end again: the benchmark's set-up seeds a year of history
+        # through append in its own process, and every child it starts
+        # inherits that process's peak RSS.
+        path = tmp_path / "history.tsv"
+        store = HistoryStore(path)
         for day in (D(2026, 1, 1), D(2026, 1, 2)):
             store.append([HistoryRecord(day, f"k{i}", 1.0, 1) for i in range(3)])
+            assert store._on is None
         with pytest.raises(ValueError, match="run-date 2026-01-01 comes before 2026-01-02"):
             store.append([HistoryRecord(D(2026, 1, 1), "k9", 1.0, 1)])
-        assert store._on is None
         assert store.run_dates() == [D(2026, 1, 1), D(2026, 1, 2)]
-        assert store._on is not None
+        assert {day: set(keys) for day, keys in store._on.items()} == {
+            D(2026, 1, 1): {"k0", "k1", "k2"}, D(2026, 1, 2): {"k0", "k1", "k2"}
+        }
+        path.write_bytes(b"")  # the held map answers until an append drops it
+        assert store.keys_on(D(2026, 1, 2)) == {"k0", "k1", "k2"}
+        store.append([HistoryRecord(D(2026, 1, 3), "k0", 1.0, 1)])
+        assert store._on is None and store.run_dates() == [D(2026, 1, 3)]
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -441,7 +461,7 @@ class TestHistoryStore:
                 return
             last = dates[-1]
             held = [r for r in records if r.run_date in dates[-window_runs - 1:]]
-            assert len(store._keys) == len(held)
+            assert sum(map(len, store._on.values())) == len(held)
             for today in (last, last + datetime.timedelta(days=1)):
                 window = store.run_dates(before=today)
                 assert window == [d for d in dates if d < today][-window_runs:]
@@ -465,13 +485,36 @@ class TestHistoryStore:
         days = [D(2021, 1, 1) + datetime.timedelta(days=i) for i in range(5 * 365)]
         path.write_text("".join(f"{d}\tk{k}\t0.5\t3\n" for d in days for k in range(3)), encoding="utf-8")
         store = HistoryStore(path)
-        assert len(store._keys) == 3 * (triage_module.WINDOW_RUNS + 1)
+        assert sum(map(len, store._on.values())) == 3 * (triage_module.WINDOW_RUNS + 1)
         assert len(store.records) == 3 * len(days)
         today = days[-1] + datetime.timedelta(days=1)
         assert store.run_dates(before=today) == days[-triage_module.WINDOW_RUNS:]
         assert triage([rule_for("a", 1.0)], store, today)[0].category is TriageCategory.NEW
         record_run([rule_for("a", 1.0)], store, today)
         assert len(HistoryStore(path).records) == 3 * len(days) + 1
+
+    def test_a_malformed_line_before_the_window_is_named_only_by_records(self, tmp_path):
+        path = tmp_path / "history.tsv"
+        days = [D(2026, 1, 1) + datetime.timedelta(days=i) for i in range(triage_module.WINDOW_RUNS + 2)]
+        lines = [f"{d}\tk\t0.5\t3\n" for d in days]
+        lines.insert(1, "2026-01-01\tbad\tnan\n")  # line 2, in the oldest run-date
+        path.write_text("".join(lines), encoding="utf-8")
+        store = HistoryStore(path)
+        assert store.run_dates() == days[-triage_module.WINDOW_RUNS:]
+        assert sum(map(len, store._on.values())) == triage_module.WINDOW_RUNS + 1
+        with pytest.raises(ValueError) as err:
+            store.records
+        assert str(err.value) == f"{path}:2: expected 4 tab-separated fields"
+
+    @pytest.mark.parametrize("score", [math.inf, -math.inf, math.nan])
+    def test_a_score_that_is_not_finite_is_refused_before_writing(self, tmp_path, score):
+        path = tmp_path / "history.tsv"
+        record_run([rule_for("a", 1.0)], HistoryStore(path), D(2026, 1, 1))
+        before = path.read_bytes()
+        batch = [HistoryRecord(D(2026, 1, 2), "X=a", 1.0, 1), HistoryRecord(D(2026, 1, 2), "X=b", score, 1)]
+        with pytest.raises(ValueError, match=f"score {score!r} for 'X=b' on 2026-01-02 is not a finite number"):
+            HistoryStore(path).append(batch)
+        assert path.read_bytes() == before
 
     def test_an_append_ends_a_last_line_that_lacks_its_line_end(self, tmp_path):
         path = tmp_path / "history.tsv"
@@ -572,7 +615,8 @@ FAULTS = {
 
 
 class TestHistoryLoadErrors:
-    """The columnar load names the line and field a line-by-line read names."""
+    """A load stops at the first faulty line and names it, counted from the
+    start of the file, with its first faulty field."""
 
     @pytest.mark.parametrize("at", [0, 4, 9], ids=["first", "middle", "last"])
     @pytest.mark.parametrize("fault", FAULTS)
