@@ -15,7 +15,10 @@ on the whole table, and one rest bin, never a candidate, for the others: a
 category that fails on all rows fails in every node. A cut after a bin the
 node holds is thresholded at the midpoint of that bin's highest value and
 the lowest value of the node's next bin, so the threshold selects exactly
-the rows the tree counts.
+the rows the tree counts. A missing cell is a value of its own, as in
+XGBoost and LightGBM: a category "" that sorts first, or a bin 0 of NaN
+bounds below every value. Its test is `Predicate.equals(name, "")`; every
+other continuous cut sends the missing cells to its false side.
 
 A node is its row ids. Each tree stacks its drawn features' bins as keys
 of one array; a node gathers its rows' keys and targets into buffers that
@@ -145,15 +148,13 @@ def _weighted_entropy(pos, tot, out, tmp) -> np.ndarray:
     return out
 
 
-def _require_finite(values: np.ndarray, what: str) -> None:
-    if np.isnan(values).any():
-        raise SchemaError(f"{what} has missing values; impute first")
-    if not np.isfinite(values).all():
-        raise SchemaError(f"{what} has infinite values")
-
-
 def _bin_continuous(vals: np.ndarray):
-    """(bin of each row, lowest value of each bin, highest value of each bin)."""
+    """(bin of each row, lowest value of each bin, highest value of each bin); NaNs make bin 0."""
+    if (missing := np.isnan(vals)).any():
+        present, low, high = _bin_continuous(vals[~missing])
+        bins = np.zeros(vals.size, present.dtype)
+        bins[~missing] = present + 1
+        return bins, np.append(np.nan, low), np.append(np.nan, high)
     uniq, inverse, counts = np.unique(vals, return_inverse=True, return_counts=True)
     if uniq.size <= QUANTILE_BINS:
         return inverse, uniq, uniq
@@ -177,7 +178,8 @@ class _TrainingData:
         else:
             self.kind = TargetKind.REGRESSION
             self.y = np.asarray(y, dtype=np.float64)
-            _require_finite(self.y, "regression target")
+            if not np.isfinite(self.y).all():
+                raise SchemaError(f"regression target has {'missing' if np.isnan(self.y).any() else 'infinite'} values")
             # every split gain squares a sum of at most n * max|y|
             bound = float(np.abs(self.y).max(initial=0.0)) * self.y.size
             if not math.isfinite(bound * bound):
@@ -188,16 +190,16 @@ class _TrainingData:
         self.bounds: dict[str, tuple[np.ndarray, np.ndarray]] = {}  # lowest, highest value per bin
         for name in features:
             if table.spec(name).kind is ColumnKind.CATEGORICAL:
-                codes = table.codes(name)
-                if (codes < 0).any():
-                    raise SchemaError(f"feature {name!r} has missing values; impute first")
+                codes = table.codes(name) + 1  # missing is code 0, named ""
                 cnt = np.bincount(codes)
                 ok = (cnt >= min_rows) & (self.n - cnt >= min_rows)
-                self.categories[name] = tuple(table.categories(name)[c] for c in ok.nonzero()[0])
+                named = ("",) + table.categories(name)
+                self.categories[name] = tuple(named[c] for c in ok.nonzero()[0])
                 bins, width = np.where(ok, ok.cumsum() - 1, ok.sum())[codes], int(ok.sum()) + 1
             else:
                 vals = table.values(name)
-                _require_finite(vals, f"feature {name!r}")
+                if np.isinf(vals).any():
+                    raise SchemaError(f"feature {name!r} has infinite values")
                 bins, *self.bounds[name] = _bin_continuous(vals)
                 width = self.bounds[name][0].size
             self.bins[name] = bins.astype(np.uint8 if width <= 256 else np.int32)
@@ -214,7 +216,7 @@ class _TrainingData:
         return self._buffers[name][:nbytes].view(dtype).reshape(shape)
 
     def partition(self, idx, predicate: Predicate, b: int):
-        """The left (predicate true) and right child's rows."""
+        """The left (predicate true) and right child's rows; a continuous missing test is bin 0."""
         bins = self.bins[predicate.attribute].take(idx)
         mask = bins == b if predicate.op is PredicateOp.EQUALS else bins > b
         return np.compress(mask, idx), np.compress(~mask, idx)
@@ -272,9 +274,9 @@ class _TreeSearch:
         """The best split of the node of n rows, target sum y_sum, whose
         histogram this is: (gain, predicate, bin), or None if no gain is > 0.
 
-        The left child is the bin (categorical) or the bins above it
-        (continuous). Children under min_rows are rejected; ties break toward
-        the smallest attribute name, then category/threshold. With tol > 0,
+        The left child is the bin (categorical, or the missing test) or the
+        bins above it (continuous). Children under min_rows are rejected; ties
+        break toward the smallest attribute name, then category/threshold. With tol > 0,
         the histogram's gains may each be off by tol, and _UNSURE comes back
         when that could change the winner or the sign of its gain.
         """
@@ -311,6 +313,8 @@ class _TreeSearch:
         f, b = divmod(key, self.width)
         name = self.cont[f]
         lo_v = self.td.bounds[name][1][b]
+        if math.isnan(lo_v):  # the cut after the missing cells' bin
+            return gain, Predicate.equals(name, ""), b
         hi_v = self.td.bounds[name][0][b + 1 + int(cont[0, f, b + 1 :].nonzero()[0][0])]
         threshold = lo_v + (hi_v - lo_v) / 2.0
         # Adjacent representable floats can round the midpoint up to hi,
@@ -426,7 +430,7 @@ def _assemble(preorder: list) -> TreeNode:
 def train(
     table: LogTable, labels_or_target: np.ndarray, hyperparams: Hyperparams
 ) -> ForestModel:
-    """Train a forest on an (already imputed and sampled) table.
+    """Train a forest on a (sampled) table; a missing feature cell is a value.
 
     A bool array trains classification trees, a float array regression
     trees. Each tree draws an independent feature subset of

@@ -40,7 +40,7 @@ from .model import (
 
 
 class LogTable:
-    """Immutable columnar table of mixed-type rows with explicit missing markers."""
+    """Immutable columnar table of mixed-type rows; a cell is missing, or a number, or a nonempty text."""
 
     def __init__(
         self,
@@ -53,6 +53,11 @@ class LogTable:
         self._codes = dict(codes)
         self._categories = dict(categories)
         self._values = dict(values)
+        self._missing: dict[str, np.ndarray] = {}  # filled in by missing()
+        for name, cats in self._categories.items():
+            if cats[:1] == ("",):  # "" sorts first
+                self._codes[name] = np.maximum(self._codes[name] - 1, -1)
+                self._categories[name] = cats[1:]
         self.row_count = row_count
         self.schema: tuple[ColumnSpec, ...] = tuple(schema)
         for spec in self.schema:
@@ -98,6 +103,14 @@ class LogTable:
             raise SchemaError(f"column {name!r} is not continuous")
         return self._values[name]
 
+    def missing(self, name: str) -> np.ndarray:
+        """Rows whose cell is missing, computed once per column; read-only."""
+        if name not in self._missing:
+            coded = self.spec(name).kind is ColumnKind.CATEGORICAL
+            self._missing[name] = mask = self._codes[name] < 0 if coded else np.isnan(self._values[name])
+            mask.flags.writeable = False
+        return self._missing[name]
+
     def category_mask(self, name: str, value: str) -> np.ndarray:
         """Rows of a categorical column whose category is `value` (none if absent)."""
         cats = self.categories(name)
@@ -115,9 +128,12 @@ class LogTable:
         return LogTable(self.schema, codes, self._categories, values, len(indices))
 
     def predicate_mask(self, p: Predicate) -> np.ndarray:
-        """Vectorized predicate evaluation; rows are assumed imputed."""
+        """Rows the predicate holds on. As in SQL, no test but the missing
+        test (equality with "") holds on a missing cell."""
         spec = self.spec(p.attribute)
-        if p.op is PredicateOp.EQUALS:
+        if p.op is PredicateOp.EQUALS and p.value == "":
+            base = self.missing(p.attribute).copy()
+        elif p.op is PredicateOp.EQUALS:
             if spec.kind is not ColumnKind.CATEGORICAL:
                 raise SchemaError(f"equality predicate on continuous column {p.attribute!r}")
             base = self.category_mask(p.attribute, p.value)
@@ -125,7 +141,7 @@ class LogTable:
             if spec.kind is not ColumnKind.CONTINUOUS:
                 raise SchemaError(f"threshold predicate on categorical column {p.attribute!r}")
             base = self._values[p.attribute] > p.value
-        return base if p.polarity else ~base
+        return base if p.polarity else ~(base | self.missing(p.attribute))
 
     def conjunction_mask(self, predicates: Iterable[Predicate]) -> np.ndarray:
         mask = np.ones(self.row_count, dtype=bool)

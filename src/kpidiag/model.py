@@ -4,7 +4,8 @@ the synthetic generator's config.
 Everything here is immutable after construction and safe to share between
 threads. Predicates are the unit of diagnosis: a boolean test on one log
 attribute, either an equality test on a categorical value or a strict
-greater-than test on a continuous threshold.
+greater-than test on a continuous threshold. A missing cell is a value of
+its own: equality with "" tests for it, on either column kind.
 """
 
 from __future__ import annotations
@@ -15,12 +16,6 @@ from enum import Enum
 from typing import Mapping
 
 from .errors import ConfigError, SchemaError
-
-# Placeholder category substituted for missing categorical cells during
-# imputation. It is an ordinary category afterwards: predicates may
-# legitimately test `attr = <EMPTY>`.
-MISSING_CATEGORY = "<EMPTY>"
-
 
 class ColumnKind(Enum):
     CATEGORICAL = "categorical"
@@ -55,6 +50,8 @@ class Predicate:
     GREATER_THAN applies to continuous attributes (value is the threshold,
     strict comparison: ties go to the false branch). polarity=False inverts
     the base test, so `GREATER_THAN, polarity=False` reads as `attr <= t`.
+    EQUALS with "" is the missing test, on either kind; as in SQL, no other
+    test holds on a missing cell, whatever its polarity.
     """
 
     attribute: str
@@ -75,13 +72,13 @@ class Predicate:
         return Predicate(self.attribute, self.op, self.value, not self.polarity)
 
     def text(self) -> str:
-        """Human-readable report form, e.g. `Rack:AN150C01` or `AuthLatency > 47`."""
+        """Report form, e.g. `Rack:AN150C01`, `AuthLatency > 47` or `Rack is missing`."""
+        if self.op is PredicateOp.EQUALS and self.value == "":
+            return f"{self.attribute} is {'missing' if self.polarity else 'present'}"
         if self.op is PredicateOp.EQUALS:
             form = f"{self.attribute}:{self.value}"
             return form if self.polarity else f"{form}→false"
-        threshold = format_number(float(self.value))
-        cmp = ">" if self.polarity else "<="
-        return f"{self.attribute} {cmp} {threshold}"
+        return f"{self.attribute} {'>' if self.polarity else '<='} {format_number(float(self.value))}"
 
 
 def canonical_key(p: Predicate) -> str:

@@ -1,11 +1,12 @@
 """End-to-end diagnosis pipeline and the per-stage pieces the CLI composes.
 
-Order of stages: ingest -> impute -> pruning advisory -> stratify -> sample
--> train -> write model.txt and pruning.json -> extract -> dedup/filter ->
-impact -> score floor -> triage -> write report.json and report.md ->
-record history. The history append is the last step: a run whose report
-cannot be written leaves the store as it was, and a same-date rerun fails
-in triage, before its reports or the store are touched. The file-based
+Order of stages: ingest -> impute (leave out the rows without a KPI value)
+-> pruning advisory -> stratify -> sample -> train -> write model.txt and
+pruning.json -> extract -> dedup/filter -> impact -> score floor -> triage
+-> write report.json and report.md -> record history. No cell is filled in.
+The history append is the last step: a run whose report cannot be written
+leaves the store as it was, and a same-date rerun fails in triage, before
+its reports or the store are touched. The file-based
 sub-commands (train, extract, triage) call the same functions as one
 monolithic `diagnose` run and produce byte-identical files. The array
 modules are imported by the stages that use them, so `kpidiag triage`
@@ -75,30 +76,32 @@ def _seeds(seed: int) -> tuple[int, int]:
     )
 
 
-def prepare_table(config: RunConfig, input_path, timer: _StageTimer | None = None) -> LogTable:
-    """ingest -> impute; a KPI column without a single value is an error."""
-    import numpy as np
+def prepare_table(config: RunConfig, input_path, timer: _StageTimer | None = None, warnings=None) -> LogTable:
+    """ingest -> impute, which leaves out the rows without a KPI value and
+    says how many in warnings; a KPI column without a single value is an error."""
     from . import ingest, prep
     timer = timer or _StageTimer()
     with timer.stage("ingest"):
         table = ingest.load(input_path, config.input_format, config.schema_config())
         kpi = config.kpi.column
-        present = table.codes(kpi) >= 0 if config.kpi.kind is KpiKind.BINARY else ~np.isnan(table.values(kpi))
-        if not present.any():
+        if table.missing(kpi).all():
             raise ConfigError(f"KPI column {kpi!r} has no values in {input_path}")
     with timer.stage("impute"):
-        return prep.impute(table)
+        kept = prep.impute(table)
+    if warnings is not None and (dropped := table.row_count - kept.row_count):
+        warnings.append(f"{dropped} rows have no value in KPI column {kpi!r} and were left out")
+    return kept
 
 
 def build_model(
-    config: RunConfig, imputed: LogTable, timer: _StageTimer | None = None
+    config: RunConfig, table: LogTable, timer: _StageTimer | None = None
 ) -> ForestModel:
     """stratify -> sample -> train on the prepared table."""
     from . import forest, prep
     timer = timer or _StageTimer()
     sample_seed, train_seed = _seeds(config.seed)
     with timer.stage("stratify"):
-        stratified = prep.stratify(imputed, config.kpi)
+        stratified = prep.stratify(table, config.kpi)
     with timer.stage("sample"):
         sampled = prep.sample(stratified, config.kpi, config.sample_rows, sample_seed)
     with timer.stage("train"):
@@ -116,32 +119,33 @@ def build_model(
 def run_train(config: RunConfig, input_path, out_dir, timer: _StageTimer | None = None):
     """prepare -> pruning advisory -> train, then write model.txt and pruning.json into out_dir.
 
-    Returns (imputed table, model, warnings).
+    Returns (prepared table, model, warnings).
     """
     from . import forest, prep
     timer = timer or _StageTimer()
-    imputed = prepare_table(config, input_path, timer)
+    warnings: list[str] = []
+    table = prepare_table(config, input_path, timer, warnings)
     with timer.stage("prune"):
-        pruning = prep.recommend_pruning(imputed, config.max_cardinality)
+        pruning = prep.recommend_pruning(table, config.max_cardinality)
     # config-excluded columns never reach the advisory (they are not
     # features), so anything flagged here is still in play
-    warnings = [
+    warnings += [
         f"column {rec.attribute!r} flagged ({rec.reason}, cardinality "
         f"{rec.cardinality}) but not excluded by the config"
         for rec in pruning
     ]
-    model = build_model(config, imputed, timer)
+    model = build_model(config, table, timer)
     with timer.stage("dump-model"):
         _write(out_dir, "model.txt", forest.dump_text(model))
         doc = {"recommendations": list(map(asdict, pruning)), "warnings": warnings}
         _write(out_dir, "pruning.json", json.dumps(doc, indent=2, ensure_ascii=False) + "\n")
-    return imputed, model, warnings
+    return table, model, warnings
 
 
 def mine_rules(
     config: RunConfig,
     model: ForestModel,
-    imputed: LogTable,
+    table: LogTable,
     timer: _StageTimer | None = None,
 ) -> list[Rule]:
     """extract -> dedup -> drop inverted equalities -> impact -> score floor."""
@@ -151,7 +155,7 @@ def mine_rules(
         candidates = rules.extract_rules(model, scoring)
         kept = rules.filter_negative(rules.deduplicate(candidates))
     with timer.stage("impact"):
-        annotated = rules.annotate_impacts(kept, imputed, config.kpi)
+        annotated = rules.annotate_impacts(kept, table, config.kpi)
     return [r for r in annotated if r.correlation_score >= config.min_score]
 
 
@@ -204,8 +208,8 @@ def run_diagnose(
     rule. Stage failures raise StageError(stage, cause).
     """
     timer = _StageTimer()
-    imputed, model, warnings = run_train(config, input_path, out_dir, timer)
-    mined = mine_rules(config, model, imputed, timer)
+    table, model, warnings = run_train(config, input_path, out_dir, timer)
+    mined = mine_rules(config, model, table, timer)
     triaged, report_json = run_triage(config, mined, history_path, out_dir, run_date, timer)
     return DiagnoseResult(
         exit_code=exit_code_for(triaged),
@@ -242,7 +246,7 @@ def _write(out_dir, name: str, text: str) -> None:
 TABLE_FILE = "table.npz"
 # A change to what prepare_table makes of given bytes and settings must bump
 # this, so that extract loads no table.npz written before the change.
-TABLE_FORMAT = 1
+TABLE_FORMAT = 2
 
 
 def input_state(path):
@@ -308,11 +312,11 @@ def load_table(config: RunConfig, input_path, model_path) -> LogTable | None:
                 spec = ColumnSpec(name, ColumnKind(kind), ColumnRole(role))
                 array = npz[f"c{i}"]
                 if cats is None:  # continuous; LogTable refuses a spec whose kind disagrees
-                    values[name], fits = array, array.dtype == np.float64 and np.isfinite(array).all()
+                    values[name], fits = array, array.dtype == np.float64 and not np.isinf(array).any()
                 else:
                     codes[name], categories[name] = array, tuple(cats)
                     fits = array.dtype == np.int32 and all(isinstance(c, str) for c in cats)
-                    fits = fits and cats == sorted(set(cats)) and not ((array < 0) | (array >= len(cats))).any()
+                    fits = fits and cats == sorted(set(cats)) and not ((array < -1) | (array >= len(cats))).any()
                 if not fits:
                     return None
                 schema.append(spec)

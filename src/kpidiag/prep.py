@@ -1,21 +1,19 @@
-"""Data preparation: imputation, pruning recommendations, stratification, sampling."""
+"""Data preparation: dropping rows without a KPI value, pruning
+recommendations, stratification, sampling.
+
+Nothing here invents a value. A missing feature cell stays missing, and the
+forest splits on it like on any other value.
+"""
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import SchemaError
 from .ingest import LogTable
-from .model import (
-    MISSING_CATEGORY,
-    ColumnKind,
-    ColumnRole,
-    KpiKind,
-    KpiSpec,
-)
+from .model import ColumnKind, ColumnRole, KpiKind, KpiSpec
 
 
 @dataclass(frozen=True)
@@ -36,45 +34,12 @@ class PruneRecommendation:
 
 
 def impute(table: LogTable) -> LogTable:
-    """Replace every missing value.
-
-    Categorical missing becomes the placeholder category; continuous missing
-    becomes the column median of non-missing values (0 when the whole column
-    is missing). Idempotent.
-    """
-    codes = {}
-    categories = {}
-    values = {}
+    """The table without the rows whose KPI cell is missing, which have nothing
+    to diagnose. No cell is filled in: a missing feature cell is a value."""
     for spec in table.schema:
-        name = spec.name
-        if spec.kind is ColumnKind.CATEGORICAL:
-            col = table.codes(name)
-            cats = table.categories(name)
-            if (col < 0).any():
-                col, cats = _fill_categorical(col, cats)
-            codes[name] = col
-            categories[name] = cats
-        else:
-            col = table.values(name)
-            nan = np.isnan(col)
-            if nan.any():
-                present = col[~nan]
-                fill = float(np.median(present)) if present.size else 0.0
-                col = np.where(nan, fill, col)
-            values[name] = col
-    return LogTable(table.schema, codes, categories, values, table.row_count)
-
-
-def _fill_categorical(codes: np.ndarray, cats: tuple[str, ...]):
-    pos = bisect.bisect_left(cats, MISSING_CATEGORY)
-    if pos < len(cats) and cats[pos] == MISSING_CATEGORY:
-        new_cats = cats
-        new_codes = codes.copy()
-    else:
-        new_cats = cats[:pos] + (MISSING_CATEGORY,) + cats[pos:]
-        new_codes = np.where(codes >= pos, codes + 1, codes).astype(np.int32)
-    new_codes = np.where(codes < 0, np.int32(pos), new_codes).astype(np.int32)
-    return new_codes, new_cats
+        if spec.role is ColumnRole.KPI and (missing := table.missing(spec.name)).any():
+            return table.take(np.flatnonzero(~missing))
+    return table
 
 
 def recommend_pruning(
@@ -98,8 +63,7 @@ def recommend_pruning(
             codes = table.codes(spec.name)
             card = int(np.count_nonzero(np.bincount(codes[codes >= 0])))
         else:
-            col = table.values(spec.name)
-            col = col[~np.isnan(col)]
+            col = table.values(spec.name)[~table.missing(spec.name)]
             if not col.size or (col.min() < col.max() and (np.floor(col) != col).any()):
                 continue  # a real-valued measurement is no identifier, and needs no np.unique
             card = 1 if col.min() == col.max() else int(np.unique(col).size)
@@ -115,15 +79,11 @@ def recommend_pruning(
 def kpi_values(table: LogTable, kpi: KpiSpec) -> np.ndarray:
     """The KPI of every row: a continuous KPI's values, or whether each row
     holds a binary KPI's positive label."""
+    if table.missing(kpi.column).any():
+        raise SchemaError(f"KPI column {kpi.column!r} has missing values")
     if kpi.kind is KpiKind.CONTINUOUS:
-        values = table.values(kpi.column)
-        missing = np.isnan(values)
-    else:
-        values = table.category_mask(kpi.column, kpi.positive_label)
-        missing = table.codes(kpi.column) < 0
-    if missing.any():
-        raise SchemaError(f"KPI column {kpi.column!r} has missing values; impute first")
-    return values
+        return table.values(kpi.column)
+    return table.category_mask(kpi.column, kpi.positive_label)
 
 
 def impact(kpi_values: np.ndarray, mask: np.ndarray) -> float | None:

@@ -51,17 +51,15 @@ def _quote_ident(name: str) -> str:
     return '"' + name.replace('"', '""') + '"'
 
 
-def _quote_string(value: str) -> str:
-    return "'" + value.replace("'", "''") + "'"
-
-
 def _condition_sql(p: Predicate) -> str:
+    """The predicate as SQL; as in its mask, only `IS NULL` holds on a NULL (missing) cell."""
     ident = _quote_ident(p.attribute)
+    if p.op is PredicateOp.EQUALS and p.value == "":
+        return f"{ident} IS {'' if p.polarity else 'NOT '}NULL"
     if p.op is PredicateOp.EQUALS:
-        op = "=" if p.polarity else "<>"
-        return f"{ident} {op} {_quote_string(str(p.value))}"
-    op = ">" if p.polarity else "<="
-    return f"{ident} {op} {format_number(float(p.value))}"
+        value = str(p.value).replace("'", "''")
+        return f"{ident} {'=' if p.polarity else '<>'} '{value}'"
+    return f"{ident} {'>' if p.polarity else '<='} {format_number(float(p.value))}"
 
 
 def generate_query(rule: Rule, table_name: str = "logs") -> str:
@@ -115,6 +113,14 @@ def _cell(text: str) -> str:
     return text.replace("|", "\\|")
 
 
+def _code(text: str) -> str:
+    """A markdown code span showing text as it is (CommonMark): a fence longer than any backtick run
+    in text, and a space inside it where text starts or ends with a backtick or a space."""
+    fence = "`" * (1 + max(map(len, re.findall("`+", text)), default=0))
+    pad = " " if text.strip(" ") and (text[0] in "` " or text[-1] in "` ") else ""
+    return f"{fence}{pad}{text}{pad}{fence}"
+
+
 def render_markdown(
     ranked: Sequence[dict], resolved_keys: Sequence[str], run_date: datetime.date, kpi: KpiSpec
 ) -> str:
@@ -122,7 +128,7 @@ def render_markdown(
     lines = [
         f"# KPI diagnosis report for {run_date.isoformat()}",
         "",
-        f"KPI: `{kpi.column}` ({kpi_desc['kind']}), criterion: `{kpi_desc['slo']}`",
+        f"KPI: {_code(kpi.column)} ({kpi_desc['kind']}), criterion: {_code(str(kpi_desc['slo']))}",
         "",
         "| Rank | Triage | Correlated predicate | Scope | Requests | Impact | Score |",
         "|---:|---|---|---|---:|---:|---:|",
@@ -136,8 +142,8 @@ def render_markdown(
             f"| {e['correlation_score']:.6g} |"
         )
     sections = {
-        "Resolved": [f"- `{key}`" for key in resolved_keys],
-        "Queries": [f"{e['rank']}. `{e['query']}`" for e in ranked],
+        "Resolved": [f"- {_code(key)}" for key in resolved_keys],
+        "Queries": [f"{e['rank']}. {_code(e['query'])}" for e in ranked],
     }
     for title, items in sections.items():
         lines += ["", f"## {title}", "", *(items or ["(none)"])]

@@ -160,13 +160,13 @@ def _trigger_mask(fault: FaultSpec, features: LogTable) -> np.ndarray:
     """Rows matching the fault's trigger, after checking it against the generated columns."""
     try:
         mask = features.conjunction_mask(fault.trigger)
+        for p in fault.trigger:  # the missing test passes on a continuous column too
+            if p.op is PredicateOp.EQUALS and p.value not in features.categories(p.attribute):
+                raise ConfigError(
+                    f"trigger value {p.value!r} outside the generated categories of {p.attribute!r}"
+                )
     except SchemaError as e:
         raise ConfigError(f"fault trigger: {e}") from None
-    for p in fault.trigger:
-        if p.op is PredicateOp.EQUALS and p.value not in features.categories(p.attribute):
-            raise ConfigError(
-                f"trigger value {p.value!r} outside the generated categories of {p.attribute!r}"
-            )
     return mask
 
 

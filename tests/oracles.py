@@ -40,16 +40,17 @@ from kpidiag.model import (
 
 
 def evaluate(p: Predicate, row: Mapping[str, object]) -> bool:
-    """Evaluate a predicate on one row (a mapping attribute -> value, None = missing)."""
+    """Evaluate a predicate on one row (a mapping attribute -> value, None =
+    missing) in SQL's three-valued logic: a missing cell is NULL, which only
+    the missing test (`IS NULL`, equality with "") takes as true."""
     if p.attribute not in row:
         raise SchemaError(f"attribute {p.attribute!r} absent from row")
     cell_value = row[p.attribute]
-    if p.op is PredicateOp.EQUALS:
-        base = cell_value is not None and cell_value == p.value
-    else:
-        if cell_value is None:
-            raise SchemaError(f"attribute {p.attribute!r} is missing; impute before evaluating")
-        base = float(cell_value) > p.value
+    if p.op is PredicateOp.EQUALS and p.value == "":
+        return (cell_value is None) == p.polarity
+    if cell_value is None:
+        return False  # NULL = 'a', NULL <> 'a', NULL > t and NULL <= t are all unknown
+    base = cell_value == p.value if p.op is PredicateOp.EQUALS else float(cell_value) > p.value
     return base if p.polarity else not base
 
 
@@ -89,7 +90,8 @@ _IDENT = r'([A-Za-z_][A-Za-z0-9_]*|"(?:[^"]|"")*")(?!")'
 _HEAD = re.compile(r"SELECT\s+\*\s+FROM\s+" + _IDENT + r"\s+WHERE\s+")
 _COND = re.compile(
     _IDENT + r"\s*(?:(=|<>)\s*'((?:[^']|'')*)'(?!')"
-    r"|(>|<=)\s*([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?))"
+    r"|(>|<=)\s*([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)"
+    r"|\s(IS(?: NOT)?) NULL)"
 )
 _AND = re.compile(r"\s+AND\s+")
 
@@ -101,9 +103,9 @@ def _unquote(ident: str) -> str:
 def execute_query(sql: str, table: LogTable) -> np.ndarray:
     """Parse `SELECT * FROM t WHERE c (AND c)*` and run it row by row; returns row indices.
 
-    A condition is `ident = 'str'`, `ident <> 'str'`, `ident > num` or
-    `ident <= num`; identifiers are bare or double-quoted, with doubled
-    quotes as escapes in both quoted forms.
+    A condition is `ident = 'str'`, `ident <> 'str'`, `ident > num`,
+    `ident <= num`, `ident IS NULL` or `ident IS NOT NULL`; identifiers are
+    bare or double-quoted, with doubled quotes as escapes in both quoted forms.
     """
     m = _HEAD.match(sql)
     if m is None:
@@ -113,8 +115,10 @@ def execute_query(sql: str, table: LogTable) -> np.ndarray:
         c = _COND.match(sql, m.end())
         if c is None:
             raise QueryParseError(f"bad condition at offset {m.end()}: {sql!r}")
-        attr, eq, text, gt, number = c.groups()
-        if eq:
+        attr, eq, text, gt, number, null = c.groups()
+        if null:
+            p = Predicate.equals(_unquote(attr), "", null == "IS")
+        elif eq:
             p = Predicate.equals(_unquote(attr), text.replace("''", "'"), eq == "=")
         else:
             p = Predicate.greater_than(_unquote(attr), float(number), gt == ">")
@@ -396,19 +400,22 @@ def oracle_mse_reduction(targets: list[float], mask: list[bool]) -> float:
 
 
 def enumerate_predicates(rows: list[dict], features: list[tuple[str, str]]):
-    """Every candidate: one equality per distinct categorical value, one
-    threshold per distinct-value cut of each continuous feature.
+    """Every candidate: the missing test of each feature with a missing
+    cell, one equality per distinct categorical value, one threshold per
+    distinct-value cut of each continuous feature.
 
     Any threshold in [a, b) yields the same partition as the midpoint
     between adjacent values a < b, so cutting at a is equivalent.
     """
     for name, kind in features:
         vals = [r[name] for r in rows]
+        distinct = sorted({v for v in vals if v is not None})
+        if None in vals:
+            yield Predicate.equals(name, "")
         if kind == "cat":
-            for v in sorted(set(vals)):
+            for v in distinct:
                 yield Predicate.equals(name, v)
         else:
-            distinct = sorted(set(vals))
             for cut in distinct[:-1]:
                 yield Predicate.greater_than(name, cut)
 

@@ -954,7 +954,8 @@ class TestTableHandOff:
         }[change]
         assert pipeline.load_table(dataclasses.replace(config, **other), staged.data, staged.work / "model.txt") is None
 
-    @pytest.mark.parametrize("damage", ["truncated", "garbage", "object array", "code out of range", "wrong dtype"])
+    @pytest.mark.parametrize("damage", ["truncated", "garbage", "object array", "code out of range", "wrong dtype",
+                                        "code under -1", "infinite value"])
     def test_damaged_table_is_a_miss(self, staged, damage):
         rules = staged.extract(ingested=False)
         table = staged.table
@@ -972,6 +973,10 @@ class TestTableHandOff:
                 arrays[f"c{coded}"] = np.array(list(header["columns"][coded][3]) * 10, dtype=object)
             elif damage == "code out of range":
                 arrays[f"c{coded}"][0] = len(header["columns"][coded][3])
+            elif damage == "code under -1":  # -1 is a missing cell
+                arrays[f"c{coded}"][0] = -2
+            elif damage == "infinite value":  # NaN is a missing cell
+                arrays[f"c{plain}"][0] = np.inf
             else:
                 arrays[f"c{plain}"] = arrays[f"c{plain}"].astype(np.float32)
             with open(table, "wb") as f:

@@ -444,10 +444,15 @@ class TestTrain:
         b, _, _ = _toy_model(num_trees=5, ratio=0.5, seed=11)
         assert dump_text(a) == dump_text(b)
 
-    def test_feature_missing_values_rejected(self):
-        table = make_table({"X": ("cat", ["a", None, "b", "a"])})
-        with pytest.raises(SchemaError, match="impute"):
-            train(table, np.array([True, False, True, False]), Hyperparams(num_trees=1))
+    def test_feature_with_missing_values_trains(self):
+        # a missing cell is a value of its own: here it is what every tree splits on first
+        table = make_table({"C": ("cat", ["a", None, "b", None] * 5), "X": ("cont", [1.0, None, 2.0, None] * 5)})
+        labels = np.array([False, True] * 10)
+        model = train(table, labels, Hyperparams(num_trees=8, feature_sample_ratio=0.5, rng_seed=3))
+        assert {t.split.attribute for t in model.trees} == {"C", "X"}
+        for tree in model.trees:
+            assert tree.split == Predicate.equals(tree.split.attribute, "")
+            assert (tree.left.row_count, tree.left.metric, tree.right.metric) == (10, 1.0, 0.0)
 
     @pytest.mark.parametrize("bad", [-np.inf, np.inf])
     def test_non_finite_target_rejected(self, bad):

@@ -69,9 +69,13 @@ class TestEvaluate:
         with pytest.raises(SchemaError):
             evaluate(Predicate.equals("Region", "NA"), {"Other": "x"})
 
-    def test_missing_continuous_is_a_schema_error(self):
-        with pytest.raises(SchemaError):
-            evaluate(Predicate.greater_than("Lat", 1.0), {"Lat": None})
+    @pytest.mark.parametrize("p", [Predicate.greater_than("Lat", 1.0), Predicate.equals("Lat", "a")])
+    def test_missing_cell_holds_only_the_missing_test(self, p):
+        # three-valued, as SQL: NULL > 1 and NULL <= 1 are both unknown
+        assert evaluate(p, {"Lat": None}) is evaluate(p.flip(), {"Lat": None}) is False
+        assert evaluate(Predicate.equals("Lat", ""), {"Lat": None}) is True
+        assert evaluate(Predicate.equals("Lat", "", polarity=False), {"Lat": None}) is False
+        assert evaluate(Predicate.equals("Lat", ""), {"Lat": 2.0}) is False
 
     @given(
         st.sampled_from(["a", "b", "c"]),

@@ -1,65 +1,31 @@
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from kpidiag.errors import SchemaError
-from kpidiag.model import MISSING_CATEGORY, KpiKind, KpiSpec
+from kpidiag.model import KpiKind, KpiSpec
 from kpidiag.prep import impute, recommend_pruning, sample, stratify
 
-from conftest import category_counts, make_table
-from oracles import cell, table_state
+from conftest import make_table
+from oracles import cell, row, table_state
 
 LAT = KpiSpec(column="Lat", kind=KpiKind.CONTINUOUS, threshold=5.0)
 STATUS = KpiSpec(column="Status", kind=KpiKind.BINARY, positive_label="fail")
 
 
 class TestImpute:
-    def test_categorical_placeholder(self):
-        table = impute(make_table({"X": ("cat", ["a", None])}))
-        assert cell(table, "X", 1) == MISSING_CATEGORY
-        assert cell(table, "X", 0) == "a"
+    """impute leaves out the rows without a KPI value, and fills in no cell."""
 
-    def test_continuous_median(self):
-        table = impute(make_table({"X": ("cont", [1.0, 3.0, None])}))
-        assert cell(table, "X", 2) == 2.0
+    def test_rows_without_a_kpi_value_are_left_out(self):
+        table = make_table({"Lat": ("cont", [1.0, None, 3.0]), "X": ("cat", ["a", "b", None])}, kpi="Lat")
+        kept = impute(table)
+        assert [row(kept, i) for i in range(kept.row_count)] == [{"Lat": 1.0, "X": "a"}, {"Lat": 3.0, "X": None}]
 
-    def test_single_value_median(self):
-        table = impute(make_table({"X": ("cont", [5.0, None, None])}))
-        assert [cell(table, "X", i) for i in range(3)] == [5.0, 5.0, 5.0]
+    def test_binary_kpi(self):
+        table = make_table({"Status": ("cat", [None, "ok", "fail"]), "X": ("cont", [None, None, 1.0])}, kpi="Status")
+        assert [cell(impute(table), "X", i) for i in range(2)] == [None, 1.0]
 
-    def test_all_missing_continuous_becomes_zero(self):
-        table = impute(make_table({"X": ("cont", [None, None])}))
-        assert [cell(table, "X", i) for i in range(2)] == [0.0, 0.0]
-
-    def test_categories_stay_sorted(self):
-        # the placeholder sorts before uppercase letters, after digits
-        table = impute(make_table({"X": ("cat", ["9", "Z", None, "A"])}))
-        cats = table.categories("X")
-        assert list(cats) == sorted(cats)
-        assert MISSING_CATEGORY in cats
-
-    def test_placeholder_already_present_collapses(self):
-        table = impute(make_table({"X": ("cat", [MISSING_CATEGORY, None])}))
-        assert cell(table, "X", 0) == cell(table, "X", 1) == MISSING_CATEGORY
-        assert category_counts(table)["X"] == 1
-
-    @given(
-        st.lists(
-            st.one_of(st.none(), st.sampled_from(["a", "b", "<EMPTY>"])),
-            min_size=1,
-            max_size=8,
-        ),
-        st.lists(
-            st.one_of(st.none(), st.floats(-100, 100)), min_size=1, max_size=8
-        ),
-    )
-    def test_idempotent(self, cat_vals, cont_vals):
-        n = max(len(cat_vals), len(cont_vals))
-        cat_vals = (cat_vals * n)[:n]
-        cont_vals = (cont_vals * n)[:n]
-        table = make_table({"C": ("cat", cat_vals), "X": ("cont", cont_vals)})
-        once = impute(table)
-        assert table_state(impute(once)) == table_state(once)
+    def test_a_table_with_every_kpi_value_is_kept_whole(self):
+        table = make_table({"Lat": ("cont", [1.0, 2.0]), "X": ("cont", [None, 1.0])}, kpi="Lat")
+        assert impute(table) is table
 
 
 class TestRecommendPruning:
@@ -144,7 +110,7 @@ class TestStratify:
 
     def test_missing_kpi_values_rejected(self):
         table = make_table({"Lat": ("cont", [1.0, None])}, kpi="Lat")
-        with pytest.raises(SchemaError, match="impute"):
+        with pytest.raises(SchemaError, match="^KPI column 'Lat' has missing values$"):
             stratify(table, LAT)
 
     def test_partition_is_total(self, rng):

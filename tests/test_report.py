@@ -73,6 +73,10 @@ class TestGenerateQuery:
         assert "Region <> 'NA'" in sql
         assert "Lat <= 2.5" in sql
 
+    def test_missing_test_is_null(self):
+        rule = rule_of(Predicate.equals("Rack", ""), scope=[Predicate.equals("Lat", "", polarity=False)])
+        assert generate_query(rule) == "SELECT * FROM logs WHERE Lat IS NOT NULL AND Rack IS NULL"
+
     def test_custom_table_name(self):
         rule = rule_of(Predicate.equals("A", "x"))
         assert generate_query(rule, "mylogs").startswith("SELECT * FROM mylogs WHERE")
@@ -195,6 +199,39 @@ class TestSqliteRunsGeneratedQueries:
                 expected = np.flatnonzero(table.conjunction_mask(rule.all_predicates()))
                 assert got == expected.tolist(), sql
 
+    def test_null_cells_are_selected_only_by_the_missing_test(self):
+        cats, nums = ["a", None, "b", "a", None, "c"], [0.1, None, 0.5, None, 0.126, -1.25]
+        table = make_table({"C": ("cat", cats), "Num": ("cont", nums)})
+        db = sqlite3.connect(":memory:")
+        db.execute("CREATE TABLE logs (i INTEGER, C TEXT, Num REAL)")
+        db.executemany("INSERT INTO logs VALUES (?, ?, ?)", zip(range(len(cats)), cats, nums))
+        tests = [Predicate.equals("C", "a"), Predicate.equals("C", ""), Predicate.equals("Num", ""),
+                 Predicate.greater_than("Num", 0.125)]
+        for scope in tests + [p.flip() for p in tests]:
+            for correlated in tests + [p.flip() for p in tests]:
+                rule = rule_of(correlated, scope=[scope])
+                sql = generate_query(rule)
+                expected = np.flatnonzero(table.conjunction_mask(rule.all_predicates())).tolist()
+                assert sorted(r[0] for r in db.execute(sql)) == expected, sql
+                assert execute_query(sql, table).tolist() == expected, sql
+
+
+def code_spans(line: str) -> list[str]:
+    """The code spans of one markdown line, as CommonMark reads them: a
+    backtick run opens one, the next run of the same length closes it, and
+    one space comes off both ends of a text that starts and ends with one."""
+    spans, at = [], 0
+    while opening := re.compile("`+").search(line, at):
+        fence = opening.group()
+        closing = re.compile(f"(?<!`){fence}(?!`)").search(line, opening.end())
+        if closing is None:  # a run that no run of its length closes is plain text
+            at = opening.end()
+            continue
+        text = line[opening.end() : closing.start()]
+        spans.append(text[1:-1] if text.strip(" ") and text[0] == text[-1] == " " else text)
+        at = closing.end()
+    return spans
+
 
 class TestRender:
     def _triaged(self):
@@ -277,6 +314,15 @@ class TestRender:
         assert f"1. `{generate_query(piped)}`" in md
         top = json.loads(render_json(entries(triaged), [], RUN_DATE, LAT))["rules"][0]
         assert (top["correlated_predicate"], top["scope_predicates"]) == ("Path:/a|b", ["Rack:r|1"])
+
+    def test_a_backtick_does_not_end_a_code_span(self):
+        odd = rule_of(Predicate.equals("UA", "curl`7"), scope=[Predicate.equals("Q", "``")], score=9999.0)
+        kpi = KpiSpec(column="L`at", kind=KpiKind.CONTINUOUS, threshold=5.0)
+        resolved = ["UA=old`x", "`edge` ", " pad "]
+        lines = render_markdown(entries([TriagedRule(odd, TriageCategory.NEW)]), resolved, RUN_DATE, kpi).splitlines()
+        assert code_spans(lines[2]) == ["L`at", str(kpi.describe()["slo"])]
+        assert [code_spans(line) for line in lines if line.startswith("- ")] == [[key] for key in resolved]
+        assert [code_spans(line) for line in lines if line.startswith("1. ")] == [[generate_query(odd)]]
 
     def test_stale_rule_renders_null_impact(self):
         stale = rule_of(Predicate.equals("A", "x"), impact=None)

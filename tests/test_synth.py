@@ -214,6 +214,14 @@ class TestValidation:
         with pytest.raises(ConfigError, match="'B'"):
             generate(config([cat("A", 5), cont("B")], faults=[fault]), DAY)
 
+    @pytest.mark.parametrize("attribute", ["A", "B"])
+    def test_missing_trigger_rejected(self, attribute):
+        # a generated column has no missing cell; on a continuous one the
+        # missing test passes the mask, and the category check must not raise past it
+        fault = FaultSpec(trigger=(Predicate.equals(attribute, ""),), shift=1.0)
+        with pytest.raises(ConfigError, match=f"'{attribute}'"):
+            generate(config([cat("A", 5), cont("B")], faults=[fault]), DAY)
+
     def test_threshold_trigger_on_a_categorical_attribute_rejected(self):
         fault = FaultSpec(trigger=(Predicate.greater_than("A", 1.0),), shift=1.0)
         with pytest.raises(ConfigError, match="'A'"):
